@@ -15,7 +15,6 @@ significant digits so values round-trip exactly.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -105,15 +104,6 @@ def load_config(path, overrides):
     return RunConfig(params=params, **merged)
 
 
-def worker_cap():
-    """Worker cap from MLCP_THREADS; evaluation currently runs sequentially
-    (results are ordered by config regardless)."""
-    try:
-        return max(1, int(os.environ.get("MLCP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -141,19 +131,20 @@ def _error_record(exc):
 
 
 def cmd_exact(config, out_path):
+    # With a diagnostic block, split_sums evaluates each n once and returns
+    # ln_mgf along with the split.
+    diag = config.diagnostic
     rows = []
+    diagnostics = None if diag is None else []
     for n in config.n_list:
         t0 = time.perf_counter()
-        value = ln_mgf_exact(config.params, n).ln_mgf
-        rows.append((n, value, time.perf_counter() - t0))
-    diagnostics = None
-    if config.diagnostic is not None:
-        diag = config.diagnostic
-        diagnostics = []
-        for n in config.n_list:
+        if diag is None:
+            value = ln_mgf_exact(config.params, n).ln_mgf
+        else:
             split = split_sums(
                 config.params, n, float(diag["eps"]), int(diag["m_prime"])
             )
+            value = split.ln_mgf
             diagnostics.append(
                 {
                     "n": n,
@@ -172,6 +163,7 @@ def cmd_exact(config, out_path):
                     "theta_plus_M": split.theta_plus_M,
                 }
             )
+        rows.append((n, value, time.perf_counter() - t0))
     if config.output == "json":
         payload = {"rows": [{"n": n, "ln_mgf": v, "seconds": s} for n, v, s in rows]}
         if diagnostics is not None:
@@ -370,7 +362,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    worker_cap()  # validated here; evaluation is sequential
     try:
         if args.command == "identities":
             return cmd_identities(args.fmt, args.out)

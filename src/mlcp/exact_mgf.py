@@ -6,12 +6,14 @@ For parameters (b, alpha, r, u, a) and matrix size n,
                  * Gamma((2j+2alpha+k)/(2b)) / Gamma((2j+2alpha)/(2b))
                  * [1 + ((-1)^a e^u - 1) P((2j+2alpha+k)/(2b), n r^{2b})] ),
 
-where P is the regularized lower incomplete gamma function.  The inner
-alternating sum loses up to a*|log10(x_j - b r^{2b})| digits near the
-critical index j ~ b n r^{2b}; it is therefore accumulated with exact
-(Shewchuk) summation and re-evaluated in 80-bit extended precision, and
-finally in 50-digit arithmetic, whenever the computed magnitude drops
-below 1e-3 of the largest term or turns nonpositive.
+where P is the regularized lower incomplete gamma function.  One kernel,
+``_log_terms``, evaluates the j-terms as arrays, a chunk of indices at a
+time.  The inner alternating sum loses up to a*|log10(x_j - b r^{2b})|
+digits near the critical index j ~ b n r^{2b}, so it has three precision
+tiers: a compensated (Neumaier) sum in double precision; a re-sum in 80-bit
+extended precision of the rows whose sum drops below 1e-3 of their largest
+term or turns nonpositive; and a 50-digit evaluation, row by row, of the
+rows still nonpositive.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -19,11 +21,11 @@ index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import CancellationError, DomainError, RangeError
+from .errors import AccuracyError, CancellationError, DomainError, RangeError
 from .params import Params
 from .specfun import lgamma_diff, reg_lower_gamma
 
@@ -33,11 +35,19 @@ _ESCALATION_RATIO = 1e-3
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
+# j-terms per kernel call: bounds the kernel's working arrays, and so the
+# peak memory, independently of n.
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SplitDiagnostics:
-    """Bookkeeping of the four-range decomposition of ln E_n."""
+    """Bookkeeping of the four-range decomposition of ln E_n.
 
+    ``ln_mgf`` is the fsum of all n terms, the value ln_mgf_exact returns.
+    """
+
+    ln_mgf: float
     S0: float
     S1: float
     S2: float
@@ -62,16 +72,14 @@ class SplitDiagnostics:
 @dataclass(frozen=True)
 class ExactResult:
     ln_mgf: float
-    per_term: Optional[Sequence[float]] = None
+    per_term: Optional[np.ndarray] = None
     split: Optional[SplitDiagnostics] = None
 
 
 class _TermContext:
     """Per-(params, n) constants reused by every j-term."""
 
-    __slots__ = (
-        "params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b", "escalated",
-    )
+    __slots__ = ("params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b")
 
     def __init__(self, params, n):
         self.params = params
@@ -83,42 +91,12 @@ class _TermContext:
         self.binom = [math.comb(params.a, k) for k in range(params.a + 1)]
         self.r_pow = [(-params.r) ** (params.a - k) for k in range(params.a + 1)]
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
-        self.escalated = []
-
-
-def _term_pieces(ctx, j):
-    """Per-k exponents g_k and incomplete-gamma factors P_k for one j."""
-    p = ctx.params
-    at0 = (j + p.alpha) / p.b
-    gs = []
-    ps = []
-    for k in range(p.a + 1):
-        d = ctx.k_over_2b[k]
-        gs.append(lgamma_diff(at0, d) - d * ctx.ln_n)
-        ps.append(reg_lower_gamma(at0 + d, ctx.z))
-    return gs, ps
-
-
-def _sum_double(ctx, gs, ps):
-    terms = [
-        ctx.binom[k] * ctx.r_pow[k] * math.exp(gs[k]) * (1.0 + ctx.cu * ps[k])
-        for k in range(ctx.params.a + 1)
-    ]
-    return math.fsum(terms), max(abs(t) for t in terms)
-
-
-def _sum_extended(ctx, gs, ps):
-    ld = np.longdouble
-    total = ld(0.0)
-    for k in range(ctx.params.a + 1):
-        w = ld(1.0) + ld(ctx.cu) * ld(ps[k])
-        total += ld(ctx.binom[k]) * ld(ctx.r_pow[k]) * np.exp(ld(gs[k])) * w
-    return total
 
 
 def _log_term_mp(ctx, j):
     """Last-resort 50-digit evaluation of one j-term."""
     from mpmath import mp
+    from mpmath.libmp import NoConvergence
 
     p = ctx.params
     with mp.workdps(50):
@@ -129,7 +107,12 @@ def _log_term_mp(ctx, j):
         total = mp.mpf(0)
         for k in range(p.a + 1):
             at = at0 + mp.mpf(k) / (2 * mp.mpf(p.b))
-            pk = mp.gammainc(at, 0, z, regularized=True)
+            try:
+                pk = mp.gammainc(at, 0, z, regularized=True)
+            except NoConvergence as exc:
+                raise AccuracyError(
+                    f"50-digit incomplete gamma did not converge at j={j}: {exc}"
+                ) from exc
             g = mp.loggamma(at) - lg0 - mp.mpf(k) / (2 * mp.mpf(p.b)) * mp.log(ctx.n)
             total += mp.binomial(p.a, k) * (-mp.mpf(p.r)) ** (p.a - k) * mp.exp(g) * (
                 1 + cu * pk
@@ -141,24 +124,56 @@ def _log_term_mp(ctx, j):
         return float(mp.log(total))
 
 
-def _log_term(ctx, j):
-    gs, ps = _term_pieces(ctx, j)
-    s, largest = _sum_double(ctx, gs, ps)
-    if s > 0.0 and abs(s) >= _ESCALATION_RATIO * largest:
-        return math.log(s)
-    if _LONGDOUBLE_OK:
-        ctx.escalated.append(j)
-        s_ext = _sum_extended(ctx, gs, ps)
-        if s_ext > 0.0:
-            return float(np.log(s_ext))
-    return _log_term_mp(ctx, j)
+def _log_terms(ctx, j):
+    """ln of the inner k-sum for every index in the integer array j.
+
+    The k-sum is accumulated in double precision with Neumaier compensation.
+    Rows that come out nonpositive or below _ESCALATION_RATIO of their
+    largest term are re-summed in 80-bit precision from the same g_k and
+    P_k, and rows still nonpositive go to the 50-digit evaluation.
+    """
+    p = ctx.params
+    at0 = (j + p.alpha) / p.b
+    gs = [lgamma_diff(at0, d) - d * ctx.ln_n for d in ctx.k_over_2b]
+    ps = [reg_lower_gamma(at0 + d, ctx.z) for d in ctx.k_over_2b]
+    terms = [
+        ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k]) * (1.0 + ctx.cu * ps[k])
+        for k in range(p.a + 1)
+    ]
+    total = terms[0]
+    comp = np.zeros_like(total)
+    largest = np.abs(total)
+    for t in terms[1:]:
+        s = total + t
+        comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
+        total = s
+        largest = np.maximum(largest, np.abs(t))
+    total = total + comp
+
+    out = np.empty_like(total)
+    good = (total > 0.0) & (np.abs(total) >= _ESCALATION_RATIO * largest)
+    out[good] = np.log(total[good])
+    bad = np.flatnonzero(~good)
+    if bad.size and _LONGDOUBLE_OK:
+        ld = np.longdouble
+        ext = np.zeros(bad.size, dtype=ld)
+        for k in range(p.a + 1):
+            w = ld(1.0) + ld(ctx.cu) * ps[k][bad].astype(ld)
+            ext += ld(ctx.binom[k]) * ld(ctx.r_pow[k]) * np.exp(gs[k][bad].astype(ld)) * w
+        positive = ext > 0.0
+        out[bad[positive]] = np.log(ext[positive]).astype(float)
+        bad = bad[~positive]
+    for i in bad.tolist():
+        out[i] = _log_term_mp(ctx, int(j[i]))
+    return out
 
 
 def ln_mgf_exact(params, n, keep_terms=False):
     """Evaluate ln E_n exactly (up to floating-point error) at size n.
 
     Returns an ExactResult; with ``keep_terms=True`` the n individual log
-    summands are attached (ascending j, the summation order).  The
+    summands are attached as an array (ascending j, the summation order).
+    The j-terms are evaluated in chunks of _CHUNK indices.  The
     accumulated-error budget is certified for n up to 2**20; larger n
     still evaluates but without a stated accuracy claim.
     """
@@ -166,11 +181,12 @@ def ln_mgf_exact(params, n, keep_terms=False):
         raise DomainError("params must be a Params instance")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("n must be a positive integer", constraint="n")
-    ctx = _TermContext(params, n)
-    if params.a == 0 and params.u == 0.0:
-        terms = [0.0] * n  # every factor is exactly 1
-    else:
-        terms = [_log_term(ctx, j) for j in range(1, n + 1)]
+    terms = np.zeros(n)
+    if params.a != 0 or params.u != 0.0:  # otherwise every factor is exactly 1
+        ctx = _TermContext(params, n)
+        for start in range(0, n, _CHUNK):
+            j = np.arange(start + 1, min(start + _CHUNK, n) + 1, dtype=float)
+            terms[start : start + j.size] = _log_terms(ctx, j)
     total = math.fsum(terms)
     return ExactResult(ln_mgf=total, per_term=terms if keep_terms else None)
 
@@ -232,12 +248,14 @@ def split_sums(params, n, eps, m_prime, M=None):
     if j_plus > n:
         raise RangeError(f"j_plus={j_plus} exceeds n={n} (n too small for eps)")
 
-    terms = ln_mgf_exact(params, n, keep_terms=True).per_term
+    exact = ln_mgf_exact(params, n, keep_terms=True)
+    terms = exact.per_term
     s0 = math.fsum(terms[0:m_prime])
     s1 = math.fsum(terms[m_prime : j_minus - 1])
     s2 = math.fsum(terms[j_minus - 1 : j_plus])
     s3 = math.fsum(terms[j_plus:n])
     return SplitDiagnostics(
+        ln_mgf=exact.ln_mgf,
         S0=s0,
         S1=s1,
         S2=s2,
@@ -279,6 +297,8 @@ def ln_partition(params, n):
     )
 
     ctx = _TermContext(params, n)
+    at0s = (np.arange(1, n + 1, dtype=float) + alpha) / b
+    ps = [reg_lower_gamma(at0s + d, ctx.z).tolist() for d in ctx.k_over_2b]
     d_terms = []
     for j in range(1, n + 1):
         at0 = (j + alpha) / b
@@ -288,7 +308,7 @@ def ln_partition(params, n):
             ctx.binom[k]
             * ctx.r_pow[k]
             * math.exp(lgs[k] - shift - ctx.k_over_2b[k] * ln_n)
-            * (1.0 + ctx.cu * reg_lower_gamma(at0 + ctx.k_over_2b[k], ctx.z))
+            * (1.0 + ctx.cu * ps[k][j - 1])
             for k in range(params.a + 1)
         )
         if inner <= 0.0:

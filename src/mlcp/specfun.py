@@ -1,28 +1,35 @@
-"""Scalar special functions.
+"""Special functions on scalars and numpy arrays.
 
-Log-gamma, complementary/imaginary error functions, and the regularized
-lower incomplete gamma function P(a, z) = gamma(a, z)/Gamma(a) across all
-parameter regimes, including a uniform large-parameter expansion
+The regularized lower incomplete gamma function P(a, z) = gamma(a, z)/Gamma(a)
+takes one of two routes, chosen by the size of a:
 
-    P(a, z) = erfc(-eta*sqrt(a/2))/2 - R_a(eta),
-    R_a(eta) ~ exp(-a*eta^2/2)/sqrt(2*pi*a) * sum_j c_j(eta)/a^j,
+* a < 1e3: ``scipy.special.gammainc``;
+* a >= 1e3: the uniform large-parameter expansion
 
-valid as a -> infinity uniformly in lambda = z/a, where
+      P(a, z) = erfc(-eta*sqrt(a/2))/2 - R_a(eta),
+      R_a(eta) ~ exp(-a*eta^2/2)/sqrt(2*pi*a) * sum_j c_j(eta)/a^j,
 
-    eta = sign(lambda-1) * sqrt(2*(lambda - 1 - ln(lambda))).
+  valid as a -> infinity uniformly in lambda = z/a, where
 
-Everything here is a pure function of its arguments; safe to call
-concurrently from any number of threads.
+      eta = sign(lambda-1) * sqrt(2*(lambda - 1 - ln(lambda))).
+
+  scipy's P is not used there: it drifts past a = 2.6e5 (1.2e-12 absolute
+  at a = 1e6, lambda = 0.995), and n up to 2^20 reaches a = 2e6; the
+  expansion stays within ~1e-15 there.
+
+``lgamma_diff`` gives ln Gamma(x + delta) - ln Gamma(x) with small absolute
+error for large x.  Every function here accepts scalars or arrays, returns a
+scalar for scalar input, and is a pure function of its arguments.
 """
 
-import enum
 import math
-from dataclasses import dataclass
+
+import numpy as np
+from scipy import special
 
 from .errors import DomainError, UnsupportedOrderError
 
-# Switch to a large-parameter uniform expansion at this a; below it a power
-# series / continued fraction evaluated in log space is both fast and accurate.
+# Below this a, scipy's gammainc; at and above it, the uniform expansion.
 LARGE_A_THRESHOLD = 1.0e3
 
 # Near lambda = 1 the closed forms of eta and c_j below cancel like
@@ -35,7 +42,6 @@ NEAR_ONE_SWITCH = 0.05
 # exp(-x) underflows to zero for x > ~745.13; beyond that P saturates hard.
 SATURATION_EXPONENT = 745.0
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Taylor coefficients in h = lambda - 1, exact rational values.
@@ -97,24 +103,16 @@ _C_SERIES = (
     ),
 )
 
-
-class GammaRegime(enum.Enum):
-    """Evaluation regime selected for a given (a, z); exactly one applies."""
-
-    LOWER_SERIES = "lower_series"
-    UPPER_CONTINUED_FRACTION = "upper_continued_fraction"
-    TEMME_UNIFORM = "temme_uniform"
-    SATURATED_ZERO = "saturated_zero"
-    SATURATED_ONE = "saturated_one"
-
-
-@dataclass(frozen=True)
-class TemmePoint:
-    """The triple (a, lambda, eta) entering the uniform expansion."""
-
-    a_tilde: float
-    lam: float
-    eta: float
+# Away from lambda = 1, c_j = _C_ETA[j] / eta^(2j+1) + (polynomial in 1/h
+# with coefficients _C_INV_H[j], constant term first).
+_C_ETA = (-1.0, 1.0, -3.0, 15.0)
+_C_INV_H = (
+    (0.0, 1.0),
+    (0.0, -1.0 / 12.0, -1.0, -1.0),
+    (0.0, 1.0 / 288.0, 1.0 / 12.0, 25.0 / 12.0, 5.0, 3.0),
+    (0.0, 139.0 / 51840.0, -1.0 / 288.0, -49.0 / 288.0, -77.0 / 12.0, -105.0 / 4.0,
+     -35.0, -15.0),
+)
 
 
 def _horner(coeffs, x):
@@ -124,56 +122,51 @@ def _horner(coeffs, x):
     return acc
 
 
-def ln_gamma(x):
-    """Natural log of Gamma(x) for x > 0."""
-    if not (x > 0):
-        raise DomainError("ln_gamma requires x > 0", constraint="x")
-    return math.lgamma(x)
+def _flat(*args):
+    """The arguments broadcast together as 1-d float arrays, and a function
+    giving a 1-d result their broadcast shape (a float for scalars)."""
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
+    shape = arrays[0].shape
+    if shape == ():
+        restore = lambda out: float(out[0])
+    else:
+        restore = lambda out: out.reshape(shape)
+    return [x.ravel() for x in arrays], restore
 
 
-def erfc(x):
-    """Complementary error function (2/sqrt(pi)) * int_x^inf exp(-t^2) dt."""
-    return math.erfc(x)
+def _eta(h):
+    # temme_eta on a 1-d array of h = lambda - 1 > -1
+    out = np.empty_like(h)
+    near = np.abs(h) < NEAR_ONE_SWITCH
+    far = ~near
+    out[near] = _horner(_ETA_SERIES, h[near])
+    hf = h[far]
+    out[far] = np.copysign(np.sqrt(2.0 * (hf - np.log1p(hf))), hf)
+    return out
 
 
-def erf(x):
-    return math.erf(x)
-
-
-def erfi(x):
-    """Imaginary error function erfi(x) = -i*erf(i*x), real for real x.
-
-    Power series with positive terms; every term is computed recursively so
-    no intermediate overflows before the result itself would.  Accurate to
-    ~1e-14 relative for |x| <= 25 (the result overflows past ~26.6).
-    """
-    if x == 0.0:
-        return 0.0
-    x2 = x * x
-    term = x
-    total = x
-    k = 0
-    while True:
-        k += 1
-        term *= x2 / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) <= 1e-17 * abs(total):
-            break
-        if k > 4000:
-            break
-    return 2.0 / _SQRT_PI * total
+def _temme_cs(h, eta):
+    """c_0..c_3 as a (4, m) array, from 1-d arrays of h = lambda - 1 and eta."""
+    cs = np.empty((4, h.size))
+    near = np.abs(h) < NEAR_ONE_SWITCH
+    far = ~near
+    hn = h[near]
+    inv_h = 1.0 / h[far]
+    inv_eta = 1.0 / eta[far]
+    inv_eta2 = inv_eta * inv_eta
+    for j in range(4):
+        cs[j, near] = _horner(_C_SERIES[j], hn)
+        cs[j, far] = _C_ETA[j] * inv_eta + _horner(_C_INV_H[j], inv_h)
+        inv_eta = inv_eta * inv_eta2
+    return cs
 
 
 def temme_eta(lam):
     """Signed eta with eta^2/2 = lambda - 1 - ln(lambda); sign(eta) = sign(lambda-1)."""
-    if not (lam > 0):
+    (lam,), restore = _flat(lam)
+    if not np.all(lam > 0):
         raise DomainError("temme_eta requires lambda > 0", constraint="lambda")
-    h = lam - 1.0
-    if abs(h) < NEAR_ONE_SWITCH:
-        return _horner(_ETA_SERIES, h)
-    t = 2.0 * (h - math.log1p(h))
-    return math.copysign(math.sqrt(t), h)
+    return restore(_eta(lam - 1.0))
 
 
 def temme_c(j, lam):
@@ -185,154 +178,50 @@ def temme_c(j, lam):
     """
     if j not in (0, 1, 2, 3):
         raise UnsupportedOrderError("only c_0..c_3 are implemented")
-    if not (lam > 0):
+    (lam,), restore = _flat(lam)
+    if not np.all(lam > 0):
         raise DomainError("temme_c requires lambda > 0", constraint="lambda")
     h = lam - 1.0
-    if abs(h) < NEAR_ONE_SWITCH:
-        return _horner(_C_SERIES[j], h)
-    e = temme_eta(lam)
-    if j == 0:
-        return 1.0 / h - 1.0 / e
-    if j == 1:
-        return 1.0 / e**3 - 1.0 / h**3 - 1.0 / h**2 - 1.0 / (12.0 * h)
-    if j == 2:
-        return (
-            -3.0 / e**5
-            + 3.0 / h**5
-            + 5.0 / h**4
-            + 25.0 / (12.0 * h**3)
-            + 1.0 / (12.0 * h**2)
-            + 1.0 / (288.0 * h)
-        )
-    return (
-        15.0 / e**7
-        - 15.0 / h**7
-        - 35.0 / h**6
-        - 105.0 / (4.0 * h**5)
-        - 77.0 / (12.0 * h**4)
-        - 49.0 / (288.0 * h**3)
-        - 1.0 / (288.0 * h**2)
-        + 139.0 / (51840.0 * h)
-    )
+    return restore(_temme_cs(h, _eta(h))[j])
 
 
-def temme_point(a_tilde, z):
-    """Assemble the (a, lambda, eta) triple for arguments (a, z)."""
-    if not (a_tilde > 0):
-        raise DomainError("a_tilde must be positive", constraint="a_tilde")
-    if not (z > 0):
-        raise DomainError("z must be positive for a Temme point", constraint="z")
-    lam = z / a_tilde
-    return TemmePoint(a_tilde=a_tilde, lam=lam, eta=temme_eta(lam))
-
-
-def gamma_regime(a_tilde, z):
-    """Deterministic regime dispatch for reg_lower_gamma."""
-    if not (a_tilde > 0 and math.isfinite(a_tilde)):
-        raise DomainError("a_tilde must be positive", constraint="a_tilde")
-    if not (z >= 0 and math.isfinite(z)):
-        raise DomainError("z must be nonnegative", constraint="z")
-    if z == 0.0:
-        return GammaRegime.LOWER_SERIES
-    lam = z / a_tilde
-    eta = temme_eta(lam)
-    if 0.5 * a_tilde * eta * eta > SATURATION_EXPONENT:
-        if lam > 1.0:
-            return GammaRegime.SATURATED_ONE
-        return GammaRegime.SATURATED_ZERO
-    if a_tilde >= LARGE_A_THRESHOLD:
-        return GammaRegime.TEMME_UNIFORM
-    if z < a_tilde + 1.0:
-        return GammaRegime.LOWER_SERIES
-    return GammaRegime.UPPER_CONTINUED_FRACTION
-
-
-def _p_lower_series(a_tilde, z):
-    # P = exp(a*ln z - z - lnGamma(a+1)) * sum_k z^k / ((a+1)...(a+k)),
-    # all terms positive; converges for z < a+1 and acceptably up to z ~ a.
-    if z == 0.0:
-        return 0.0
-    log_pre = a_tilde * math.log(z) - z - math.lgamma(a_tilde + 1.0)
-    term = 1.0
-    total = 1.0
-    d = a_tilde
-    for _ in range(100000):
-        d += 1.0
-        term *= z / d
-        total += term
-        if term <= 1e-17 * total:
-            break
-    if log_pre < -SATURATION_EXPONENT:
-        return 0.0
-    return math.exp(log_pre) * total
-
-
-def _q_continued_fraction(a_tilde, z):
-    # Modified Lentz evaluation of the classical continued fraction for
-    # Q = 1 - P; stable for z >= a+1.
-    log_pre = a_tilde * math.log(z) - z - math.lgamma(a_tilde)
-    tiny = 1e-300
-    b = z + 1.0 - a_tilde
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    f = d
-    for i in range(1, 100000):
-        an = -i * (i - a_tilde)
-        b += 2.0
-        d = an * d + b
-        if d == 0.0:
-            d = tiny
-        c = b + an / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    if log_pre < -SATURATION_EXPONENT:
-        return 0.0
-    return math.exp(log_pre) * f
-
-
-def _p_temme(a_tilde, z):
-    lam = z / a_tilde
-    eta = temme_eta(lam)
-    half = 0.5 * math.erfc(-eta * math.sqrt(0.5 * a_tilde))
-    s = 0.0
-    apow = 1.0
-    for j in range(4):
-        s += temme_c(j, lam) / apow
-        apow *= a_tilde
-    remainder = math.exp(-0.5 * a_tilde * eta * eta) / _SQRT_2PI / math.sqrt(a_tilde) * s
-    return half - remainder
+def _p_uniform(a, z):
+    # The uniform expansion on 1-d arrays with a >= LARGE_A_THRESHOLD, z > 0.
+    h = z / a - 1.0
+    eta = _eta(h)
+    expo = 0.5 * a * eta * eta
+    live = expo <= SATURATION_EXPONENT
+    out = np.where(h > 0.0, 1.0, 0.0)
+    a, h, eta, expo = a[live], h[live], eta[live], expo[live]
+    half = 0.5 * special.erfc(-eta * np.sqrt(0.5 * a))
+    cs = _temme_cs(h, eta)
+    inv_a = 1.0 / a
+    series = cs[0] + inv_a * (cs[1] + inv_a * (cs[2] + inv_a * cs[3]))
+    out[live] = half - np.exp(-expo) / _SQRT_2PI / np.sqrt(a) * series
+    return out
 
 
 def reg_lower_gamma(a_tilde, z):
     """Regularized lower incomplete gamma P(a, z) = gamma(a, z)/Gamma(a).
 
-    Returns a value in [0, 1]; relative error <= ~1e-11 wherever
-    P >= 1e-300.  Dispatch: power series for z < a+1, continued fraction
-    for z >= a+1, the uniform expansion with four correction coefficients
-    for a >= 1e3, and hard saturation to 0/1 once a*eta^2/2 exceeds the
-    double-precision exponent range.
+    Scalars or broadcastable arrays; returns values in [0, 1].  Relative
+    error <= ~1e-12 wherever P >= 1e-300: scipy's gammainc for a < 1e3, the
+    uniform expansion with four correction coefficients for a >= 1e3, with
+    P set to exactly 0 or 1 once a*eta^2/2 exceeds the double-precision
+    exponent range.
     """
-    regime = gamma_regime(a_tilde, z)
-    if regime is GammaRegime.SATURATED_ZERO:
-        return 0.0
-    if regime is GammaRegime.SATURATED_ONE:
-        return 1.0
-    if regime is GammaRegime.TEMME_UNIFORM:
-        p = _p_temme(a_tilde, z)
-    elif regime is GammaRegime.LOWER_SERIES:
-        p = _p_lower_series(a_tilde, z)
-    else:
-        p = 1.0 - _q_continued_fraction(a_tilde, z)
-    if p < 0.0:
-        return 0.0
-    if p > 1.0:
-        return 1.0
-    return p
+    (a, z), restore = _flat(a_tilde, z)
+    if not np.all((a > 0) & np.isfinite(a)):
+        raise DomainError("a_tilde must be positive", constraint="a_tilde")
+    if not np.all((z >= 0) & np.isfinite(z)):
+        raise DomainError("z must be nonnegative", constraint="z")
+    out = np.empty_like(a)
+    small = a < LARGE_A_THRESHOLD
+    out[small] = special.gammainc(a[small], z[small])
+    large = ~small & (z > 0.0)
+    out[large] = _p_uniform(a[large], z[large])
+    out[~small & (z == 0.0)] = 0.0
+    return restore(np.clip(out, 0.0, 1.0))
 
 
 # Stirling-series coefficients B_{2m}/(2m(2m-1)) for the log-gamma tail.
@@ -350,23 +239,29 @@ _LGAMMA_DIFF_DIRECT_CUTOFF = 20.0
 def lgamma_diff(x, delta):
     """ln Gamma(x + delta) - ln Gamma(x) with small absolute error.
 
-    For x >= 20 the difference of the two Stirling series is expanded
-    analytically so the result carries ~1e-15 absolute error even when
-    lnGamma itself is ~1e6 (a naive lgamma difference then loses five
-    digits).  Requires x > 0 and x + delta > 0.
+    Scalars or broadcastable arrays.  For x >= 20 the difference of the two
+    Stirling series is expanded analytically so the result carries ~1e-15
+    absolute error even when lnGamma itself is ~1e6 (a naive lgamma
+    difference then loses five digits); below 20, math.lgamma element by
+    element.  Requires x > 0 and x + delta > 0.
     """
-    if not (x > 0 and x + delta > 0):
+    (x, delta), restore = _flat(x, delta)
+    if not np.all((x > 0) & (x + delta > 0)):
         raise DomainError("lgamma_diff requires positive arguments", constraint="x")
-    if delta == 0.0:
-        return 0.0
-    if x < _LGAMMA_DIFF_DIRECT_CUTOFF:
-        return math.lgamma(x + delta) - math.lgamma(x)
+    out = np.zeros_like(x)
+    direct = (x < _LGAMMA_DIFF_DIRECT_CUTOFF) & (delta != 0.0)
+    out[direct] = [
+        math.lgamma(xi + di) - math.lgamma(xi)
+        for xi, di in zip(x[direct].tolist(), delta[direct].tolist())
+    ]
+    tail = (x >= _LGAMMA_DIFF_DIRECT_CUTOFF) & (delta != 0.0)
+    x, delta = x[tail], delta[tail]
     # (x+d-1/2)ln(x+d) - (x-1/2)ln(x) - d  ==  (x-1/2)log1p(d/x) + d(ln(x+d) - 1)
-    ratio = delta / x
-    log_ratio = math.log1p(ratio)
-    main = (x - 0.5) * log_ratio + delta * (math.log(x + delta) - 1.0)
-    tail = 0.0
+    log_ratio = np.log1p(delta / x)
+    main = (x - 0.5) * log_ratio + delta * (np.log(x + delta) - 1.0)
+    stirling = 0.0
     for m, coeff in enumerate(_STIRLING_TAIL, start=1):
         power = 1 - 2 * m
-        tail += coeff * x**power * math.expm1(power * log_ratio)
-    return main + tail
+        stirling = stirling + coeff * x**power * np.expm1(power * log_ratio)
+    out[tail] = main + stirling
+    return restore(out)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mlcp import exact_mgf
 from mlcp.cli import main
 from mlcp.exact_mgf import ln_mgf_exact
 from mlcp.params import Params
@@ -80,6 +81,30 @@ class TestExact:
         diag = payload["diagnostics"][0]
         total = diag["S0"] + diag["S1"] + diag["S2"] + diag["S3"]
         assert total == pytest.approx(payload["rows"][0]["ln_mgf"], abs=1e-10)
+
+    def test_diagnostic_evaluates_once(self, tmp_path, capsys, monkeypatch):
+        rows = []
+        kernel = exact_mgf._log_terms
+
+        def counted(ctx, j):
+            rows.append(len(j))
+            return kernel(ctx, j)
+
+        monkeypatch.setattr(exact_mgf, "_log_terms", counted)
+        params = {"u": 0.5, "a": 2, "r": 0.6}
+        cfg = write_config(
+            tmp_path,
+            output="json",
+            n_list=[400, 5000],
+            params=params,
+            diagnostic={"eps": 0.05, "m_prime": 10},
+        )
+        assert main(["exact", "--config", cfg]) == 0
+        assert sum(rows) == 400 + 5000
+        payload = json.loads(capsys.readouterr().out)
+        for row in payload["rows"]:
+            direct = ln_mgf_exact(Params(1.0, 0.0, 0.6, 0.5, 2), row["n"]).ln_mgf
+            assert row["ln_mgf"] == direct
 
     def test_bad_diagnostic_eps_exit_2(self, tmp_path, capsys):
         cfg = write_config(

@@ -3,12 +3,16 @@
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcp.errors import DomainError, RangeError
+from mlcp.errors import AccuracyError, DomainError, RangeError
 from mlcp.exact_mgf import (
+    _log_term_mp,
+    _log_terms,
+    _TermContext,
     default_window_width,
     ln_mgf_exact,
     ln_partition,
@@ -98,10 +102,24 @@ class TestShapeInU:
 
 class TestPerTerm:
     def test_terms_sum_to_total(self):
+        # 4097 crosses the boundary of the 4096-index evaluation chunks
         p = Params(1.0, 0.0, 0.6, 0.5, 2)
-        res = ln_mgf_exact(p, 300, keep_terms=True)
-        assert len(res.per_term) == 300
-        assert math.fsum(res.per_term) == pytest.approx(res.ln_mgf, abs=1e-12)
+        for n in (300, 4097):
+            res = ln_mgf_exact(p, n, keep_terms=True)
+            assert len(res.per_term) == n
+            assert math.fsum(res.per_term) == pytest.approx(res.ln_mgf, abs=1e-12)
+            ctx = _TermContext(p, n)
+            for j in (1, 2, n - 1, n):
+                one = _log_terms(ctx, np.array([float(j)]))[0]
+                assert res.per_term[j - 1] == one
+
+
+class TestFiftyDigitTier:
+    def test_no_convergence_is_accuracy_error(self):
+        # deep in the saturated regime mpmath's gammainc does not converge
+        ctx = _TermContext(Params(1, 0, 0.5, 0.7, 4), 100000)
+        with pytest.raises(AccuracyError):
+            _log_term_mp(ctx, 13000)
 
 
 class TestHighPrecisionAgreement:

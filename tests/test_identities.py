@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from mlcp import identities
+from mlcp.errors import MlcpError
 from mlcp.identities import (
     check_orthogonality,
     run_all,
@@ -44,3 +46,16 @@ def test_report_shape():
         assert isinstance(r.name, str) and r.name
         assert isinstance(r.passed, bool)
         assert isinstance(r.worst, float) or math.isinf(r.worst)
+
+
+def test_crashed_orthogonality_check_is_named(monkeypatch):
+    def crash(nu):
+        raise MlcpError(f"forced failure, nu={nu}")
+
+    monkeypatch.setattr(identities, "_orthogonality_worst", crash)
+    failed = {r.name: r for r in run_all() if not r.passed}
+    for nu in (0, 1):
+        name = f"check_orthogonality_nu{nu}"
+        assert name in failed
+        assert f"nu={nu}" in failed[name].detail
+    assert "<lambda>" not in failed

@@ -1,74 +1,24 @@
-"""Special-function accuracy and regime-dispatch tests."""
+"""Special-function accuracy tests: P(a, z) on both routes, the uniform
+expansion's eta and c_j, and the log-gamma difference."""
 
 import math
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
+from scipy.special import erfi, gammainc
 
-from mlcp import specfun
 from mlcp.errors import DomainError, UnsupportedOrderError
 from mlcp.specfun import (
-    GammaRegime,
-    erfc,
-    erfi,
-    gamma_regime,
     lgamma_diff,
-    ln_gamma,
     reg_lower_gamma,
     temme_c,
     temme_eta,
-    temme_point,
 )
 
 
-class TestLnGamma:
-    def test_at_one(self):
-        assert ln_gamma(1.0) == 0.0
-
-    def test_at_half(self):
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
-
-    def test_at_ten(self):
-        # Gamma(10) = 9!
-        assert ln_gamma(10.0) == pytest.approx(math.log(math.factorial(9)), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-2.5)
-
-    def test_accuracy_grid(self):
-        with mp.workdps(40):
-            x = 0.5
-            while x < 1e6:
-                ref = mp.loggamma(mpf(x))
-                ours = ln_gamma(x)
-                if ref != 0:
-                    assert abs((mpf(ours) - ref) / ref) < 1e-14
-                x *= 2.7
-
-
 class TestErf:
-    def test_erfc_zero(self):
-        assert erfc(0.0) == 1.0
-
-    def test_erfc_reflection(self):
-        for x in (0.3, 1.0, 2.5, 7.0):
-            assert erfc(-x) + erfc(x) == pytest.approx(2.0, abs=1e-15)
-
-    def test_erfc_value(self):
-        # mpmath: erfc(1) = 0.15729920705028513...
-        assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
-
-    def test_erfc_accuracy_grid(self):
-        # double precision represents erfc down to ~1e-308, i.e. |x| <~ 26.5
-        with mp.workdps(40):
-            for x in [0.1 * k for k in range(1, 261)]:
-                ref = mp.erfc(mpf(x))
-                assert abs((mpf(erfc(x)) - ref) / ref) < 1e-14
-                refm = mp.erfc(mpf(-x))
-                assert abs((mpf(erfc(-x)) - refm) / refm) < 1e-14
+    """scipy's erfi, which the nu = 1 orthogonality weight uses."""
 
     def test_erfi_odd(self):
         for x in (0.2, 1.7, 5.0):
@@ -153,34 +103,20 @@ class TestTemmeC:
 
 class TestTemmePoint:
     def test_invariants(self):
+        # the (a, lambda, eta) triple of the uniform expansion at z = lambda*a
         for a_tilde in (2.0, 1e3, 1e6):
             for lam in (0.5, 0.9, 1.0, 1.2, 4.0):
-                tp = temme_point(a_tilde, lam * a_tilde)
-                assert tp.lam == pytest.approx(lam, rel=1e-15)
+                z = lam * a_tilde
+                eta = temme_eta(z / a_tilde)
+                assert z / a_tilde == pytest.approx(lam, rel=1e-15)
                 if lam == 1.0:
-                    assert tp.eta == 0.0
+                    assert eta == 0.0
                 else:
-                    assert math.copysign(1.0, tp.eta) == math.copysign(1.0, lam - 1.0)
-                lhs = a_tilde * tp.eta**2 / 2.0
-                rhs = lam * a_tilde - a_tilde + a_tilde * math.log(a_tilde / (lam * a_tilde))
+                    assert math.copysign(1.0, eta) == math.copysign(1.0, lam - 1.0)
+                lhs = a_tilde * eta**2 / 2.0
+                rhs = z - a_tilde + a_tilde * math.log(a_tilde / z)
                 if rhs > 1e-12 * a_tilde:
                     assert abs(lhs - rhs) <= 1e-12 * rhs
-
-
-class TestRegimeDispatch:
-    def test_deterministic_selection(self):
-        assert gamma_regime(1.0, 0.5) is GammaRegime.LOWER_SERIES
-        assert gamma_regime(5.0, 30.0) is GammaRegime.UPPER_CONTINUED_FRACTION
-        assert gamma_regime(1e4, 1e4) is GammaRegime.TEMME_UNIFORM
-        assert gamma_regime(1e6, 2e6) is GammaRegime.SATURATED_ONE
-        assert gamma_regime(1e6, 5e5) is GammaRegime.SATURATED_ZERO
-        assert gamma_regime(3.0, 0.0) is GammaRegime.LOWER_SERIES
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_regime(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
 
 
 class TestRegLowerGamma:
@@ -213,16 +149,26 @@ class TestRegLowerGamma:
                 z = lam * lo
                 assert reg_lower_gamma(hi, z) <= reg_lower_gamma(lo, z) + 1e-13
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            reg_lower_gamma(1.0, -0.5)
+        with pytest.raises(DomainError):
+            reg_lower_gamma(-1.0, 2.0)
+        with pytest.raises(DomainError):
+            reg_lower_gamma(np.array([1.0, 0.0]), 2.0)
+        with pytest.raises(DomainError):
+            reg_lower_gamma(5e3, np.array([1.0, math.inf]))
+
     def test_overlap_agreement(self):
-        # uniform expansion vs continued fraction where both are valid
+        # uniform expansion vs scipy's gammainc where both are accurate
         for at in (1e3, 2e3, 5e3, 1e4):
             for lam in (1.005, 1.05, 1.3, 2.0):
                 z = lam * at
-                if z < at + 1.0 or 0.5 * at * temme_eta(lam) ** 2 > 700.0:
+                if 0.5 * at * temme_eta(lam) ** 2 > 700.0:
                     continue
-                p_cf = 1.0 - specfun._q_continued_fraction(at, z)
-                p_tm = specfun._p_temme(at, z)
-                assert p_cf == pytest.approx(p_tm, rel=1e-10)
+                p_sp = gammainc(at, z)
+                p_tm = reg_lower_gamma(at, z)
+                assert p_sp == pytest.approx(p_tm, rel=1e-10)
 
     def test_saturation_bound(self):
         # fixed a <= 10, z >= 200: |P - 1| <= 10 exp(-z/2)
@@ -242,6 +188,40 @@ class TestRegLowerGamma:
                     continue
                 assert abs((mpf(reg_lower_gamma(at, z)) - ref) / ref) < 1e-11
 
+    def test_small_a_tails_against_mpmath(self):
+        # the scipy route, down to P = 1e-300 in the lower tail
+        lams = (1e-300, 1e-100, 1e-30, 1e-5, 0.01, 0.1, 0.3, 0.6, 0.9, 0.99,
+                1.0, 1.01, 1.2, 2.0, 5.0)
+        tested = 0
+        with mp.workdps(50):
+            for at in (0.5, 1.0, 3.7, 20.0, 150.0, 999.0):
+                for lam in lams:
+                    z = lam * at
+                    ref = mp.gammainc(mpf(at), 0, mpf(z), regularized=True)
+                    if ref < mpf("1e-300"):
+                        continue
+                    got = reg_lower_gamma(at, z)
+                    assert abs((mpf(got) - ref) / ref) < 1e-11, (at, lam)
+                    tested += 1
+        assert tested >= 70
+
+    def test_large_a_stays_on_expansion(self):
+        # scipy's gammainc is ~1e-12 off here; the expansion ~1e-15
+        with mp.workdps(50):
+            for at in (1e6, 2e6):
+                z = 0.995 * at
+                ref = mp.gammainc(mpf(at), 0, mpf(z), regularized=True)
+                assert abs(mpf(reg_lower_gamma(at, z)) - ref) < 1e-14
+
+    def test_array_matches_scalar(self):
+        at = np.repeat([0.5, 3.0, 999.9, 1e3, 5e3, 1e5, 1e6, 2e6], 9)
+        lam = np.tile([1e-3, 0.3, 0.9, 0.995, 1.0, 1.001, 1.04, 1.06, 3.0], 8)
+        z = lam * at
+        arr = reg_lower_gamma(at, z)
+        assert arr.shape == at.shape
+        assert arr.tolist() == [reg_lower_gamma(a, zz) for a, zz in zip(at, z)]
+        assert reg_lower_gamma(at.reshape(8, 9), z.reshape(8, 9)).shape == (8, 9)
+
 
 class TestLgammaDiff:
     def test_matches_mpmath(self):
@@ -253,3 +233,15 @@ class TestLgammaDiff:
 
     def test_zero_shift(self):
         assert lgamma_diff(17.3, 0.0) == 0.0
+
+    def test_array_matches_scalar(self):
+        x = np.array([0.7, 5.0, 19.9, 20.0, 20.1, 123.0, 4.5e4, 2.2e6])
+        for d in (0.0, 0.25, 1.0, 2.5):
+            arr = lgamma_diff(x, d)
+            assert arr.tolist() == [lgamma_diff(xi, d) for xi in x]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            lgamma_diff(0.0, 1.0)
+        with pytest.raises(DomainError):
+            lgamma_diff(np.array([3.0, 0.5]), -1.0)
