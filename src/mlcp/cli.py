@@ -8,8 +8,9 @@
 
 Configuration is a single JSON file; command-line flags win over config
 values.  Exit codes: 0 success, 2 configuration/domain error, 3 accuracy
-error, 4 identity failure.  All floating-point output carries 17
-significant digits so values round-trip exactly.
+or arithmetic (overflow, division by zero) error, 4 identity failure.  All
+floating-point output carries 17 significant digits so values round-trip
+exactly; JSON writes a non-finite Monte Carlo estimate as null.
 """
 
 import argparse
@@ -61,6 +62,8 @@ class RunConfig:
             raise DomainError("output must be csv or json", constraint="output")
         if not (isinstance(self.samples, int) and self.samples >= 100):
             raise DomainError("samples must be >= 100", constraint="samples")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise DomainError("seed must be a nonnegative integer", constraint="seed")
 
 
 def _fmt(x):
@@ -71,13 +74,17 @@ def _fmt(x):
     return str(x)
 
 
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
 def load_config(path, overrides):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}", constraint="config")
-    if "params" not in raw:
+    if not isinstance(raw, dict) or "params" not in raw:
         raise DomainError("config missing 'params'", constraint="params")
     p = raw["params"]
     try:
@@ -88,16 +95,18 @@ def load_config(path, overrides):
             u=float(p["u"]),
             a=int(p["a"]),
         )
+        merged = {
+            "n_list": tuple(int(n) for n in raw.get("n_list", ())),
+            "tol": float(raw.get("tol", 1e-9)),
+            "seed": int(raw.get("seed", 1)),
+            "samples": int(raw.get("samples", 100000)),
+            "output": raw.get("output", "csv"),
+            "diagnostic": raw.get("diagnostic"),
+        }
     except KeyError as exc:
         raise DomainError(f"config params missing field {exc}", constraint=str(exc))
-    merged = {
-        "n_list": tuple(int(n) for n in raw.get("n_list", ())),
-        "tol": float(raw.get("tol", 1e-9)),
-        "seed": int(raw.get("seed", 1)),
-        "samples": int(raw.get("samples", 100000)),
-        "output": raw.get("output", "csv"),
-        "diagnostic": raw.get("diagnostic"),
-    }
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"bad config value: {exc}", constraint="config")
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
@@ -243,12 +252,14 @@ def cmd_mc(config, out_path):
                 "rows": [
                     {
                         "n": n,
-                        "estimate_E": r.estimate_E,
-                        "stderr_E": r.stderr_E,
+                        # JSON has no inf: an overflowed estimate is null
+                        "estimate_E": _finite_or_none(r.estimate_E),
+                        "stderr_E": _finite_or_none(r.stderr_E),
                         "ln_estimate": r.ln_estimate,
                         "ln_stderr": r.ln_stderr,
                         "samples": r.samples,
                         "seed": r.seed,
+                        "ess": r.ess,
                     }
                     for n, r in zip(config.n_list, rows)
                 ]
@@ -256,10 +267,10 @@ def cmd_mc(config, out_path):
             out_path,
         )
     else:
-        lines = ["n,estimate_E,stderr_E,ln_estimate,ln_stderr,samples,seed"]
+        lines = ["n,estimate_E,stderr_E,ln_estimate,ln_stderr,ess,samples,seed"]
         lines += [
             f"{n},{_fmt(r.estimate_E)},{_fmt(r.stderr_E)},{_fmt(r.ln_estimate)},"
-            f"{_fmt(r.ln_stderr)},{r.samples},{r.seed}"
+            f"{_fmt(r.ln_stderr)},{_fmt(r.ess)},{r.samples},{r.seed}"
             for n, r in zip(config.n_list, rows)
         ]
         _emit(lines, out_path)
@@ -381,7 +392,7 @@ def main(argv=None):
         if args.command == "mc":
             return cmd_mc(config, args.out)
         raise DomainError(f"unknown command {args.command}")
-    except AccuracyError as exc:
+    except (AccuracyError, ArithmeticError) as exc:
         sys.stderr.write(json.dumps(_error_record(exc)) + "\n")
         return EXIT_ACCURACY
     except MlcpError as exc:

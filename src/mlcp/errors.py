@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all mlcp modules.
 
 The CLI maps these onto its exit-code contract: domain/range/config
-problems exit with 2, accuracy failures with 3, identity failures with 4.
+problems exit with 2, accuracy failures (and Python's ArithmeticError)
+with 3, identity failures with 4.
 """
 
 

@@ -10,10 +10,20 @@ accumulated in log space with a max shift so no weight overflows.
 
 Streams are derived per modulus index j from a counter-based Philox
 generator (seed spawn key (j,)), so the estimate is a pure function of
-(seed, samples, params, n) regardless of any sample partitioning.
+(seed, samples, params, n).  The draws run on every usable core as a
+pipeline: each worker thread owns the streams of one contiguous group of
+indices j and walks the samples in rounds of 8192.  It adds its terms into
+a round's log weights once the group before it has added theirs, while
+that group goes on to the next round.  Every sample thus receives the same
+additions in the same order as in a serial loop over j, and a stream drawn
+in pieces yields the same variates as one draw, so the result is
+bit-identical for any core count.
 """
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +31,27 @@ import numpy as np
 from .errors import DomainError
 from .params import Params
 
+# Samples per round: long enough that each draw call outweighs its Python
+# overhead, short enough that a stage's row stays in cache.
+_ROUND_SAMPLES = 8192
+
 
 @dataclass(frozen=True)
 class MCResult:
+    """A Monte Carlo estimate of E_n.
+
+    ``estimate_E`` and ``stderr_E`` are ``math.inf`` where they overflow a
+    double; the ln fields still carry the value.  ``ess`` is the Kish
+    effective sample size (sum w)^2 / sum w^2 of the sample weights.
+    """
+
     estimate_E: float
     stderr_E: float
     ln_estimate: float
     ln_stderr: float
     samples: int
     seed: int
+    ess: float
 
 
 def _generator(seed, j=None):
@@ -43,20 +65,92 @@ def _shapes(params, n):
     return (j + params.alpha) / params.b
 
 
+def _check_args(params, n, seed):
+    if not isinstance(params, Params):
+        raise DomainError("params must be a Params instance")
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError("n must be a positive integer", constraint="n")
+    if not (isinstance(seed, int) and seed >= 0):
+        raise DomainError("seed must be a nonnegative integer", constraint="seed")
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _exp_times(x, c):
+    """e^x * c for c >= 0, or inf where that overflows a double."""
+    try:
+        return math.exp(x) * c
+    except OverflowError:
+        if c == 0.0:
+            return 0.0
+        try:
+            return math.exp(x + math.log(c))
+        except OverflowError:
+            return math.inf
+
+
 def sample_moduli(params, n, seed):
     """One joint draw of the n moduli, ascending index j.
 
     R_j = (G_j / n)^{1/(2b)} with G_j ~ Gamma((j+alpha)/b).  numpy's
     standard_gamma supplies the variates (squeeze/accept for shape >= 1,
     with the U^{1/s} boost below shape 1), which covers every alpha > -1.
+    The draw comes from the unsplit seed stream, not from the per-j
+    substreams of ``mc_ln_mgf``, so its moduli are unrelated to any sample
+    of ``mc_ln_mgf`` with the same seed.
     """
-    if not isinstance(params, Params):
-        raise DomainError("params must be a Params instance")
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError("n must be a positive integer", constraint="n")
+    _check_args(params, n, seed)
     rng = _generator(seed)
     g = rng.standard_gamma(_shapes(params, n))
     return (g / n) ** (1.0 / (2.0 * params.b))
+
+
+def _stage(rngs, shapes, lo, hi, params, n, log_w, ready, done):
+    """Add the terms of indices lo..hi-1 into log_w, one round at a time.
+
+    A round starts once ``ready`` yields True: the stage before has added
+    its terms into that round's samples.  The stage then signals ``done``.
+    ``None`` stands for no neighbour; False passes a failure downstream.
+    """
+    a, r, u = params.a, params.r, params.u
+    root = 1.0 / (2.0 * params.b)
+    row = np.empty(min(_ROUND_SAMPLES, log_w.size))
+    below = np.empty(row.size, dtype=bool)
+    finished = False
+    try:
+        # errstate is thread-local, so each worker sets its own
+        with np.errstate(divide="ignore"):
+            for s0 in range(0, log_w.size, row.size):
+                if ready is not None and not ready.get():
+                    return
+                chunk = log_w[s0 : s0 + row.size]
+                radii, inside = row[: chunk.size], below[: chunk.size]
+                for j in range(lo, hi):
+                    rngs[j].standard_gamma(shapes[j], out=radii)
+                    radii /= n
+                    radii **= root
+                    if u:
+                        np.less(radii, r, out=inside)
+                    if a:
+                        # an exact hit R_j == r records log weight -inf (weight 0)
+                        radii -= r
+                        np.abs(radii, out=radii)
+                        np.log(radii, out=radii)
+                        radii *= a
+                        chunk += radii
+                    if u:
+                        chunk += u * inside
+                if done is not None:
+                    done.put(True)
+        finished = True
+    finally:
+        if done is not None and not finished:
+            done.put(False)
 
 
 def mc_ln_mgf(params, n, samples, seed):
@@ -67,27 +161,31 @@ def mc_ln_mgf(params, n, samples, seed):
     after subtracting the running maximum, and the log-scale uncertainty
     is the delta-method ratio stderr/estimate.  A draw landing exactly on
     r at double precision contributes weight zero (probability ~0); it is
-    counted, not treated as an error.
+    counted, not treated as an error.  With a = 0 and u = 0 every weight
+    is 1 and nothing is drawn.
     """
-    if not isinstance(params, Params):
-        raise DomainError("params must be a Params instance")
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError("n must be a positive integer", constraint="n")
+    _check_args(params, n, seed)
     if not (isinstance(samples, int) and samples >= 100):
         raise DomainError("samples must be an integer >= 100", constraint="samples")
-    a, r, u = params.a, params.r, params.u
-    root = 1.0 / (2.0 * params.b)
+    a, u = params.a, params.u
+    if not a and not u:
+        return MCResult(1.0, 0.0, 0.0, 0.0, samples, seed, float(samples))
     shapes = _shapes(params, n)
+    rngs = [_generator(seed, j) for j in range(1, n + 1)]
+    workers = min(_usable_cores(), n)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    links = [None] + [queue.SimpleQueue() for _ in range(workers - 1)] + [None]
     log_w = np.zeros(samples, dtype=np.float64)
-    for j in range(1, n + 1):
-        rng = _generator(seed, j)
-        radii = (rng.standard_gamma(shapes[j - 1], size=samples) / n) ** root
-        if a:
-            with np.errstate(divide="ignore"):
-                # an exact hit R_j == r records log weight -inf (weight 0)
-                log_w += a * np.log(np.abs(radii - r))
-        if u:
-            log_w += u * (radii < r)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(
+                _stage, rngs, shapes, bounds[k], bounds[k + 1], params, n, log_w,
+                links[k], links[k + 1],
+            )
+            for k in range(workers)
+        ]
+        for future in futures:
+            future.result()
     shift = float(np.max(log_w))
     if not math.isfinite(shift):
         raise DomainError("every Monte Carlo weight vanished", constraint="samples")
@@ -97,10 +195,11 @@ def mc_ln_mgf(params, n, samples, seed):
     ln_estimate = shift + math.log(mean)
     ln_stderr = std / mean
     return MCResult(
-        estimate_E=math.exp(ln_estimate),
-        stderr_E=math.exp(shift) * std,
+        estimate_E=_exp_times(ln_estimate, 1.0),
+        stderr_E=_exp_times(shift, std),
         ln_estimate=ln_estimate,
         ln_stderr=ln_stderr,
         samples=samples,
         seed=seed,
+        ess=(mean * samples) ** 2 / float(np.dot(w, w)),
     )

@@ -170,6 +170,27 @@ class TestMc:
         fields = row.split(",")
         assert fields[-2:] == ["800", "42"]
 
+    def test_ess_column(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_list=[10])
+        assert main(["mc", "--config", cfg]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "n,estimate_E,stderr_E,ln_estimate,ln_stderr,ess,samples,seed"
+        assert float(row.split(",")[5]) == 1000.0
+        assert main(["mc", "--config", cfg, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["ess"] == 1000.0
+
+    def test_overflowing_estimate_is_null_json(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_list=[1500], seed=3, samples=3000,
+                           params={"b": 0.5, "alpha": 0.5, "r": 1.0, "u": 2.5})
+        assert main(["mc", "--config", cfg, "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        row = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"][0]
+        assert row["estimate_E"] is None and row["stderr_E"] is None
+        assert row["ln_estimate"] > 709.8
+
 
 class TestIdentities:
     def test_clean_build_exit_zero(self, capsys):
@@ -214,6 +235,35 @@ class TestExitCodes:
         assert main(["exact", "--config", cfg]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["constraint"] == "n_list"
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_list=[10], params={"u": 0.5, "a": 1})
+        assert main(["mc", "--config", cfg, "--seed", "-1"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["constraint"] == "seed"
+
+    @pytest.mark.parametrize("seed", [-3, "x", [1]])
+    def test_bad_config_seed_exit_2(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, n_list=[10], seed=seed, params={"u": 0.5, "a": 1})
+        assert main(["mc", "--config", cfg]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "DomainError"
+
+    def test_bad_config_field_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, params={"b": None})
+        assert main(["exact", "--config", cfg]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["constraint"] == "config"
+
+    def test_arithmetic_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        def overflow(params, n):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("mlcp.cli.ln_mgf_exact", overflow)
+        cfg = write_config(tmp_path)
+        assert main(["exact", "--config", cfg]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "OverflowError"
 
     def test_unreachable_tolerance_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[16, 32], params={"u": 0.5, "a": 1})

@@ -1,10 +1,14 @@
 """Monte Carlo sampler: distributional laws, agreement, reproducibility."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from mlcp import sampler
 from mlcp.errors import DomainError
 from mlcp.exact_mgf import ln_mgf_exact
 from mlcp.params import Params
@@ -119,3 +123,131 @@ class TestShapeBelowOne:
         res = mc_ln_mgf(Params(1.0, -0.9, 0.5, 0.4, 0), 5, 50000, seed=21)
         exact = ln_mgf_exact(Params(1.0, -0.9, 0.5, 0.4, 0), 5).ln_mgf
         assert abs(res.ln_estimate - exact) <= 4.0 * res.ln_stderr
+
+
+def serial_reference(params, n, samples, seed):
+    """The one-stream-at-a-time loop over j that mc_ln_mgf must reproduce."""
+    a, r, u = params.a, params.r, params.u
+    root = 1.0 / (2.0 * params.b)
+    shapes = (np.arange(1, n + 1, dtype=np.float64) + params.alpha) / params.b
+    log_w = np.zeros(samples, dtype=np.float64)
+    for j in range(1, n + 1):
+        rng = sampler._generator(seed, j)
+        radii = (rng.standard_gamma(shapes[j - 1], size=samples) / n) ** root
+        if a:
+            with np.errstate(divide="ignore"):
+                log_w += a * np.log(np.abs(radii - r))
+        if u:
+            log_w += u * (radii < r)
+    shift = float(np.max(log_w))
+    w = np.exp(log_w - shift)
+    mean = float(np.mean(w))
+    std = float(np.std(w, ddof=1)) / math.sqrt(samples)
+    ln_estimate = shift + math.log(mean)
+    ess = (mean * samples) ** 2 / float(np.dot(w, w))
+    return (math.exp(ln_estimate), math.exp(shift) * std, ln_estimate,
+            std / mean, samples, seed, ess)
+
+
+class TestThreadedRounds:
+    @pytest.mark.parametrize("cores", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "params, n, samples",
+        [
+            # more than one round of 8192 samples, the last one partial
+            (Params(1.0, 0.0, 0.5, 1.0, 1), 10, 20001),
+            (Params(1.0, 0.0, 0.5, 0.7, 0), 12, 5000),
+            (Params(1.0, 0.0, 0.6, 0.0, 2), 12, 5000),
+            # shape (1 + alpha) / b < 1 at j = 1
+            (Params(1.0, -0.9, 0.5, 0.4, 1), 5, 3000),
+            # fewer indices than workers
+            (Params(2.0, -0.5, 0.6, -0.7, 2), 1, 3000),
+            (Params(2.0, -0.5, 0.6, -0.7, 2), 2, 3000),
+            (Params(0.5, 0.5, 1.0, 0.3, 1), 300, 7000),
+        ],
+    )
+    def test_bit_identical_to_serial_loop(self, monkeypatch, cores, params, n, samples):
+        if cores is not None:
+            monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
+        res = mc_ln_mgf(params, n, samples, seed=31)
+        assert dataclasses.astuple(res) == serial_reference(params, n, samples, 31)
+
+    def test_many_workers_fast_switching(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond: a
+        # worker touching another's rows or streams would change the result
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: 8)
+        params = Params(1.0, 0.0, 0.5, 1.0, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = mc_ln_mgf(params, 16, 20001, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert dataclasses.astuple(res) == serial_reference(params, 16, 20001, 5)
+
+    @pytest.mark.parametrize("broken_j", [2, 8])
+    def test_failing_stage_raises_without_hanging(self, monkeypatch, broken_j):
+        class Broken:
+            def standard_gamma(self, *args, **kwargs):
+                raise FloatingPointError("injected")
+
+        real = sampler._generator
+        monkeypatch.setattr(
+            sampler, "_generator",
+            lambda seed, j=None: Broken() if j == broken_j else real(seed, j),
+        )
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: 4)
+        raised = []
+
+        def run():
+            try:
+                mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 8, 20001, seed=1)
+            except FloatingPointError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(raised) == 1
+
+    def test_null_weight_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("null weight constructed a generator")
+
+        monkeypatch.setattr(sampler, "_generator", no_draws)
+        res = mc_ln_mgf(GINIBRE, 10, 1000, seed=3)
+        assert res == sampler.MCResult(1.0, 0.0, 0.0, 0.0, 1000, 3, 1000.0)
+
+
+class TestEffectiveSampleSize:
+    # the null weight's ess == samples is pinned by test_null_weight_draws_nothing
+    def test_ess_within_bounds(self):
+        res = mc_ln_mgf(Params(1.0, 0.0, 0.6, 0.5, 2), 15, 20000, seed=11)
+        assert 1.0 <= res.ess < 20000
+
+
+class TestOverflowAndSeeds:
+    def test_overflowing_estimate_is_inf(self):
+        # ln E is about 1906 here, past the largest double's log (709.8)
+        res = mc_ln_mgf(Params(0.5, 0.5, 1.0, 2.5, 0), 1500, 3000, seed=3)
+        assert res.estimate_E == math.inf
+        assert res.stderr_E == math.inf
+        assert 709.8 < res.ln_estimate < 3000.0
+        assert math.isfinite(res.ln_stderr)
+
+    def test_scaled_exp_overflows_only_with_the_product(self):
+        # e^710 overflows a double, e^710 * 1e-5 does not
+        assert sampler._exp_times(710.0, 1e-5) == pytest.approx(math.exp(710.0 + math.log(1e-5)))
+        assert sampler._exp_times(710.0, 0.0) == 0.0
+        assert sampler._exp_times(2000.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError) as info:
+            mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 10, 1000, seed=seed)
+        assert info.value.constraint == "seed"
+        with pytest.raises(DomainError):
+            mc_ln_mgf(GINIBRE, 10, 1000, seed=seed)
+        with pytest.raises(DomainError):
+            sample_moduli(GINIBRE, 10, seed=seed)
