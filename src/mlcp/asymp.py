@@ -19,16 +19,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfc as np_erfc
 
 from . import combo_poly
 from .errors import AccuracyError, DomainError
 from .exact_mgf import ln_mgf_exact
 from .quadrature import adaptive, graded_edges
+from .specfun import horner
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MAX_OCTAVES = 40
+# math.erfc element by element: against 40-digit mpmath, scipy's erfc is
+# 1.4e-14 relative off for y in [6, 12] and 5.7e-14 by y = 26, where
+# math.erfc stays within 4e-16.
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -87,42 +91,54 @@ class _Profile:
         self.q1 = q1.float_coeffs()
         self.p_comb = (p1 + head * s_poly * p0).float_coeffs()
         self.q_comb = (q1 + head * s_poly * q0).float_coeffs()
-        # p0(t)/t^a - 1 as a polynomial in w = 1/t^2 (coefficients of
-        # t^{a-2}, t^{a-4}, ... below the monic head)
-        tail = []
-        coeffs = p0.coeffs
-        for m in range(1, a // 2 + 1):
-            tail.append(float(coeffs[a - 2 * m]))
-        self.tail_ratio = tail
+        # p0(t)/t^a - 1 as a polynomial in w = 1/t^2: constant term 0, then
+        # the coefficients of t^{a-2}, t^{a-4}, ... below the monic head
+        self.tail_ratio = [0.0] + [float(p0.coeffs[a - 2 * m]) for m in range(1, a // 2 + 1)]
         self.y_switch = max(8.0, math.sqrt(max(u, 0.0) + 64.0))
 
 
-def _polyval(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _parts(y, prof):
+    """s = -sqrt2 y and the erfc and Gaussian weights (amp, gauss) at the
+    array y: the pieces every profile p(s) amp + q(s) gauss is made of."""
+    amp = prof.sign_a + prof.cu_e * 0.5 * _erfc(y)
+    gauss = prof.cu_e * np.exp(-y * y) / _SQRT_2PI
+    return -_SQRT2 * y, amp, gauss
 
 
-def _profile(params):
-    return _Profile(params)
+def _mix(p, q, parts):
+    """p(s) amp + q(s) gauss for the polynomial pair (p, q)."""
+    s, amp, gauss = parts
+    return horner(p, s) * amp + horner(q, s) * gauss
 
 
-def eval_G(y, params, _prof=None):
-    """Evaluate the profile pair (g0, g1) at real y.
+def _positive_g0(y, prof, parts):
+    """g0 from the parts at y; AccuracyError where it is not positive."""
+    g0 = _mix(prof.p0, prof.q0, parts)
+    bad = g0 <= 0.0
+    if np.any(bad):
+        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
+    return g0
+
+
+def _float_or_array(x):
+    """A 0-d result as a float, any other as the array it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def eval_G(y, params):
+    """Evaluate the profile pair (g0, g1) at real y (a float or an array).
 
     g0 = p0(-sqrt2 y) [(-1)^a + (e^u - (-1)^a) erfc(y)/2]
          + q0(-sqrt2 y) (e^u - (-1)^a) exp(-y^2)/sqrt(2 pi),
     and g1 likewise with (p1, q1).  g0 is strictly positive for every
     real y, u and nonnegative integer a.
     """
-    prof = _prof if _prof is not None else _profile(params)
-    s = -_SQRT2 * y
-    amp = prof.sign_a + prof.cu_e * 0.5 * math.erfc(y)
-    gauss = prof.cu_e * math.exp(-y * y) / _SQRT_2PI
-    g0 = _polyval(prof.p0, s) * amp + _polyval(prof.q0, s) * gauss
-    g1 = _polyval(prof.p1, s) * amp + _polyval(prof.q1, s) * gauss
-    return GPair(g0=g0, g1=g1)
+    prof = _Profile(params)
+    parts = _parts(np.asarray(y, dtype=float), prof)
+    return GPair(
+        g0=_float_or_array(_mix(prof.p0, prof.q0, parts)),
+        g1=_float_or_array(_mix(prof.p1, prof.q1, parts)),
+    )
 
 
 def _psi2(y, prof):
@@ -131,35 +147,23 @@ def _psi2(y, prof):
     Beyond |y| >= y_switch the polynomial head dominates and the value is
     assembled from two log1p's of explicitly small corrections.
     """
-    a = prof.a
-    ay = abs(y)
-    if ay < prof.y_switch:
-        s = -_SQRT2 * y
-        amp = prof.sign_a + prof.cu_e * 0.5 * math.erfc(y)
-        gauss = prof.cu_e * math.exp(-y * y) / _SQRT_2PI
-        g0 = _polyval(prof.p0, s) * amp + _polyval(prof.q0, s) * gauss
-        if g0 <= 0.0:
-            raise AccuracyError(f"g0 nonpositive at y={y}")
-        out = math.log(g0)
-        if a:
-            out -= a * math.log(_SQRT2 * ay)
-        if y < 0.0:
-            out -= prof.u
-        return out
-    t = _SQRT2 * ay
-    w = 1.0 / (t * t)
-    ratio = 0.0
-    tp = w
-    for c in prof.tail_ratio:
-        ratio += c * tp
-        tp *= w
-    qp = _polyval(prof.q0, t) / _polyval(prof.p0, t)
-    small = 0.5 * math.erfc(ay) - math.exp(-y * y) / _SQRT_2PI * qp
-    if y > 0.0:
-        delta = prof.sign_a * prof.cu_e * small
-    else:
-        delta = -math.exp(-prof.u) * prof.cu_e * small
-    return math.log1p(ratio) + math.log1p(delta)
+    out = np.empty_like(y)
+    ay = np.abs(y)
+    core = ay < prof.y_switch
+    yc = y[core]
+    psi = np.log(_positive_g0(yc, prof, _parts(yc, prof)))
+    if prof.a:
+        psi -= prof.a * np.log(_SQRT2 * ay[core])
+    out[core] = np.where(yc < 0.0, psi - prof.u, psi)
+    tail = ~core
+    yt = y[tail]
+    t = _SQRT2 * ay[tail]
+    ratio = horner(prof.tail_ratio, 1.0 / (t * t))
+    qp = horner(prof.q0, t) / horner(prof.p0, t)
+    small = 0.5 * _erfc(ay[tail]) - np.exp(-yt * yt) / _SQRT_2PI * qp
+    side = np.where(yt > 0.0, prof.sign_a, -math.exp(-prof.u))
+    out[tail] = np.log1p(ratio) + np.log1p(side * prof.cu_e * small)
+    return out
 
 
 def _c3_integrand(y, prof):
@@ -170,43 +174,27 @@ def _c3_integrand(y, prof):
     combined = [p_comb(s) amp + q_comb(s) gauss] / (sqrt2 g0(y)), s = -sqrt2 y.
     """
     a, b = prof.a, prof.b
-    s = -_SQRT2 * y
-    amp = prof.sign_a + prof.cu_e * 0.5 * math.erfc(y)
-    gauss = prof.cu_e * math.exp(-y * y) / _SQRT_2PI
-    g0 = _polyval(prof.p0, s) * amp + _polyval(prof.q0, s) * gauss
-    if g0 <= 0.0:
-        raise AccuracyError(f"g0 nonpositive at y={y}")
-    combined = (_polyval(prof.p_comb, s) * amp + _polyval(prof.q_comb, s) * gauss) / (
-        _SQRT2 * g0
-    )
-    out = combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y))
-    if y != 0.0:
-        out += 4.0 * b * y * _psi2(y, prof)
-    return out
+    parts = _parts(y, prof)
+    g0 = _positive_g0(y, prof, parts)
+    combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
+    linear = np.zeros_like(y)
+    nonzero = y != 0.0
+    linear[nonzero] = 4.0 * b * y[nonzero] * _psi2(y[nonzero], prof)
+    return combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + linear
 
 
 def c2_integrand(y, params):
-    return _psi2(y, _profile(params))
+    return _float_or_array(_psi2(np.asarray(y, dtype=float), _Profile(params)))
 
 
 def c3_integrand(y, params):
-    return _c3_integrand(y, _profile(params))
+    return _float_or_array(_c3_integrand(np.asarray(y, dtype=float), _Profile(params)))
 
 
 def positivity_scan(params, y_min=-12.0, y_max=12.0, step=1e-3):
     """Check g0 > 0 on a uniform grid; returns the grid minimum and location."""
-    prof = _profile(params)
     y = np.arange(y_min, y_max + 0.5 * step, step)
-    s = -_SQRT2 * y
-    amp = prof.sign_a + prof.cu_e * 0.5 * np_erfc(y)
-    gauss = prof.cu_e * np.exp(-y * y) / _SQRT_2PI
-    p0v = np.zeros_like(y)
-    for c in reversed(prof.p0):
-        p0v = p0v * s + c
-    q0v = np.zeros_like(y)
-    for c in reversed(prof.q0):
-        q0v = q0v * s + c
-    g0 = p0v * amp + q0v * gauss
+    g0 = eval_G(y, params).g0
     idx = int(np.argmin(g0))
     return ScanResult(
         all_positive=bool(np.all(g0 > 0.0)),
@@ -225,9 +213,9 @@ def _refine_edges(edges, times):
     return edges
 
 
-def _tail_integral(f, y0, power, tol, sign, refine):
-    """Octave-doubling integration of f over [y0, +inf) (sign=+1) or
-    (-inf, -y0] (sign=-1) assuming |f| ~ A/|y|^power eventually.
+def _tail_integral(f, y0, power, tol, refine):
+    """Octave-doubling integration of f over [y0, +inf) assuming
+    |f| ~ A/y^power eventually.
 
     Integrates octaves [L, 2L] until two successive fits of A agree, then
     adds the fitted algebraic tail A/((power-1) Y^{power-1}).  Raises
@@ -241,10 +229,7 @@ def _tail_integral(f, y0, power, tol, sign, refine):
     for _ in range(_MAX_OCTAVES):
         hi = 2.0 * lo
         edges = _refine_edges([lo, 0.5 * (lo + hi), hi], refine)
-        if sign > 0:
-            val, err = adaptive(f, edges, tol / 20.0)
-        else:
-            val, err = adaptive(lambda t: f(-t), edges, tol / 20.0)
+        val, err = adaptive(f, edges, tol / 20.0)
         total += val
         quad_err += err
         # fit |f| ~ A / y^power from this octave's integral
@@ -271,6 +256,18 @@ def _tail_integral(f, y0, power, tol, sign, refine):
     )
 
 
+def _whole_line(integrand, prof, power, tol, refine):
+    """Integral of integrand(y, prof) over the real line, with |integrand|
+    ~ A/|y|^power: on each half-line a graded core [0, y_switch] and the
+    octave tail beyond.  Returns (value, error)."""
+    core = _refine_edges(graded_edges(0.0, prof.y_switch, 0.0), refine)
+    pieces = []
+    for f in (lambda y: integrand(y, prof), lambda t: integrand(-t, prof)):
+        pieces.append(adaptive(f, core, tol))
+        pieces.append(_tail_integral(f, prof.y_switch, power, tol, refine))
+    return sum(v for v, _ in pieces), sum(e for _, e in pieces)
+
+
 def coeff_C1(params, tol=1e-9):
     return _c1_with_err(params, tol)[0]
 
@@ -294,8 +291,8 @@ def _c1_with_err(params, tol=1e-9, refine=0):
     gap_floor = 2.3e-16 * inv2b  # one ulp of x/crit through the map
 
     def log_gap(x):
-        gap = abs(math.expm1(inv2b * math.log(x / crit)))
-        return log_r + math.log(max(gap, gap_floor))
+        gap = np.abs(np.expm1(inv2b * np.log(x / crit)))
+        return log_r + np.log(np.maximum(gap, gap_floor))
 
     levels = 40  # closest node sits ~crit*4e-15 from the singular point
     lo_edges = _refine_edges(graded_edges(0.0, crit, crit, levels=levels), refine)
@@ -316,23 +313,9 @@ def coeff_C2(params, tol=1e-9):
 def _c2_with_err(params, tol=1e-9, refine=0):
     if tol <= 0:
         raise DomainError("tol must be positive", constraint="tol")
-    prof = _profile(params)
+    prof = _Profile(params)
     pref = _SQRT2 * params.b * params.r**params.b
-    itol = tol / (4.0 * pref)
-    f = lambda y: _psi2(y, prof)
-    total = 0.0
-    err = 0.0
-    for sign in (1.0, -1.0):
-        core = _refine_edges(graded_edges(0.0, prof.y_switch, 0.0), refine)
-        if sign > 0:
-            v, e = adaptive(f, core, itol)
-        else:
-            v, e = adaptive(lambda t: f(-t), core, itol)
-        total += v
-        err += e
-        v, e = _tail_integral(f, prof.y_switch, 2, itol, sign, refine)
-        total += v
-        err += e
+    total, err = _whole_line(_psi2, prof, 2, tol / (4.0 * pref), refine)
     return pref * total, pref * err
 
 
@@ -352,22 +335,7 @@ def _c3_with_err(params, tol=1e-9, refine=0):
         closed += 0.25 * a * (2.0 + a - 2.0 * b + 4.0 * alpha) * math.log(
             1.0 / inner_radius - 1.0
         )
-    prof = _profile(params)
-    f = lambda y: _c3_integrand(y, prof)
-    itol = tol / 4.0
-    total = 0.0
-    err = 0.0
-    for sign in (1.0, -1.0):
-        core = _refine_edges(graded_edges(0.0, prof.y_switch, 0.0), refine)
-        if sign > 0:
-            v, e = adaptive(f, core, itol)
-        else:
-            v, e = adaptive(lambda t: f(-t), core, itol)
-        total += v
-        err += e
-        v, e = _tail_integral(f, prof.y_switch, 3, itol, sign, refine)
-        total += v
-        err += e
+    total, err = _whole_line(_c3_integrand, _Profile(params), 3, tol / 4.0, refine)
     return closed + total, err
 
 

@@ -78,6 +78,16 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
+def _integer(value, name):
+    """An integral JSON number as an int; a bool, a string or a number
+    with a fractional part is a DomainError, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}", constraint=name)
+    return value
+
+
 def load_config(path, overrides):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -93,13 +103,13 @@ def load_config(path, overrides):
             alpha=float(p["alpha"]),
             r=float(p["r"]),
             u=float(p["u"]),
-            a=int(p["a"]),
+            a=_integer(p["a"], "a"),
         )
         merged = {
-            "n_list": tuple(int(n) for n in raw.get("n_list", ())),
+            "n_list": tuple(_integer(n, "n_list") for n in raw.get("n_list", ())),
             "tol": float(raw.get("tol", 1e-9)),
-            "seed": int(raw.get("seed", 1)),
-            "samples": int(raw.get("samples", 100000)),
+            "seed": _integer(raw.get("seed", 1), "seed"),
+            "samples": _integer(raw.get("samples", 100000), "samples"),
             "output": raw.get("output", "csv"),
             "diagnostic": raw.get("diagnostic"),
         }

@@ -10,6 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from scipy.special import erfi, gammainc
 
 from . import combo_poly as cp
@@ -226,27 +227,20 @@ def check_saturation_bound():
 
 def _orthogonality_worst(nu):
     if nu == 0:
-        weight = lambda x: math.exp(-0.5 * x * x)
+        weight = lambda x: np.exp(-0.5 * x * x)
     else:
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
         def weight(x):
-            t = float(erfi(x * inv_sqrt2))
-            return 2.0 / math.pi * math.exp(0.5 * x * x) / (1.0 + t * t)
+            t = erfi(x * inv_sqrt2)
+            return 2.0 / math.pi * np.exp(0.5 * x * x) / (1.0 + t * t)
 
     polys = [cp.assoc_hermite(nu, k).float_coeffs() for k in range(7)]
-
-    def horner(cs, x):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     worst = 0.0
     edges = [-12.0, -8.0, -5.0, -2.5, 0.0, 2.5, 5.0, 8.0, 12.0]
     for k in range(7):
         for ell in range(k, 7):
-            f = lambda x: horner(polys[k], x) * horner(polys[ell], x) * weight(x)
+            f = lambda x: specfun.horner(polys[k], x) * specfun.horner(polys[ell], x) * weight(x)
             val, _ = adaptive(f, edges, 1e-10 * _SQRT_2PI * math.factorial(ell + nu))
             if k == ell:
                 target = _SQRT_2PI * math.factorial(k + nu)

@@ -5,6 +5,11 @@ caller-supplied panel decomposition; the worst panel (by error estimate)
 is bisected until the summed estimate meets the target.  Panel order and
 bisection order are deterministic, so results are bit-reproducible.
 
+Integrands take arrays: f maps an array of nodes to the array of its
+values, of the same shape.  Each call to f evaluates the 15 nodes of a
+whole batch of panels: every initial panel in one call, then both halves
+of a bisected panel in one call.
+
 Kronrod nodes are strictly interior, so integrable endpoint singularities
 (log or algebraic) never get evaluated exactly at the endpoint; callers
 resolve them by grading panels geometrically toward the singular point.
@@ -13,9 +18,11 @@ resolve them by grading panels geometrically toward the singular point.
 import heapq
 import math
 
+import numpy as np
+
 from .errors import AccuracyError
 
-# Standard (G7, K15) abscissae/weights on [-1, 1].
+# Standard (G7, K15) abscissae/weights on [-1, 1], outermost node first.
 _XGK = (
     0.9914553711208126,
     0.9491079123427585,
@@ -43,45 +50,36 @@ _WG = (
     0.4179591836734694,
 )
 
+# The 15 nodes in ascending order and the K15 and G7 weight vectors on
+# them; the G7 nodes are every other Kronrod node.
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_W_K15 = np.array(_WGK + _WGK[-2::-1])
+_W_G7 = np.zeros(15)
+_W_G7[1::2] = _WG + _WG[-2::-1]
+
 
 def gk15(f, lo, hi):
-    """Apply the 15-point Kronrod rule on [lo, hi].
+    """Apply the 15-point Kronrod rule on the panels [lo, hi].
 
-    Returns (integral, error_estimate) with the usual QUADPACK-style
-    error scaling from the |K15 - G7| difference.
+    lo and hi are floats or arrays of one shape; f is called once, on the
+    nodes of all panels (shape + (15,)).  Returns (integral,
+    error_estimate) of that shape, with the usual QUADPACK-style error
+    scaling from the |K15 - G7| difference.
     """
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fc = f(center)
-    res_k = _WGK[7] * fc
-    res_g = _WG[3] * fc
-    res_abs = _WGK[7] * abs(fc)
-    values = [fc]
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        values.append(f1)
-        values.append(f2)
-        res_k += _WGK[i] * (f1 + f2)
-        res_abs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            res_g += _WG[i // 2] * (f1 + f2)
-    mean = 0.5 * res_k
-    res_asc = _WGK[7] * abs(fc - mean)
-    idx = 1
-    for i in range(7):
-        res_asc += _WGK[i] * (abs(values[idx] - mean) + abs(values[idx + 1] - mean))
-        idx += 2
-    integral = res_k * half
-    res_abs *= abs(half)
-    res_asc *= abs(half)
-    err = abs((res_k - res_g) * half)
-    if res_asc != 0.0 and err != 0.0:
-        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
-    if res_abs > 1e-290:
-        err = max(err, 50.0 * 2.220446049250313e-16 * res_abs)
-    return integral, err
+    center = 0.5 * (np.asarray(lo) + hi)
+    half = 0.5 * (np.asarray(hi) - lo)
+    fx = f(center[..., None] + half[..., None] * _NODES)
+    res_k = fx @ _W_K15
+    res_g = fx @ _W_G7
+    res_abs = np.abs(fx) @ _W_K15 * np.abs(half)
+    res_asc = np.abs(fx - 0.5 * res_k[..., None]) @ _W_K15 * np.abs(half)
+    err = np.abs((res_k - res_g) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = res_asc * np.minimum(1.0, (200.0 * err / res_asc) ** 1.5)
+    err = np.where((res_asc != 0.0) & (err != 0.0), scaled, err)
+    roundoff = 50.0 * 2.220446049250313e-16 * res_abs
+    err = np.where(res_abs > 1e-290, np.maximum(err, roundoff), err)
+    return res_k * half, err
 
 
 def adaptive(f, edges, tol, max_panels=4000):
@@ -89,22 +87,24 @@ def adaptive(f, edges, tol, max_panels=4000):
 
     The worst panel is bisected until the total error estimate is below
     ``tol`` (absolute); raises AccuracyError when the panel budget is
-    exhausted first.  Returns (integral, error_estimate).
+    exhausted first.  f is called once for all initial panels and once
+    per bisection.  Returns (integral, error_estimate).
     """
+    edges = np.asarray(edges, dtype=float)
+    distinct = edges[:-1] != edges[1:]
+    lo, hi = edges[:-1][distinct], edges[1:][distinct]
+    vals, errs = gk15(f, lo, hi)
     heap = []
-    counter = 0
     total = 0.0
     total_err = 0.0
     floor_err = 0.0  # error locked in by panels already at double-precision width
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if lo == hi:
-            continue
-        val, err = gk15(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
+    initial = zip(lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist())
+    for counter, (a, b, val, err) in enumerate(initial):
+        heap.append((-err, counter, a, b, val, err))
         total += val
         total_err += err
-    panels = counter
+    heapq.heapify(heap)
+    counter = panels = len(heap)
     while total_err > tol and heap and panels < max_panels:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         # stop splitting once interior nodes would round onto the endpoints
@@ -114,8 +114,8 @@ def adaptive(f, edges, tol, max_panels=4000):
                 break
             continue
         mid = 0.5 * (lo + hi)
-        v1, e1 = gk15(f, lo, mid)
-        v2, e2 = gk15(f, mid, hi)
+        vals, errs = gk15(f, np.array([lo, mid]), np.array([mid, hi]))
+        (v1, v2), (e1, e2) = vals.tolist(), errs.tolist()
         total += v1 + v2 - val
         total_err += e1 + e2 - err
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))

@@ -115,7 +115,9 @@ _C_INV_H = (
 )
 
 
-def _horner(coeffs, x):
+def horner(coeffs, x):
+    """The polynomial with coefficients ``coeffs`` (constant term first) at
+    x, a float or an array."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -139,7 +141,7 @@ def _eta(h):
     out = np.empty_like(h)
     near = np.abs(h) < NEAR_ONE_SWITCH
     far = ~near
-    out[near] = _horner(_ETA_SERIES, h[near])
+    out[near] = horner(_ETA_SERIES, h[near])
     hf = h[far]
     out[far] = np.copysign(np.sqrt(2.0 * (hf - np.log1p(hf))), hf)
     return out
@@ -155,8 +157,8 @@ def _temme_cs(h, eta):
     inv_eta = 1.0 / eta[far]
     inv_eta2 = inv_eta * inv_eta
     for j in range(4):
-        cs[j, near] = _horner(_C_SERIES[j], hn)
-        cs[j, far] = _C_ETA[j] * inv_eta + _horner(_C_INV_H[j], inv_h)
+        cs[j, near] = horner(_C_SERIES[j], hn)
+        cs[j, far] = _C_ETA[j] * inv_eta + horner(_C_INV_H[j], inv_h)
         inv_eta = inv_eta * inv_eta2
     return cs
 

@@ -81,6 +81,20 @@ class TestEvalG:
             (math.exp(0.7) + 1.0) / SQRT_2PI, rel=1e-14
         )
 
+    @pytest.mark.parametrize("a", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("u", [-3.0, 0.7, 500.0])
+    def test_array_equals_scalar_calls(self, a, u):
+        # includes y in [22, 26], where scipy's erfc and math.erfc differ most;
+        # at u = 500 the erfc term dominates g0 there
+        p = Params(1.0, 0.0, 0.5, u, a)
+        y = np.concatenate((np.linspace(-30.0, 30.0, 121), np.linspace(22.0, 26.0, 41)))
+        g = eval_G(y.reshape(2, -1), p)
+        assert g.g0.shape == g.g1.shape == (2, y.size // 2)
+        for yi, g0, g1 in zip(y, g.g0.ravel(), g.g1.ravel()):
+            scalar = eval_G(float(yi), p)
+            assert isinstance(scalar.g0, float)
+            assert (scalar.g0, scalar.g1) == (g0, g1)
+
     def test_positive_everywhere_spot(self):
         for a in range(5):
             p = Params(1.0, 0.0, 0.5, -3.0, a)

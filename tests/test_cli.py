@@ -249,6 +249,37 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("a", 1.5),
+            ("a", True),
+            ("n_list", [10.7, 20]),
+            ("n_list", [True, 20]),
+            ("seed", 7.5),
+            ("seed", False),
+            ("samples", 1000.5),
+            ("samples", True),
+        ],
+    )
+    def test_non_integral_config_exit_2(self, tmp_path, capsys, field, value):
+        if field == "a":
+            cfg = write_config(tmp_path, params={"u": 0.5, "a": value})
+        else:
+            cfg = write_config(tmp_path, **{field: value})
+        assert main(["mc", "--config", cfg]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "DomainError"
+        assert record["error"]["constraint"] == field
+
+    def test_integral_float_config_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_list=[10.0], seed=3.0, samples=500.0,
+                           params={"u": 0.5, "a": 1.0})
+        assert main(["mc", "--config", cfg]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert row.split(",")[0] == "10"
+        assert row.split(",")[-2:] == ["500", "3"]
+
     def test_bad_config_field_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, params={"b": None})
         assert main(["exact", "--config", cfg]) == 2

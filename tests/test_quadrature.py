@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from mlcp import quadrature
 from mlcp.errors import AccuracyError
 from mlcp.quadrature import adaptive, gk15, graded_edges
 
@@ -16,14 +18,14 @@ def test_gk15_polynomial_exactness():
 
 
 def test_smooth():
-    val, err = adaptive(math.exp, [0.0, 1.0], 1e-13)
+    val, err = adaptive(np.exp, [0.0, 1.0], 1e-13)
     assert val == pytest.approx(math.e - 1.0, rel=1e-14)
     assert abs(val - (math.e - 1.0)) <= max(err, 1e-15)
 
 
 def test_log_endpoint_singularity():
     edges = graded_edges(0.0, 1.0, 0.0)
-    val, _ = adaptive(math.log, edges, 1e-12)
+    val, _ = adaptive(np.log, edges, 1e-12)
     assert val == pytest.approx(-1.0, abs=1e-13)
 
 
@@ -37,23 +39,69 @@ def test_singularity_at_right_end():
     # grading at a nonzero endpoint bottoms out near float resolution, so
     # a few 1e-12 of the log spike is genuinely unresolvable
     edges = graded_edges(0.0, 1.0, 1.0)
-    val, _ = adaptive(lambda y: math.log(1.0 - y), edges, 1e-10)
+    val, _ = adaptive(lambda y: np.log(1.0 - y), edges, 1e-10)
     assert val == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_oscillatory():
-    val, _ = adaptive(lambda y: math.sin(20.0 * y), [0.0, 1.1, 2.2, 3.0], 1e-13)
+    val, _ = adaptive(lambda y: np.sin(20.0 * y), [0.0, 1.1, 2.2, 3.0], 1e-13)
     assert val == pytest.approx((1.0 - math.cos(60.0)) / 20.0, abs=1e-13)
 
 
 def test_panel_budget_failure():
     with pytest.raises(AccuracyError):
-        adaptive(lambda y: math.sin(300.0 * y) / (1e-8 + abs(y - 0.3)), [0.0, 1.0],
+        adaptive(lambda y: np.sin(300.0 * y) / (1e-8 + abs(y - 0.3)), [0.0, 1.0],
                  1e-16, max_panels=8)
 
 
 def test_deterministic():
-    f = lambda y: math.exp(-y) * math.sin(7.0 * y)
+    f = lambda y: np.exp(-y) * np.sin(7.0 * y)
     a = adaptive(f, [0.0, 2.0, 5.0], 1e-12)
     b = adaptive(f, [0.0, 2.0, 5.0], 1e-12)
     assert a == b
+
+
+def test_one_call_per_bisection():
+    # three initial panels in one call, then one call of both halves per
+    # bisection; a budget of 10 panels allows exactly 7 bisections
+    shapes = []
+
+    def f(y):
+        shapes.append(y.shape)
+        return np.sin(300.0 * y) / (1e-8 + abs(y - 0.3))
+
+    with pytest.raises(AccuracyError):
+        adaptive(f, [0.0, 0.3, 0.6, 1.0], 1e-16, max_panels=10)
+    assert shapes == [(3, 15)] + [(2, 15)] * 7
+
+
+def _gk15_loop(f, lo, hi):
+    """Node-by-node K15/G7 on one panel with a scalar f: the reference
+    for the batched rule (its sums run in another order)."""
+    xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = [f(center)] + [f(center + sign * half * x) for x in xgk[:7] for sign in (-1, 1)]
+    weights = [wgk[7]] + [w for w in wgk[:7] for _ in (0, 1)]
+    gauss = [wg[3]] + [wg[i // 2] if i % 2 else 0.0 for i in range(7) for _ in (0, 1)]
+    res_k = sum(w * v for w, v in zip(weights, values))
+    res_g = sum(w * v for w, v in zip(gauss, values))
+    res_abs = sum(w * abs(v) for w, v in zip(weights, values)) * abs(half)
+    res_asc = sum(w * abs(v - 0.5 * res_k) for w, v in zip(weights, values)) * abs(half)
+    err = abs((res_k - res_g) * half)
+    if res_asc != 0.0 and err != 0.0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    if res_abs > 1e-290:
+        err = max(err, 50.0 * 2.220446049250313e-16 * res_abs)
+    return res_k * half, err
+
+
+def test_batch_matches_node_loop():
+    lo = np.array([0.0, 0.5, 2.0, -3.0])
+    hi = np.array([0.5, 2.0, 3.0, 3.0])
+    f = lambda y: np.sin(20.0 * y) / (1.5 + y)
+    vals, errs = gk15(f, lo, hi)
+    for i in range(lo.size):
+        val, err = _gk15_loop(lambda y: math.sin(20.0 * y) / (1.5 + y), lo[i], hi[i])
+        assert vals[i] == pytest.approx(val, rel=1e-14, abs=1e-15)
+        assert errs[i] == pytest.approx(err, rel=1e-10, abs=0.0)
