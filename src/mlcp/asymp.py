@@ -14,6 +14,7 @@ coefficient space (polynomial counterterms) or via log1p of explicitly
 tiny corrections, never by subtracting two large floats.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +60,7 @@ class AsymptoticCoeffs:
 
 
 class _Profile:
-    """Float-ready polynomial data for one (a, b) pair.
+    """Float-ready polynomial data for one (a, b, u) triple.
 
     The combinations p1 + (a/2)(1+2b) s p0 and q1 + (a/2)(1+2b) s q0 have
     their degree-(a+1) and degree-a heads cancelled exactly in rational
@@ -71,8 +72,7 @@ class _Profile:
         "p0", "q0", "p1", "q1", "p_comb", "q_comb", "tail_ratio", "y_switch",
     )
 
-    def __init__(self, params):
-        a, b, u = params.a, params.b, params.u
+    def __init__(self, a, b, u):
         self.a = a
         self.b = b
         self.u = u
@@ -95,6 +95,18 @@ class _Profile:
         # the coefficients of t^{a-2}, t^{a-4}, ... below the monic head
         self.tail_ratio = [0.0] + [float(p0.coeffs[a - 2 * m]) for m in range(1, a // 2 + 1)]
         self.y_switch = max(8.0, math.sqrt(max(u, 0.0) + 64.0))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_profile(a, b, u):
+    return _Profile(a, b, u)
+
+
+def _profile(params):
+    """The _Profile of params, built once per (a, b, u) and shared by later
+    calls: C2, C3 and every eval_G call would otherwise repeat its exact
+    rational arithmetic."""
+    return _cached_profile(params.a, params.b, params.u)
 
 
 def _parts(y, prof):
@@ -133,7 +145,7 @@ def eval_G(y, params):
     and g1 likewise with (p1, q1).  g0 is strictly positive for every
     real y, u and nonnegative integer a.
     """
-    prof = _Profile(params)
+    prof = _profile(params)
     parts = _parts(np.asarray(y, dtype=float), prof)
     return GPair(
         g0=_float_or_array(_mix(prof.p0, prof.q0, parts)),
@@ -184,11 +196,11 @@ def _c3_integrand(y, prof):
 
 
 def c2_integrand(y, params):
-    return _float_or_array(_psi2(np.asarray(y, dtype=float), _Profile(params)))
+    return _float_or_array(_psi2(np.asarray(y, dtype=float), _profile(params)))
 
 
 def c3_integrand(y, params):
-    return _float_or_array(_c3_integrand(np.asarray(y, dtype=float), _Profile(params)))
+    return _float_or_array(_c3_integrand(np.asarray(y, dtype=float), _profile(params)))
 
 
 def positivity_scan(params, y_min=-12.0, y_max=12.0, step=1e-3):
@@ -313,7 +325,7 @@ def coeff_C2(params, tol=1e-9):
 def _c2_with_err(params, tol=1e-9, refine=0):
     if tol <= 0:
         raise DomainError("tol must be positive", constraint="tol")
-    prof = _Profile(params)
+    prof = _profile(params)
     pref = _SQRT2 * params.b * params.r**params.b
     total, err = _whole_line(_psi2, prof, 2, tol / (4.0 * pref), refine)
     return pref * total, pref * err
@@ -335,7 +347,7 @@ def _c3_with_err(params, tol=1e-9, refine=0):
         closed += 0.25 * a * (2.0 + a - 2.0 * b + 4.0 * alpha) * math.log(
             1.0 / inner_radius - 1.0
         )
-    total, err = _whole_line(_c3_integrand, _Profile(params), 3, tol / 4.0, refine)
+    total, err = _whole_line(_c3_integrand, _profile(params), 3, tol / 4.0, refine)
     return closed + total, err
 
 

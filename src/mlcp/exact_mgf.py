@@ -8,9 +8,22 @@ For parameters (b, alpha, r, u, a) and matrix size n,
 
 where P is the regularized lower incomplete gamma function.  One kernel,
 ``_log_terms``, evaluates the j-terms as arrays, a chunk of indices at a
-time.  The inner alternating sum loses up to a*|log10(x_j - b r^{2b})|
-digits near the critical index j ~ b n r^{2b}, so it has three precision
-tiers: a compensated (Neumaier) sum in double precision; a re-sum in 80-bit
+time.
+
+P is live only near the critical index.  For shapes s >= 1e3 (the uniform
+expansion's route) P(s, z) is exactly 1 below and exactly 0 above a window
+of width about 2*sqrt(2*745*z) around z (``specfun.saturation_window``),
+which holds O(sqrt(n)) of the n rows of each shift.  The shapes grow with
+j, so the kernel finds the window in each chunk by binary search, calls
+``reg_lower_gamma`` only on the rows inside it and on those with s < 1e3,
+and writes the constants 1 and 0 elsewhere: the values ``reg_lower_gamma``
+returns there.  The shift k = 0 has a log-gamma ratio of 0 and needs no
+``lgamma_diff`` call; one call per chunk takes the shifts k >= 1 as a
+column, so that they share the powers of the shapes.
+
+The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
+near the critical index j ~ b n r^{2b}, so it has three precision tiers: a
+compensated (Neumaier) sum in double precision; a re-sum in 80-bit
 extended precision of the rows whose sum drops below 1e-3 of their largest
 term or turns nonpositive; and a 50-digit evaluation, row by row, of the
 rows still nonpositive.
@@ -27,7 +40,12 @@ import numpy as np
 
 from .errors import AccuracyError, CancellationError, DomainError, RangeError
 from .params import Params
-from .specfun import lgamma_diff, reg_lower_gamma
+from .specfun import (
+    LARGE_A_THRESHOLD,
+    lgamma_diff,
+    reg_lower_gamma,
+    saturation_window,
+)
 
 # Escalate the inner sum when it is smaller than this fraction of its
 # largest term (a-fold alternating cancellation).
@@ -77,9 +95,17 @@ class ExactResult:
 
 
 class _TermContext:
-    """Per-(params, n) constants reused by every j-term."""
+    """Per-(params, n) constants reused by every j-term.
 
-    __slots__ = ("params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b")
+    ``shifts`` is the column of the nonzero shifts k/(2b), k = 1..a.
+    ``window`` holds the shape bounds (a_lo, a_hi) of specfun's
+    saturation_window at z: P(a, z) is exactly 1 below it and 0 above it.
+    """
+
+    __slots__ = (
+        "params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b", "shifts",
+        "window",
+    )
 
     def __init__(self, params, n):
         self.params = params
@@ -91,6 +117,8 @@ class _TermContext:
         self.binom = [math.comb(params.a, k) for k in range(params.a + 1)]
         self.r_pow = [(-params.r) ** (params.a - k) for k in range(params.a + 1)]
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
+        self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
+        self.window = saturation_window(self.z)
 
 
 def _log_term_mp(ctx, j):
@@ -124,8 +152,30 @@ def _log_term_mp(ctx, j):
         return float(mp.log(total))
 
 
+def _p_sorted(a, ctx):
+    """P(a, z) on the nondecreasing array a of shapes.
+
+    reg_lower_gamma runs only on the rows with a < LARGE_A_THRESHOLD and on
+    those inside ctx.window; every other row gets the value it returns
+    there, exactly 1 (a below the window) or 0 (a above it).
+    """
+    a_lo, a_hi = ctx.window
+    small = int(np.searchsorted(a, LARGE_A_THRESHOLD))
+    lo = max(small, int(np.searchsorted(a, a_lo)))
+    hi = max(lo, int(np.searchsorted(a, a_hi, side="right")))
+    out = np.empty_like(a)
+    if small:
+        out[:small] = reg_lower_gamma(a[:small], ctx.z)
+    out[small:lo] = 1.0
+    if hi > lo:
+        out[lo:hi] = reg_lower_gamma(a[lo:hi], ctx.z)
+    out[hi:] = 0.0
+    return out
+
+
 def _log_terms(ctx, j):
-    """ln of the inner k-sum for every index in the integer array j.
+    """ln of the inner k-sum for every index in the ascending integer
+    array j.
 
     The k-sum is accumulated in double precision with Neumaier compensation.
     Rows that come out nonpositive or below _ESCALATION_RATIO of their
@@ -134,11 +184,14 @@ def _log_terms(ctx, j):
     """
     p = ctx.params
     at0 = (j + p.alpha) / p.b
-    gs = [lgamma_diff(at0, d) - d * ctx.ln_n for d in ctx.k_over_2b]
-    ps = [reg_lower_gamma(at0 + d, ctx.z) for d in ctx.k_over_2b]
-    terms = [
-        ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k]) * (1.0 + ctx.cu * ps[k])
-        for k in range(p.a + 1)
+    # one lgamma_diff call takes every shift k >= 1 (row k - 1 of gs), so
+    # that the powers of at0 are shared; the shift k = 0 has g = 0, and
+    # leaving out its factor exp(0) = 1 changes no bit of its term
+    gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
+    ps = [_p_sorted(at0 + d, ctx) for d in ctx.k_over_2b]
+    terms = [ctx.binom[0] * ctx.r_pow[0] * (1.0 + ctx.cu * ps[0])] + [
+        ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k - 1]) * (1.0 + ctx.cu * ps[k])
+        for k in range(1, p.a + 1)
     ]
     total = terms[0]
     comp = np.zeros_like(total)
@@ -159,7 +212,8 @@ def _log_terms(ctx, j):
         ext = np.zeros(bad.size, dtype=ld)
         for k in range(p.a + 1):
             w = ld(1.0) + ld(ctx.cu) * ps[k][bad].astype(ld)
-            ext += ld(ctx.binom[k]) * ld(ctx.r_pow[k]) * np.exp(gs[k][bad].astype(ld)) * w
+            g = gs[k - 1][bad].astype(ld) if k else ld(0.0)
+            ext += ld(ctx.binom[k]) * ld(ctx.r_pow[k]) * np.exp(g) * w
         positive = ext > 0.0
         out[bad[positive]] = np.log(ext[positive]).astype(float)
         bad = bad[~positive]
@@ -173,9 +227,14 @@ def ln_mgf_exact(params, n, keep_terms=False):
 
     Returns an ExactResult; with ``keep_terms=True`` the n individual log
     summands are attached as an array (ascending j, the summation order).
-    The j-terms are evaluated in chunks of _CHUNK indices.  The
-    accumulated-error budget is certified for n up to 2**20; larger n
-    still evaluates but without a stated accuracy claim.
+    The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
+    evaluated only on its live window (see the module docstring); the
+    per-term values are those of evaluating P on every row, bit for bit.
+    The total is math.fsum of the nonzero terms: with a = 0 every term
+    beyond the window is exactly 0, and fsum rounds the exact sum once, so
+    leaving those out does not change it.  The accumulated-error budget is
+    certified for n up to 2**20; larger n still evaluates but without a
+    stated accuracy claim.
     """
     if not isinstance(params, Params):
         raise DomainError("params must be a Params instance")
@@ -187,7 +246,7 @@ def ln_mgf_exact(params, n, keep_terms=False):
         for start in range(0, n, _CHUNK):
             j = np.arange(start + 1, min(start + _CHUNK, n) + 1, dtype=float)
             terms[start : start + j.size] = _log_terms(ctx, j)
-    total = math.fsum(terms)
+    total = math.fsum(terms[terms != 0.0])
     return ExactResult(ln_mgf=total, per_term=terms if keep_terms else None)
 
 

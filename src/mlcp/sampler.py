@@ -11,13 +11,13 @@ accumulated in log space with a max shift so no weight overflows.
 Streams are derived per modulus index j from a counter-based Philox
 generator (seed spawn key (j,)), so the estimate is a pure function of
 (seed, samples, params, n).  The draws run on every usable core as a
-pipeline: each worker thread owns the streams of one contiguous group of
-indices j and walks the samples in rounds of 8192.  It adds its terms into
-a round's log weights once the group before it has added theirs, while
-that group goes on to the next round.  Every sample thus receives the same
-additions in the same order as in a serial loop over j, and a stream drawn
-in pieces yields the same variates as one draw, so the result is
-bit-identical for any core count.
+pipeline: each worker thread builds and owns the streams of one contiguous
+group of indices j and walks the samples in rounds of 8192.  It adds its
+terms into a round's log weights once the group before it has added
+theirs, while that group goes on to the next round.  Every sample thus
+receives the same additions in the same order as in a serial loop over j,
+and a stream drawn in pieces yields the same variates as one draw, so the
+result is bit-identical for any core count.
 """
 
 import math
@@ -110,28 +110,35 @@ def sample_moduli(params, n, seed):
     return (g / n) ** (1.0 / (2.0 * params.b))
 
 
-def _stage(rngs, shapes, lo, hi, params, n, log_w, ready, done):
+def _stage(seed, shapes, lo, hi, params, n, log_w, ready, done):
     """Add the terms of indices lo..hi-1 into log_w, one round at a time.
 
     A round starts once ``ready`` yields True: the stage before has added
     its terms into that round's samples.  The stage then signals ``done``.
     ``None`` stands for no neighbour; False passes a failure downstream.
+    The stage builds the generators of its indices when its first round
+    starts.  Building holds the interpreter lock, so stages that all built
+    at once would only contend for it; this way a stage builds while the
+    one before draws its second round.
     """
     a, r, u = params.a, params.r, params.u
     root = 1.0 / (2.0 * params.b)
     row = np.empty(min(_ROUND_SAMPLES, log_w.size))
     below = np.empty(row.size, dtype=bool)
     finished = False
+    rngs = None
     try:
         # errstate is thread-local, so each worker sets its own
         with np.errstate(divide="ignore"):
             for s0 in range(0, log_w.size, row.size):
                 if ready is not None and not ready.get():
                     return
+                if rngs is None:
+                    rngs = [_generator(seed, j + 1) for j in range(lo, hi)]
                 chunk = log_w[s0 : s0 + row.size]
                 radii, inside = row[: chunk.size], below[: chunk.size]
-                for j in range(lo, hi):
-                    rngs[j].standard_gamma(shapes[j], out=radii)
+                for rng, shape in zip(rngs, shapes[lo:hi]):
+                    rng.standard_gamma(shape, out=radii)
                     radii /= n
                     radii **= root
                     if u:
@@ -171,7 +178,6 @@ def mc_ln_mgf(params, n, samples, seed):
     if not a and not u:
         return MCResult(1.0, 0.0, 0.0, 0.0, samples, seed, float(samples))
     shapes = _shapes(params, n)
-    rngs = [_generator(seed, j) for j in range(1, n + 1)]
     workers = min(_usable_cores(), n)
     bounds = [n * k // workers for k in range(workers + 1)]
     links = [None] + [queue.SimpleQueue() for _ in range(workers - 1)] + [None]
@@ -179,7 +185,7 @@ def mc_ln_mgf(params, n, samples, seed):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
-                _stage, rngs, shapes, bounds[k], bounds[k + 1], params, n, log_w,
+                _stage, seed, shapes, bounds[k], bounds[k + 1], params, n, log_w,
                 links[k], links[k + 1],
             )
             for k in range(workers)

@@ -17,9 +17,12 @@ takes one of two routes, chosen by the size of a:
   at a = 1e6, lambda = 0.995), and n up to 2^20 reaches a = 2e6; the
   expansion stays within ~1e-15 there.
 
-``lgamma_diff`` gives ln Gamma(x + delta) - ln Gamma(x) with small absolute
-error for large x.  Every function here accepts scalars or arrays, returns a
-scalar for scalar input, and is a pure function of its arguments.
+``saturation_window`` gives, for one z, the shapes outside which the
+expansion's P is exactly 0 or 1, so that a caller with many shapes can skip
+them.  ``lgamma_diff`` gives ln Gamma(x + delta) - ln Gamma(x) with small
+absolute error for large x.  Every array function here accepts scalars or
+arrays, returns a scalar for scalar input, and is a pure function of its
+arguments.
 """
 
 import math
@@ -41,6 +44,12 @@ NEAR_ONE_SWITCH = 0.05
 
 # exp(-x) underflows to zero for x > ~745.13; beyond that P saturates hard.
 SATURATION_EXPONENT = 745.0
+
+# saturation_window widens the roots of its exponent equation by this
+# relative amount.  Moving a root by it moves the exponent by about
+# sqrt(2*745*z)*1e-6, far more than the ~1e-13 relative rounding of the
+# exponent that _p_uniform compares with SATURATION_EXPONENT.
+_WINDOW_MARGIN = 1e-6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -203,6 +212,40 @@ def _p_uniform(a, z):
     return out
 
 
+def saturation_window(z):
+    """Shape bounds (a_lo, a_hi) of the live window of P(., z) for a >= 1e3.
+
+    For every a >= LARGE_A_THRESHOLD outside [a_lo, a_hi], reg_lower_gamma
+    returns exactly 1 (a < a_lo) or exactly 0 (a > a_hi): there the
+    exponent a*eta^2/2 = a*(lambda - 1 - ln lambda), lambda = z/a, exceeds
+    SATURATION_EXPONENT.  The bounds are the two roots of that equation in
+    a, found by Newton's method and widened by a relative margin; a_lo is 0
+    where the exponent never reaches the limit below z.  For z = 0 both are
+    0: every P is 0.
+    """
+    if not (z >= 0.0 and math.isfinite(z)):
+        raise DomainError("z must be nonnegative", constraint="z")
+    if z == 0.0:
+        return 0.0, 0.0
+    width = math.sqrt(2.0 * SATURATION_EXPONENT * z)
+
+    def root(a):
+        # phi(a) = z - a + a ln(a/z) is convex with phi'(a) = ln(a/z), so
+        # after one step the iterates approach the root from outside
+        for _ in range(100):
+            step = (z - a + a * math.log(a / z) - SATURATION_EXPONENT) / math.log(a / z)
+            a -= step
+            if abs(step) <= 1e-15 * a:
+                break
+        return a
+
+    # phi(z(1-t)) > z t^2/2 > phi(z(1+t)): z - width lies below the lower
+    # root; z + width lies below the upper one, and the first step passes it
+    a_lo = root(max(z - width, 1e-300 * z)) if z > SATURATION_EXPONENT else 0.0
+    a_hi = root(z + width)
+    return a_lo * (1.0 - _WINDOW_MARGIN), a_hi * (1.0 + _WINDOW_MARGIN)
+
+
 def reg_lower_gamma(a_tilde, z):
     """Regularized lower incomplete gamma P(a, z) = gamma(a, z)/Gamma(a).
 
@@ -245,25 +288,30 @@ def lgamma_diff(x, delta):
     Stirling series is expanded analytically so the result carries ~1e-15
     absolute error even when lnGamma itself is ~1e6 (a naive lgamma
     difference then loses five digits); below 20, math.lgamma element by
-    element.  Requires x > 0 and x + delta > 0.
+    element.  Requires x > 0 and x + delta > 0.  Several shifts of the same
+    x are cheapest as one call with delta a column against the row x: the
+    powers of x are then taken once for all of them.
     """
-    (x, delta), restore = _flat(x, delta)
-    if not np.all((x > 0) & (x + delta > 0)):
+    x = np.asarray(x, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    xs, ds = np.broadcast_arrays(x, delta)
+    if not np.all((xs > 0) & (xs + ds > 0)):
         raise DomainError("lgamma_diff requires positive arguments", constraint="x")
-    out = np.zeros_like(x)
-    direct = (x < _LGAMMA_DIFF_DIRECT_CUTOFF) & (delta != 0.0)
-    out[direct] = [
-        math.lgamma(xi + di) - math.lgamma(xi)
-        for xi, di in zip(x[direct].tolist(), delta[direct].tolist())
-    ]
-    tail = (x >= _LGAMMA_DIFF_DIRECT_CUTOFF) & (delta != 0.0)
-    x, delta = x[tail], delta[tail]
+    # The expansion runs on every entry, with x clamped to the cutoff (the
+    # entries below it are replaced next), and before x is broadcast
+    # against delta: a column of shifts shares the powers of x.
     # (x+d-1/2)ln(x+d) - (x-1/2)ln(x) - d  ==  (x-1/2)log1p(d/x) + d(ln(x+d) - 1)
+    x = np.maximum(x, _LGAMMA_DIFF_DIRECT_CUTOFF)
     log_ratio = np.log1p(delta / x)
     main = (x - 0.5) * log_ratio + delta * (np.log(x + delta) - 1.0)
     stirling = 0.0
     for m, coeff in enumerate(_STIRLING_TAIL, start=1):
         power = 1 - 2 * m
         stirling = stirling + coeff * x**power * np.expm1(power * log_ratio)
-    out[tail] = main + stirling
-    return restore(out)
+    out = np.asarray(main + stirling)
+    direct = (xs < _LGAMMA_DIFF_DIRECT_CUTOFF) & (ds != 0.0)
+    out[direct] = [
+        math.lgamma(xi + di) - math.lgamma(xi)
+        for xi, di in zip(xs[direct].tolist(), ds[direct].tolist())
+    ]
+    return float(out) if out.ndim == 0 else out

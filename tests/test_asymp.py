@@ -220,6 +220,31 @@ class TestCoeffBundle:
         c = compute_coeffs(Params(1.0, 0.0, 0.6, 0.5, 2), tol=1e-9)
         assert c.err1 <= 1e-9 and c.err2 <= 1e-9 and c.err3 <= 1e-9
 
+    def test_profile_built_once(self, monkeypatch):
+        # one build for C2, C3 and later point evaluations of the same
+        # (a, b, u); alpha and r do not enter the profile
+        built = []
+
+        class Counted(asymp._Profile):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(asymp, "_Profile", Counted)
+        asymp._cached_profile.cache_clear()
+        try:
+            p = Params(1.0, 0.0, 0.6, 0.5, 2)
+            first = compute_coeffs(p)
+            eval_G(0.3, p)
+            c2_integrand(1.5, Params(1.0, 0.25, 0.55, 0.5, 2))
+            c3_integrand(-2.0, p)
+            assert built == [(2, 1.0, 0.5)]
+            assert compute_coeffs(p) == first
+            eval_G(0.3, Params(1.0, 0.0, 0.6, 0.7, 2))
+            assert len(built) == 2
+        finally:
+            asymp._cached_profile.cache_clear()
+
 
 class TestPredictResidual:
     def test_null_residuals(self):

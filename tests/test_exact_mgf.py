@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from mlcp import exact_mgf
 from mlcp.errors import AccuracyError, DomainError, RangeError
 from mlcp.exact_mgf import (
+    _CHUNK,
     _log_term_mp,
     _log_terms,
     _TermContext,
@@ -19,6 +22,7 @@ from mlcp.exact_mgf import (
     split_sums,
 )
 from mlcp.params import Params
+from mlcp.specfun import LARGE_A_THRESHOLD, SATURATION_EXPONENT, reg_lower_gamma
 
 # ln E_n values from direct numerical integration of the defining
 # expectation (40-digit tanh-sinh quadrature of the radial moments;
@@ -112,6 +116,73 @@ class TestPerTerm:
             for j in (1, 2, n - 1, n):
                 one = _log_terms(ctx, np.array([float(j)]))[0]
                 assert res.per_term[j - 1] == one
+
+
+def _window_case(b, alpha, a, n):
+    """Params whose P window straddles a chunk boundary once n > _CHUNK:
+    z is 0.9 times the shape of the boundary, the chunk boundary nearest
+    n/2 (for n = 4097 the only one), and the window is wider than the gap."""
+    edge = b ** (-1.0 / (2.0 * b))
+    if n <= _CHUNK:
+        return Params(b, alpha, 0.5 * edge, 0.7, a), None
+    boundary = _CHUNK * max(1, n // (2 * _CHUNK))
+    r = (0.9 * boundary / b / n) ** (1.0 / (2.0 * b))
+    return Params(b, alpha, r, 0.7, a), boundary
+
+
+WINDOW_CASES = [
+    (b, alpha, a, n)
+    for b in (0.5, 1.0, 2.0)
+    for alpha in (-0.5, 0.0, 0.5)
+    for a in (0, 1, 4)
+    for n in (1, 300, 4097)
+] + [
+    (b, alpha, a, 2**17)
+    for b, alpha in ((0.5, -0.5), (1.0, 0.0), (2.0, 0.5))
+    for a in (0, 1, 4)
+]
+
+
+class TestLiveWindow:
+    @pytest.mark.parametrize("b, alpha, a, n", WINDOW_CASES)
+    def test_matches_p_on_every_row(self, monkeypatch, b, alpha, a, n):
+        # the reference evaluates P with reg_lower_gamma on every row
+        params, boundary = _window_case(b, alpha, a, n)
+        res = ln_mgf_exact(params, n, keep_terms=True)
+        with monkeypatch.context() as m:
+            m.setattr(exact_mgf, "_p_sorted", lambda s, ctx: reg_lower_gamma(s, ctx.z))
+            ref = ln_mgf_exact(params, n, keep_terms=True).per_term
+        assert res.per_term.tolist() == ref.tolist()
+        assert res.ln_mgf == math.fsum(ref)  # zero terms left out of fsum
+        if boundary is not None:
+            a_lo, a_hi = _TermContext(params, n).window
+            assert a_lo < (boundary + alpha) / b < a_hi
+            if n > 2 * _CHUNK:  # P saturates on both sides of the window
+                assert LARGE_A_THRESHOLD < a_lo and a_hi < (n + alpha) / b
+
+    def test_work_counts_at_2_20(self, monkeypatch):
+        # P only on the rows below a = 1e3 and on the analytic window, and
+        # lgamma_diff on no row of the zero shift
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
+        seen = {"reg_lower_gamma": 0, "lgamma_diff": 0}
+        for name in seen:
+            real = getattr(exact_mgf, name)
+
+            def counted(*args, name=name, real=real):
+                seen[name] += np.broadcast(*args).size
+                return real(*args)
+
+            monkeypatch.setattr(exact_mgf, name, counted)
+        ln_mgf_exact(params, n)
+        z = n * params.r**2
+
+        def excess(a):
+            return z - a + a * math.log(a / z) - SATURATION_EXPONENT
+
+        width = brentq(excess, z + 1.0, 2.0 * z) - brentq(excess, 1.0, z - 1.0)
+        shifts = params.a + 1
+        assert seen["reg_lower_gamma"] <= 1.01 * shifts * (width + LARGE_A_THRESHOLD)
+        assert seen["lgamma_diff"] == params.a * n
 
 
 class TestFiftyDigitTier:

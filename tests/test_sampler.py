@@ -220,6 +220,23 @@ class TestThreadedRounds:
         assert res == sampler.MCResult(1.0, 0.0, 0.0, 0.0, 1000, 3, 1000.0)
 
 
+class TestStageGenerators:
+    def test_stages_build_their_generators(self, monkeypatch):
+        # every index's generator is built once, by a worker thread
+        built_by = []
+        real = sampler._generator
+
+        def recorded(seed, j=None):
+            built_by.append((j, threading.current_thread()))
+            return real(seed, j)
+
+        monkeypatch.setattr(sampler, "_generator", recorded)
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: 3)
+        mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 10, 1000, seed=2)
+        assert sorted(j for j, _ in built_by) == list(range(1, 11))
+        assert threading.main_thread() not in {t for _, t in built_by}
+
+
 class TestEffectiveSampleSize:
     # the null weight's ess == samples is pinned by test_null_weight_draws_nothing
     def test_ess_within_bounds(self):

@@ -10,8 +10,11 @@ from scipy.special import erfi, gammainc
 
 from mlcp.errors import DomainError, UnsupportedOrderError
 from mlcp.specfun import (
+    LARGE_A_THRESHOLD,
+    SATURATION_EXPONENT,
     lgamma_diff,
     reg_lower_gamma,
+    saturation_window,
     temme_c,
     temme_eta,
 )
@@ -223,6 +226,49 @@ class TestRegLowerGamma:
         assert reg_lower_gamma(at.reshape(8, 9), z.reshape(8, 9)).shape == (8, 9)
 
 
+class TestSaturationWindow:
+    @pytest.mark.parametrize("z", [1e3, 1490.0, 5e3, 2.6e5, 2.1e6, 1e8])
+    def test_saturated_outside(self, z):
+        # on each side, 200 shapes next to the bound and 200 farther out
+        a_lo, a_hi = saturation_window(z)
+        below = np.concatenate([
+            np.nextafter(a_lo, 0.0) - np.arange(200.0) * 1e-6 * a_lo,
+            np.geomspace(0.01 * a_lo, a_lo, 200, endpoint=False),
+        ])
+        below = below[below >= LARGE_A_THRESHOLD]
+        above = np.concatenate([
+            np.nextafter(a_hi, math.inf) + np.arange(200.0) * 1e-6 * a_hi,
+            np.geomspace(a_hi * 1.001, 100.0 * a_hi, 200),
+        ])
+        assert np.all(reg_lower_gamma(below, z) == 1.0)
+        assert np.all(reg_lower_gamma(above, z) == 0.0)
+        assert below.size >= (200 if a_lo > 1.001 * LARGE_A_THRESHOLD else 0)
+
+    @pytest.mark.parametrize("z", [746.0, 1e3, 5e3, 2.6e5, 2.1e6, 1e8])
+    def test_bounds_hug_the_roots(self, z):
+        # a (lambda - 1 - ln lambda) at the bounds, lambda = z/a, lies just
+        # above the saturation exponent: widening a root by 1e-6 relative
+        # adds about 1e-6 sqrt(2 * 745 z) to it
+        slack = 2e-6 * math.sqrt(2.0 * SATURATION_EXPONENT * z)
+        with mp.workdps(40):
+            for bound in saturation_window(z):
+                a = mpf(bound)
+                lam = mpf(z) / a
+                expo = a * (lam - 1 - mp.log(lam))
+                assert SATURATION_EXPONENT < expo < SATURATION_EXPONENT + slack
+
+    def test_no_lower_root(self):
+        # for z <= 745 the exponent stays under the limit for every a < z
+        a_lo, a_hi = saturation_window(745.0)
+        assert a_lo == 0.0 and a_hi > 745.0
+        assert saturation_window(0.0) == (0.0, 0.0)
+
+    def test_domain(self):
+        for z in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                saturation_window(z)
+
+
 class TestLgammaDiff:
     def test_matches_mpmath(self):
         with mp.workdps(40):
@@ -239,6 +285,10 @@ class TestLgammaDiff:
         for d in (0.0, 0.25, 1.0, 2.5):
             arr = lgamma_diff(x, d)
             assert arr.tolist() == [lgamma_diff(xi, d) for xi in x]
+        # a column of shifts against the row x, as the exact kernel calls it
+        shifts = np.array([0.0, 0.25, 1.0, 2.5, -0.5])
+        grid = lgamma_diff(x, shifts[:, None])
+        assert grid.tolist() == [[lgamma_diff(xi, d) for xi in x] for d in shifts]
 
     def test_domain(self):
         with pytest.raises(DomainError):
