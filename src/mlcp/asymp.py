@@ -12,6 +12,11 @@ evaluations of the p/q polynomial families.  The integrands cancel
 strongly at large |y|; all cancellations are performed either in exact
 coefficient space (polynomial counterterms) or via log1p of explicitly
 tiny corrections, never by subtracting two large floats.
+
+C2 and C3 are each two adaptive Gauss-Kronrod integrals: the core
+|y| <= y_switch, and both tails mapped by t = 1/y onto [-1/y_switch,
+1/y_switch], where integrand(1/t)/t^2 is smooth through t = 0 (see _in_t).
+Their error estimate is the sum of the two integrals' estimates.
 """
 
 import functools
@@ -29,7 +34,7 @@ from .specfun import horner
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_MAX_OCTAVES = 40
+_T_MIN = 2.0**-30
 # math.erfc element by element: against 40-digit mpmath, scipy's erfc is
 # 1.4e-14 relative off for y in [6, 12] and 5.7e-14 by y = 26, where
 # math.erfc stays within 4e-16.
@@ -225,59 +230,37 @@ def _refine_edges(edges, times):
     return edges
 
 
-def _tail_integral(f, y0, power, tol, refine):
-    """Octave-doubling integration of f over [y0, +inf) assuming
-    |f| ~ A/y^power eventually.
+def _in_t(integrand, prof):
+    """h(t) = integrand(1/t, prof)/t^2 for 0 < |t| <= 1/y_switch: the tails
+    in t = 1/y.  The integrands decay like A/y^2 (C2) and A/y^3 (C3), and
+    the logs in _psi2 cancel exactly, so h is smooth through t = 0.  Below
+    |t| = t_min = _T_MIN/y_switch, h is held at h(+-t_min), which moves the
+    tail by about |h'(0)| t_min^2/2 per side: the integrands overflow at
+    large |y| (from about 1e16 at a = 6, u = 500), and C3's cancelling
+    O(1/y) parts leave noise of about eps*|y| in h."""
+    t_min = _T_MIN / prof.y_switch
 
-    Integrates octaves [L, 2L] until two successive fits of A agree, then
-    adds the fitted algebraic tail A/((power-1) Y^{power-1}).  Raises
-    AccuracyError when the octave sums fail to settle (non-Cauchy).
-    """
-    total = 0.0
-    quad_err = 0.0
-    lo = y0
-    fit_prev = None
-    octave_prev = None
-    for _ in range(_MAX_OCTAVES):
-        hi = 2.0 * lo
-        edges = _refine_edges([lo, 0.5 * (lo + hi), hi], refine)
-        val, err = adaptive(f, edges, tol / 20.0)
-        total += val
-        quad_err += err
-        # fit |f| ~ A / y^power from this octave's integral
-        denom = (1.0 - 2.0 ** (1 - power)) / ((power - 1.0) * lo ** (power - 1.0))
-        fit = val / denom
-        y_end = hi
-        tail_now = fit / ((power - 1.0) * y_end ** (power - 1.0))
-        if fit_prev is not None:
-            tail_disagreement = abs(fit - fit_prev) / (
-                (power - 1.0) * y_end ** (power - 1.0)
-            )
-            settled_small = abs(val) < 0.1 * tol and abs(tail_now) < 0.1 * tol
-            if abs(fit) < tol and (octave_prev is None or abs(val) <= abs(octave_prev) or settled_small):
-                return total, quad_err + abs(tail_now)  # tail dropped
-            if tail_disagreement < tol / 3.0 and abs(val) <= abs(octave_prev) * 1.05:
-                return total + tail_now, quad_err + tail_disagreement
-            if settled_small:
-                return total + tail_now, quad_err + abs(tail_now)
-        fit_prev = fit
-        octave_prev = val
-        lo = hi
-    raise AccuracyError(
-        f"tail estimate did not settle after {_MAX_OCTAVES} octaves (non-Cauchy)"
-    )
+    def h(t):
+        y = 1.0 / np.copysign(np.maximum(np.abs(t), t_min), t)
+        return integrand(y, prof) * (y * y)
+
+    return h
 
 
-def _whole_line(integrand, prof, power, tol, refine):
-    """Integral of integrand(y, prof) over the real line, with |integrand|
-    ~ A/|y|^power: on each half-line a graded core [0, y_switch] and the
-    octave tail beyond.  Returns (value, error)."""
+def _whole_line(integrand, prof, tol, refine):
+    """Integral of integrand(y, prof) over the real line and its error: one
+    adaptive call on the core |y| <= y_switch, graded toward the log
+    singularity at y = 0 from both sides, and one on both tails (_in_t) on
+    uniform panels of [-1/y_switch, 1/y_switch], each to 2 tol; ``refine``
+    halves both.  The error is the sum of the two gk15 estimates; holding h
+    below t_min adds under 1e-17 at a <= 6, far below their roundoff term."""
     core = _refine_edges(graded_edges(0.0, prof.y_switch, 0.0), refine)
-    pieces = []
-    for f in (lambda y: integrand(y, prof), lambda t: integrand(-t, prof)):
-        pieces.append(adaptive(f, core, tol))
-        pieces.append(_tail_integral(f, prof.y_switch, power, tol, refine))
-    return sum(v for v, _ in pieces), sum(e for _, e in pieces)
+    core = [-y for y in core[:0:-1]] + core
+    t_edge = 1.0 / prof.y_switch
+    tail = _refine_edges([-t_edge, -0.5 * t_edge, 0.0, 0.5 * t_edge, t_edge], refine)
+    core_val, core_err = adaptive(lambda y: integrand(y, prof), core, 2.0 * tol)
+    tail_val, tail_err = adaptive(_in_t(integrand, prof), tail, 2.0 * tol)
+    return core_val + tail_val, core_err + tail_err
 
 
 def coeff_C1(params, tol=1e-9):
@@ -327,7 +310,7 @@ def _c2_with_err(params, tol=1e-9, refine=0):
         raise DomainError("tol must be positive", constraint="tol")
     prof = _profile(params)
     pref = _SQRT2 * params.b * params.r**params.b
-    total, err = _whole_line(_psi2, prof, 2, tol / (4.0 * pref), refine)
+    total, err = _whole_line(_psi2, prof, tol / (4.0 * pref), refine)
     return pref * total, pref * err
 
 
@@ -347,7 +330,7 @@ def _c3_with_err(params, tol=1e-9, refine=0):
         closed += 0.25 * a * (2.0 + a - 2.0 * b + 4.0 * alpha) * math.log(
             1.0 / inner_radius - 1.0
         )
-    total, err = _whole_line(_c3_integrand, _profile(params), 3, tol / 4.0, refine)
+    total, err = _whole_line(_c3_integrand, _profile(params), tol / 4.0, refine)
     return closed + total, err
 
 

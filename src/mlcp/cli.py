@@ -8,9 +8,11 @@
 
 Configuration is a single JSON file; command-line flags win over config
 values.  Exit codes: 0 success, 2 configuration/domain error, 3 accuracy
-or arithmetic (overflow, division by zero) error, 4 identity failure.  All
-floating-point output carries 17 significant digits so values round-trip
-exactly; JSON writes a non-finite Monte Carlo estimate as null.
+error or any other failed computation (overflow, an exception from scipy or
+mpmath), 4 identity failure.  Exits 2 and 3 write one JSON error record to
+standard error.  All floating-point output carries 17 significant digits so
+values round-trip exactly; JSON writes a non-finite Monte Carlo estimate as
+null.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -146,6 +149,8 @@ def _error_record(exc):
     constraint = getattr(exc, "constraint", None)
     if constraint is not None:
         rec["constraint"] = constraint
+    if not isinstance(exc, MlcpError):
+        rec["traceback"] = traceback.format_exception(exc)
     return {"error": rec}
 
 
@@ -402,12 +407,13 @@ def main(argv=None):
         if args.command == "mc":
             return cmd_mc(config, args.out)
         raise DomainError(f"unknown command {args.command}")
-    except (AccuracyError, ArithmeticError) as exc:
+    except Exception as exc:
+        # an exception from outside mlcp (scipy, mpmath, ArithmeticError) is
+        # a failed computation; _error_record adds its traceback
         sys.stderr.write(json.dumps(_error_record(exc)) + "\n")
+        if isinstance(exc, MlcpError) and not isinstance(exc, AccuracyError):
+            return EXIT_CONFIG
         return EXIT_ACCURACY
-    except MlcpError as exc:
-        sys.stderr.write(json.dumps(_error_record(exc)) + "\n")
-        return EXIT_CONFIG
 
 
 def console_main():

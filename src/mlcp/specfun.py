@@ -264,7 +264,8 @@ def reg_lower_gamma(a_tilde, z):
     small = a < LARGE_A_THRESHOLD
     out[small] = special.gammainc(a[small], z[small])
     large = ~small & (z > 0.0)
-    out[large] = _p_uniform(a[large], z[large])
+    if np.any(large):
+        out[large] = _p_uniform(a[large], z[large])
     out[~small & (z == 0.0)] = 0.0
     return restore(np.clip(out, 0.0, 1.0))
 

@@ -1,13 +1,15 @@
 """Profile functions, asymptotic constants, and residual-decay tests."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.special import erfc as sp_erfc
 
-from mlcp import asymp
+from mlcp import asymp, combo_poly, quadrature
 from mlcp.asymp import (
     c2_integrand,
     c3_integrand,
@@ -23,6 +25,8 @@ from mlcp.asymp import (
 from mlcp.params import Params
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# (alpha, r) of the three compare geometries, by b
+GEOMETRIES = {0.5: (0.5, 1.0), 1.0: (0.0, 0.5), 2.0: (-0.5, 0.6)}
 
 
 def c1_trapezoid_oracle(params, panels=10**6):
@@ -244,6 +248,128 @@ class TestCoeffBundle:
             assert len(built) == 2
         finally:
             asymp._cached_profile.cache_clear()
+
+
+def mp_integrands(params):
+    """The C2 and C3 integrands of the module docstring in mpmath, from the
+    exact profile polynomials: no log1p tail form, no folded counterterm."""
+    a, u, b = params.a, mp.mpf(params.u), mp.mpf(params.b)
+    polys = [
+        [mp.mpf(c.numerator) / c.denominator for c in poly.coeffs[::-1]]
+        for poly in (
+            combo_poly.p0(a),
+            combo_poly.q0(a),
+            combo_poly.p1(a, Fraction(params.b)),
+            combo_poly.q1(a, Fraction(params.b)),
+        )
+    ]
+    sign = -1 if a % 2 else 1
+    cu = mp.exp(u) - sign
+
+    def logs(y):
+        s = -mp.sqrt(2) * y
+        amp = sign + cu * mp.erfc(y) / 2
+        gauss = cu * mp.exp(-y * y) / mp.sqrt(2 * mp.pi)
+        p0, q0, p1, q1 = (mp.polyval(c, s) for c in polys)
+        g0 = p0 * amp + q0 * gauss
+        ln_g0 = mp.log(g0) - (u if y < 0 else 0)
+        return ln_g0, (p1 * amp + q1 * gauss) / g0, mp.log(mp.sqrt(2) * abs(y))
+
+    def psi2(y):
+        ln_g0, _, ln_y = logs(y)
+        return ln_g0 - a * ln_y
+
+    def c3(y):
+        ln_g0, ratio, ln_y = logs(y)
+        return (
+            ratio / mp.sqrt(2)
+            + 4 * b * y * ln_g0
+            - a * y * (1 + 2 * b + 8 * b * ln_y) / 2
+            + (2 * a * b - a * a) * y / (4 * (1 + y * y))
+        )
+
+    return psi2, c3
+
+
+class TestTails:
+    """C2/C3 tails in t = 1/y (asymp._in_t)."""
+
+    GRID = [
+        Params(b, *GEOMETRIES[b], u, a)
+        for b in (0.5, 2.0)
+        for u in (-0.7, 500.0)  # u = 500: y_switch = 23.7
+        for a in (0, 1, 6)
+    ]
+
+    @pytest.mark.parametrize("params", GRID, ids=str)
+    def test_finite_wherever_adaptive_reaches(self, params):
+        # panels of [-1/y_switch, 1/y_switch] bisect down to 5e-300 wide;
+        # a RuntimeWarning fails the test (pyproject's filterwarnings)
+        prof = asymp._profile(params)
+        t = np.geomspace(1e-305, 1.0 / prof.y_switch, 500)
+        t = np.concatenate((-t, t))
+        for integrand in (asymp._psi2, asymp._c3_integrand):
+            assert np.all(np.isfinite(asymp._in_t(integrand, prof)(t)))
+
+    # u = 2.5 for 500: compute_coeffs cannot certify C3 there (its core
+    # stalls), so it returns no error to compare with
+    @pytest.mark.parametrize(
+        "params", [Params(p.b, p.alpha, p.r, min(p.u, 2.5), p.a) for p in GRID], ids=str
+    )
+    def test_held_piece_inside_error(self, params):
+        # Below t_min the tail integrand is held at h(t_min).  Against the
+        # 120-digit integrands, t_min * max |h(t) - h(t_min)| over t in
+        # [t_min 2^-40, t_min] bounds what that moves, per side; it must lie
+        # inside the returned error (C2's carries the factor sqrt2 b r^b).
+        prof = asymp._profile(params)
+        t_min = asymp._T_MIN / prof.y_switch
+        coeffs = compute_coeffs(params)
+        pref = math.sqrt(2.0) * params.b * params.r**params.b
+        with mp.workdps(120):
+            for f, scale, err, integrand in zip(
+                mp_integrands(params),
+                (pref, 1.0),
+                (coeffs.err2, coeffs.err3),
+                (asymp._psi2, asymp._c3_integrand),
+            ):
+                y = np.array([30.0, -30.0])
+                assert integrand(y, prof) == pytest.approx(
+                    [float(f(mp.mpf(v))) for v in y], rel=1e-12, abs=1e-15
+                )
+                moved = 0
+                for side in (1, -1):
+                    h = lambda t: f(side / mp.mpf(t)) / mp.mpf(t) ** 2
+                    held = h(t_min)
+                    dev = max(abs(h(t_min * 2.0**-k) - held) for k in range(4, 41, 4))
+                    moved += t_min * dev
+                assert scale * moved <= min(err, 1e-17)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("a", [0, 1, 2, 6])
+    @pytest.mark.parametrize("u", [-0.7, 2.5])
+    def test_error_estimates_cover_tighter_tol(self, b, a, u):
+        p = Params(b, *GEOMETRIES[b], u, a)
+        for with_err in (asymp._c2_with_err, asymp._c3_with_err):
+            value, err = with_err(p, 1e-9)
+            tight, _ = with_err(p, 1e-11)
+            assert abs(value - tight) <= err
+            assert abs(value - tight) <= 1e-12
+
+    def test_gk15_calls(self, monkeypatch):
+        # the octave-by-octave tails with a fitted A/y^p remainder made 262
+        # gk15 calls on this grid; the t = 1/y tails make 115
+        calls = []
+        gk15 = quadrature.gk15
+
+        def counted(f, lo, hi):
+            calls.append(np.shape(lo))
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "gk15", counted)
+        for b, (alpha, r) in GEOMETRIES.items():
+            for a in (1, 4):
+                compute_coeffs(Params(b, alpha, r, 1.0, a))
+        assert len(calls) <= 262 // 2
 
 
 class TestPredictResidual:

@@ -296,6 +296,28 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "OverflowError"
 
+    def test_library_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # an exception from outside mlcp, such as scipy's or mpmath's
+        # ValueError, leaves as a record, not as a traceback on its own
+        def fail(params, tol):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr("mlcp.cli.compute_coeffs", fail)
+        cfg = write_config(tmp_path, n_list=[16, 32])
+        assert main(["compare", "--config", cfg]) == 3
+        record = json.loads(capsys.readouterr().err)["error"]
+        assert (record["type"], record["message"]) == ("ValueError", "math domain error")
+        assert "fail" in record["traceback"][-2]
+
+    def test_interrupt_not_caught(self, tmp_path, monkeypatch):
+        def interrupt(params, tol):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("mlcp.cli.compute_coeffs", interrupt)
+        cfg = write_config(tmp_path, n_list=[16, 32])
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--config", cfg])
+
     def test_unreachable_tolerance_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[16, 32], params={"u": 0.5, "a": 1})
         assert main(["compare", "--config", cfg, "--tol", "1e-18"]) == 3

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpf
 from scipy.special import erfi, gammainc
 
+from mlcp import specfun
 from mlcp.errors import DomainError, UnsupportedOrderError
 from mlcp.specfun import (
     LARGE_A_THRESHOLD,
@@ -224,6 +225,28 @@ class TestRegLowerGamma:
         assert arr.shape == at.shape
         assert arr.tolist() == [reg_lower_gamma(a, zz) for a, zz in zip(at, z)]
         assert reg_lower_gamma(at.reshape(8, 9), z.reshape(8, 9)).shape == (8, 9)
+
+    def test_expansion_runs_only_on_large_shapes(self, monkeypatch):
+        # all shapes below 1e3: scipy's values, bit for bit, and no call
+        # of the expansion, not even on empty arrays
+        calls = []
+        expansion = specfun._p_uniform
+
+        def counted(a, z):
+            calls.append(a.size)
+            return expansion(a, z)
+
+        monkeypatch.setattr(specfun, "_p_uniform", counted)
+        at = np.array([0.5, 3.0, 40.0, 999.9, 999.9])
+        z = np.array([0.1, 3.0, 38.0, 1200.0, 0.0])
+        assert reg_lower_gamma(at, z).tolist() == gammainc(at, z).tolist()
+        assert reg_lower_gamma(3.0, 2.5) == gammainc(3.0, 2.5)
+        assert calls == []
+        # z = 0 needs no expansion either; one large shape runs it once
+        reg_lower_gamma(np.array([5e3, 3.0]), np.array([0.0, 1.0]))
+        assert calls == []
+        reg_lower_gamma(np.array([5e3, 3.0, 2e3]), np.array([5e3, 1.0, 0.0]))
+        assert calls == [1]
 
 
 class TestSaturationWindow:
