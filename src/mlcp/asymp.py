@@ -13,6 +13,20 @@ strongly at large |y|; all cancellations are performed either in exact
 coefficient space (polynomial counterterms) or via log1p of explicitly
 tiny corrections, never by subtracting two large floats.
 
+C1 is closed-form up to one smooth integral.  With s = 2b and Y = edge
+(Y^s = 1/b), C1 = u b r^s + a b I, I = int_0^Y s y^{s-1} ln|r-y| dy.
+Integrating by parts against y^s - r^s, which vanishes at y = r, and
+putting y = r t gives
+
+  I = (1/b - r^s) ln(Y-r) + r^s ln r - r^s (psi(s+1) + gamma + K),
+  K = int_1^{Y/r} (t^s-1)/(t-1) dt = int_0^{(Y-r)/r} expm1(s log1p(h))/h dh,
+
+with psi(s+1) + gamma = int_0^1 (1-t^s)/(1-t) dt (DLMF 5.9.16).  K's
+integrand is analytic: one adaptive Gauss-Kronrod call on four panels.
+C1's error is a b r^s times K's estimate plus a rounding allowance of 4 eps
+a b times the summed |terms| of I, counting (1/b + r^s)|ln(Y-r)| for the
+first.
+
 C2 and C3 are each two adaptive Gauss-Kronrod integrals: the core
 |y| <= y_switch, and both tails mapped by t = 1/y onto [-1/y_switch,
 1/y_switch], where integrand(1/t)/t^2 is smooth through t = 0 (see _in_t).
@@ -25,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import digamma
 
 from . import combo_poly
 from .errors import AccuracyError, DomainError
@@ -158,17 +173,18 @@ def eval_G(y, params):
     )
 
 
-def _psi2(y, prof):
+def _psi2(y, prof, g0=None):
     """C2 integrand: ln g0(y) - a ln(sqrt2 |y|) - u [y<0], stably.
 
     Beyond |y| >= y_switch the polynomial head dominates and the value is
-    assembled from two log1p's of explicitly small corrections.
+    assembled from two log1p's of explicitly small corrections.  A caller
+    that already holds g0 at y passes it, so the core does not rebuild it.
     """
     out = np.empty_like(y)
     ay = np.abs(y)
     core = ay < prof.y_switch
     yc = y[core]
-    psi = np.log(_positive_g0(yc, prof, _parts(yc, prof)))
+    psi = np.log(_positive_g0(yc, prof, _parts(yc, prof)) if g0 is None else g0[core])
     if prof.a:
         psi -= prof.a * np.log(_SQRT2 * ay[core])
     out[core] = np.where(yc < 0.0, psi - prof.u, psi)
@@ -196,7 +212,7 @@ def _c3_integrand(y, prof):
     combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
     linear = np.zeros_like(y)
     nonzero = y != 0.0
-    linear[nonzero] = 4.0 * b * y[nonzero] * _psi2(y[nonzero], prof)
+    linear[nonzero] = 4.0 * b * y[nonzero] * _psi2(y[nonzero], prof, g0[nonzero])
     return combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + linear
 
 
@@ -267,38 +283,25 @@ def coeff_C1(params, tol=1e-9):
     return _c1_with_err(params, tol)[0]
 
 
-def _c1_with_err(params, tol=1e-9, refine=0):
-    """C1 via the mass substitution x = b y^{2b}: the radial measure becomes
-    Lebesgue on [0, 1] and the only singularity is the log at x = b r^{2b}.
-
-    |r - (x/b)^{1/(2b)}| is evaluated as r*|expm1(ln(x/crit)/(2b))| so the
-    graded panels next to the critical point never subtract equal floats.
-    """
+def _c1_with_err(params, tol=1e-9):
+    """C1 and its error from the closed form in the module docstring."""
     if tol <= 0:
         raise DomainError("tol must be positive", constraint="tol")
     a, b, r, u = params.a, params.b, params.r, params.u
-    crit = params.bulk_mass
-    u_part = u * crit
+    u_part = u * params.bulk_mass
     if a == 0:
         return u_part, 0.0
-    inv2b = 1.0 / (2.0 * b)
-    log_r = math.log(r)
-    gap_floor = 2.3e-16 * inv2b  # one ulp of x/crit through the map
-
-    def log_gap(x):
-        gap = np.abs(np.expm1(inv2b * np.log(x / crit)))
-        return log_r + np.log(np.maximum(gap, gap_floor))
-
-    levels = 40  # closest node sits ~crit*4e-15 from the singular point
-    lo_edges = _refine_edges(graded_edges(0.0, crit, crit, levels=levels), refine)
-    hi_edges = _refine_edges(graded_edges(crit, 1.0, crit, levels=levels), refine)
-    v1, e1 = adaptive(log_gap, lo_edges, tol / (3.0 * a))
-    v2, e2 = adaptive(log_gap, hi_edges, tol / (3.0 * a))
-    # dropped strips of width w on each side of the singular point
-    w = max(crit, 1.0 - crit) * 0.5**levels
-    slope = r ** (1.0 - 2.0 * b) / (2.0 * b * b)
-    drop = 2.0 * w * (abs(math.log(w * slope)) + 1.0)
-    return u_part + a * (v1 + v2), a * (e1 + e2 + drop)
+    s, r_s, gap = 2.0 * b, r ** (2.0 * b), params.edge_radius - r
+    k, k_err = adaptive(
+        lambda h: np.expm1(s * np.log1p(h)) / h,  # (t^s - 1)/(t - 1), t = 1 + h
+        np.linspace(0.0, gap / r, 5),
+        tol / (2 * a * b * r_s),
+    )
+    log_gap = math.log(gap)
+    terms = [(1.0 / b - r_s) * log_gap, r_s * math.log(r), -r_s * k]
+    terms += [-r_s * float(digamma(s + 1.0)), -r_s * np.euler_gamma]
+    rounding = 8.9e-16 * (sum(map(abs, terms)) + 2.0 * r_s * abs(log_gap))  # 4 eps
+    return u_part + a * b * math.fsum(terms), a * b * (r_s * k_err + rounding)
 
 
 def coeff_C2(params, tol=1e-9):

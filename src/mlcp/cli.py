@@ -16,6 +16,7 @@ null.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -136,12 +137,7 @@ def _emit(lines, out_path):
 
 
 def _emit_json(obj, out_path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit([json.dumps(obj, indent=2, sort_keys=True)], out_path)
 
 
 def _error_record(exc):
@@ -360,6 +356,7 @@ def cmd_dump_polys(a_max, b, fmt, out_path):
     return EXIT_OK
 
 
+@functools.cache  # built on first use; parse_args leaves the tree unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mlcp",

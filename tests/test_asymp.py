@@ -50,6 +50,16 @@ def c1_trapezoid_oracle(params, panels=10**6):
     return inner + outer
 
 
+def c1_mpmath(params):
+    """C1 by mpmath.quad in the mass variable x = b y^{2b}:
+    u b r^{2b} + a int_0^1 ln|r - (x/b)^{1/(2b)}| dx, split at the singular
+    point x = b r^{2b}."""
+    b, r = mp.mpf(params.b), mp.mpf(params.r)
+    crit = b * r ** (2 * b)
+    f = lambda x: mp.log(abs(r - (x / b) ** (1 / (2 * b))))
+    return params.u * crit + params.a * (mp.quad(f, [0, crit]) + mp.quad(f, [crit, 1]))
+
+
 def c2_simpson_oracle_a0(params, Y=40.0, h=1e-4):
     """Brute-force C2 for a = 0: exponential-tail integrand on |y| <= Y."""
     u, b, r = params.u, params.b, params.r
@@ -137,6 +147,43 @@ class TestC1:
     def test_vs_trapezoid_oracle_general_b(self):
         p = Params(2.0, 0.25, 0.6, -0.4, 3)
         assert coeff_C1(p) == pytest.approx(c1_trapezoid_oracle(p), abs=1e-8)
+
+    @pytest.mark.parametrize("b", [0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("frac", [0.02, 0.3, 0.7, 0.95, 0.999])
+    def test_vs_mpmath(self, b, frac):
+        # r from far inside the droplet to 0.999 of its edge
+        p = Params(b, 0.0, frac * b ** (-1.0 / (2.0 * b)), 0.5, 2)
+        c1, err = asymp._c1_with_err(p, 1e-12)
+        with mp.workdps(30):
+            ref = c1_mpmath(p)
+        assert abs(c1 - ref) <= err
+        assert abs(c1 - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("b", sorted(GEOMETRIES))
+    @pytest.mark.parametrize("a", [1, 6])
+    def test_certified_at_tight_tol(self, b, a):
+        p = Params(b, *GEOMETRIES[b], 1.0, a)
+        assert asymp._c1_with_err(p, 1e-12)[1] <= 1e-12
+        # at 1e-12 compute_coeffs stalls in C3 at b = 2, a = 6
+        assert compute_coeffs(p, 1e-11).err1 <= 1e-11
+
+    def test_gk15_calls(self, monkeypatch):
+        # on the 84 compare configs at tol 1e-9 the graded log-singular
+        # quadrature made 1,068 gk15 calls in all; K takes one per a >= 1
+        calls = []
+        gk15 = quadrature.gk15
+
+        def counted(f, lo, hi):
+            calls.append(np.shape(lo))
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "gk15", counted)
+        for b, (alpha, r) in GEOMETRIES.items():
+            for u in (-0.7, 0.0, 1.0, 2.5):
+                for a in range(7):
+                    before = len(calls)
+                    asymp._c1_with_err(Params(b, alpha, r, u, a), 1e-9)
+                    assert len(calls) - before <= 2
 
 
 class TestC2:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mlcp import exact_mgf
+from mlcp import cli, exact_mgf
 from mlcp.cli import main
 from mlcp.exact_mgf import ln_mgf_exact
 from mlcp.params import Params
@@ -144,6 +144,41 @@ class TestCompare:
         assert main(["compare", "--config", cfg]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "n,ln_mgf,prediction,residual"
+
+
+class TestParserReuse:
+    """main builds its argparse tree once per process; no parsed flag may
+    leak from one call into the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys, monkeypatch):
+        loaded = []
+        load = cli.load_config
+
+        def recorded(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_config", recorded)
+        cfg = write_config(tmp_path, n_list=[10])
+        assert main(["mc", "--config", cfg, "--seed", "5", "--tol", "1e-8"]) == 0
+        assert main(["mc", "--config", cfg]) == 0
+        assert [(c.seed, c.tol) for c in loaded] == [(5, 1e-8), (7, 1e-9)]
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert [row.split(",")[-1] for row in rows[1::2]] == ["5", "7"]
+
+    def test_argparse_failure_then_valid_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_list=[10])
+        assert main(["mc", "--config", cfg]) == 0
+        normal = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--config", cfg, "--seed", "5", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["mc", "--config", cfg]) == 0
+        assert capsys.readouterr().out == normal
 
 
 class TestMc:
