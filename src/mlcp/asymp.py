@@ -22,7 +22,8 @@ putting y = r t gives
   K = int_1^{Y/r} (t^s-1)/(t-1) dt = int_0^{(Y-r)/r} expm1(s log1p(h))/h dh,
 
 with psi(s+1) + gamma = int_0^1 (1-t^s)/(1-t) dt (DLMF 5.9.16).  K's
-integrand is analytic: one adaptive Gauss-Kronrod call on four panels.
+integrand is analytic: one adaptive Gauss-Kronrod call on panels graded
+toward h = 0, where it turns from s into about h^(s-1) once h > 1.
 C1's error is a b r^s times K's estimate plus a rounding allowance of 4 eps
 a b times the summed |terms| of I, counting (1/b + r^s)|ln(Y-r)| for the
 first.
@@ -294,7 +295,7 @@ def _c1_with_err(params, tol=1e-9):
     s, r_s, gap = 2.0 * b, r ** (2.0 * b), params.edge_radius - r
     k, k_err = adaptive(
         lambda h: np.expm1(s * np.log1p(h)) / h,  # (t^s - 1)/(t - 1), t = 1 + h
-        np.linspace(0.0, gap / r, 5),
+        graded_edges(0.0, gap / r, 0.0),
         tol / (2 * a * b * r_s),
     )
     log_gap = math.log(gap)

@@ -92,6 +92,27 @@ def _integer(value, name):
     return value
 
 
+def _number(value, name):
+    """A JSON number as a float; a bool or a string is a DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{name} must be a number, got {value!r}", constraint=name)
+    return float(value)
+
+
+def _diagnostic(block):
+    """The diagnostic block as {"eps": float, "m_prime": int}, or None."""
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise DomainError(
+            f"diagnostic must be an object, got {block!r}", constraint="diagnostic"
+        )
+    return {
+        "eps": _number(block["eps"], "eps"),
+        "m_prime": _integer(block["m_prime"], "m_prime"),
+    }
+
+
 def load_config(path, overrides):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,14 +132,14 @@ def load_config(path, overrides):
         )
         merged = {
             "n_list": tuple(_integer(n, "n_list") for n in raw.get("n_list", ())),
-            "tol": float(raw.get("tol", 1e-9)),
+            "tol": _number(raw.get("tol", 1e-9), "tol"),
             "seed": _integer(raw.get("seed", 1), "seed"),
             "samples": _integer(raw.get("samples", 100000), "samples"),
             "output": raw.get("output", "csv"),
-            "diagnostic": raw.get("diagnostic"),
+            "diagnostic": _diagnostic(raw.get("diagnostic")),
         }
     except KeyError as exc:
-        raise DomainError(f"config params missing field {exc}", constraint=str(exc))
+        raise DomainError(f"config missing field {exc}", constraint=exc.args[0])
     except (ValueError, TypeError) as exc:
         raise DomainError(f"bad config value: {exc}", constraint="config")
     for key, value in overrides.items():
@@ -161,9 +182,7 @@ def cmd_exact(config, out_path):
         if diag is None:
             value = ln_mgf_exact(config.params, n).ln_mgf
         else:
-            split = split_sums(
-                config.params, n, float(diag["eps"]), int(diag["m_prime"])
-            )
+            split = split_sums(config.params, n, diag["eps"], diag["m_prime"])
             value = split.ln_mgf
             diagnostics.append(
                 {

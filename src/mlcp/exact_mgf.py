@@ -22,11 +22,10 @@ returns there.  The shift k = 0 has a log-gamma ratio of 0 and needs no
 column, so that they share the powers of the shapes.
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
-near the critical index j ~ b n r^{2b}, so it has three precision tiers: a
-compensated (Neumaier) sum in double precision; a re-sum in 80-bit
-extended precision of the rows whose sum drops below 1e-3 of their largest
-term or turns nonpositive; and a 50-digit evaluation, row by row, of the
-rows still nonpositive.
+near the critical index j ~ b n r^{2b}.  It is one compensated (Neumaier)
+double sum on every platform; only a row that comes out nonpositive is
+evaluated again, at 50 digits.  A wider re-sum of the same double-rounded
+inputs cannot recover the digits they lost.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -46,12 +45,6 @@ from .specfun import (
     reg_lower_gamma,
     saturation_window,
 )
-
-# Escalate the inner sum when it is smaller than this fraction of its
-# largest term (a-fold alternating cancellation).
-_ESCALATION_RATIO = 1e-3
-
-_LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
 # j-terms per kernel call: bounds the kernel's working arrays, and so the
 # peak memory, independently of n.
@@ -177,10 +170,9 @@ def _log_terms(ctx, j):
     """ln of the inner k-sum for every index in the ascending integer
     array j.
 
-    The k-sum is accumulated in double precision with Neumaier compensation.
-    Rows that come out nonpositive or below _ESCALATION_RATIO of their
-    largest term are re-summed in 80-bit precision from the same g_k and
-    P_k, and rows still nonpositive go to the 50-digit evaluation.
+    The k-sum is accumulated in double precision with Neumaier
+    compensation; a row that comes out positive gets its log, and a row
+    that comes out nonpositive goes to the 50-digit evaluation.
     """
     p = ctx.params
     at0 = (j + p.alpha) / p.b
@@ -195,29 +187,16 @@ def _log_terms(ctx, j):
     ]
     total = terms[0]
     comp = np.zeros_like(total)
-    largest = np.abs(total)
     for t in terms[1:]:
         s = total + t
         comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
         total = s
-        largest = np.maximum(largest, np.abs(t))
     total = total + comp
 
     out = np.empty_like(total)
-    good = (total > 0.0) & (np.abs(total) >= _ESCALATION_RATIO * largest)
+    good = total > 0.0
     out[good] = np.log(total[good])
-    bad = np.flatnonzero(~good)
-    if bad.size and _LONGDOUBLE_OK:
-        ld = np.longdouble
-        ext = np.zeros(bad.size, dtype=ld)
-        for k in range(p.a + 1):
-            w = ld(1.0) + ld(ctx.cu) * ps[k][bad].astype(ld)
-            g = gs[k - 1][bad].astype(ld) if k else ld(0.0)
-            ext += ld(ctx.binom[k]) * ld(ctx.r_pow[k]) * np.exp(g) * w
-        positive = ext > 0.0
-        out[bad[positive]] = np.log(ext[positive]).astype(float)
-        bad = bad[~positive]
-    for i in bad.tolist():
+    for i in np.flatnonzero(~good).tolist():
         out[i] = _log_term_mp(ctx, int(j[i]))
     return out
 
@@ -232,9 +211,9 @@ def ln_mgf_exact(params, n, keep_terms=False):
     per-term values are those of evaluating P on every row, bit for bit.
     The total is math.fsum of the nonzero terms: with a = 0 every term
     beyond the window is exactly 0, and fsum rounds the exact sum once, so
-    leaving those out does not change it.  The accumulated-error budget is
-    certified for n up to 2**20; larger n still evaluates but without a
-    stated accuracy claim.
+    leaving those out does not change it.  No accuracy is certified: on
+    50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
+    below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).
     """
     if not isinstance(params, Params):
         raise DomainError("params must be a Params instance")

@@ -185,6 +185,27 @@ class TestC1:
                     asymp._c1_with_err(Params(b, alpha, r, u, a), 1e-9)
                     assert len(calls) - before <= 2
 
+    def test_gk15_calls_far_inside(self, monkeypatch):
+        # K's integrand turns from s at h = 0 to about h^(s-1) beyond h = 1;
+        # on 4 uniform panels of [0, gap/r] K took 25 / 5 / 1 gk15 calls at
+        # b = 0.1 and 18 / 4 / 1 at b = 0.3 for r/edge = 1e-6 / 0.02 / 0.5
+        # (1 at b = 1, 2); panels graded toward h = 0 take at most 8
+        calls = []
+        gk15 = quadrature.gk15
+
+        def counted(f, lo, hi):
+            calls.append(np.shape(lo))
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(quadrature, "gk15", counted)
+        limit = {(0.1, 1e-6): 8}
+        for b in (0.1, 0.3, 1.0, 2.0):
+            for frac in (1e-6, 0.02, 0.5):
+                before = len(calls)
+                p = Params(b, 0.0, frac * b ** (-1.0 / (2.0 * b)), 0.3, 2)
+                asymp._c1_with_err(p, 1e-12)
+                assert len(calls) - before <= limit.get((b, frac), 1)
+
 
 class TestC2:
     def test_null(self):

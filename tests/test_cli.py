@@ -295,11 +295,15 @@ class TestExitCodes:
             ("seed", False),
             ("samples", 1000.5),
             ("samples", True),
+            ("m_prime", 10.7),
+            ("m_prime", True),
         ],
     )
     def test_non_integral_config_exit_2(self, tmp_path, capsys, field, value):
         if field == "a":
             cfg = write_config(tmp_path, params={"u": 0.5, "a": value})
+        elif field == "m_prime":
+            cfg = write_config(tmp_path, diagnostic={"eps": 0.05, "m_prime": value})
         else:
             cfg = write_config(tmp_path, **{field: value})
         assert main(["mc", "--config", cfg]) == 2
@@ -316,10 +320,20 @@ class TestExitCodes:
         assert row.split(",")[-2:] == ["500", "3"]
 
     def test_bad_config_field_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, params={"b": None})
-        assert main(["exact", "--config", cfg]) == 2
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"]["constraint"] == "config"
+        cases = [
+            ({"params": {"b": None}}, "config"),
+            ({"tol": True}, "tol"),
+            ({"diagnostic": "yes"}, "diagnostic"),
+            ({"diagnostic": {"eps": 0.05}}, "m_prime"),
+            ({"diagnostic": {"m_prime": 10}}, "eps"),
+            ({"diagnostic": {"eps": True, "m_prime": 10}}, "eps"),
+            ({"diagnostic": {"eps": "0.05", "m_prime": 10}}, "eps"),
+        ]
+        for overrides, constraint in cases:
+            cfg = write_config(tmp_path, **overrides)
+            assert main(["exact", "--config", cfg]) == 2
+            record = json.loads(capsys.readouterr().err)
+            assert record["error"]["constraint"] == constraint
 
     def test_arithmetic_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def overflow(params, n):

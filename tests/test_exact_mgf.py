@@ -22,7 +22,12 @@ from mlcp.exact_mgf import (
     split_sums,
 )
 from mlcp.params import Params
-from mlcp.specfun import LARGE_A_THRESHOLD, SATURATION_EXPONENT, reg_lower_gamma
+from mlcp.specfun import (
+    LARGE_A_THRESHOLD,
+    SATURATION_EXPONENT,
+    lgamma_diff,
+    reg_lower_gamma,
+)
 
 # ln E_n values from direct numerical integration of the defining
 # expectation (40-digit tanh-sinh quadrature of the radial moments;
@@ -191,6 +196,50 @@ class TestFiftyDigitTier:
         ctx = _TermContext(Params(1, 0, 0.5, 0.7, 4), 100000)
         with pytest.raises(AccuracyError):
             _log_term_mp(ctx, 13000)
+
+
+def _cancelling_rows(ctx, j):
+    """Indices of the rows of j whose inner k-sum is below 1e-3 of its
+    largest term, recomputed term by term from lgamma_diff and P."""
+    p = ctx.params
+    at0 = (j + p.alpha) / p.b
+    terms = [
+        ctx.binom[k]
+        * ctx.r_pow[k]
+        * np.exp(lgamma_diff(at0, d) - d * ctx.ln_n)
+        * (1.0 + ctx.cu * reg_lower_gamma(at0 + d, ctx.z))
+        for k, d in enumerate(ctx.k_over_2b)
+    ]
+    total = np.sum(terms, axis=0)
+    return np.flatnonzero(total < 1e-3 * np.max(np.abs(terms), axis=0))
+
+
+class TestOnePrecisionPath:
+    def test_no_fifty_digit_rows_without_long_double(self, monkeypatch):
+        # a platform whose long double is plain double must not send the
+        # cancelling rows to 50 digits (an 80-bit tier gated on the
+        # platform sent 4,777 of them there, about 21 s)
+        monkeypatch.setattr(exact_mgf, "_LONGDOUBLE_OK", False, raising=False)
+        calls = []
+        real = exact_mgf._log_term_mp
+        monkeypatch.setattr(
+            exact_mgf, "_log_term_mp", lambda ctx, j: calls.append(j) or real(ctx, j)
+        )
+        res = ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**14)
+        assert math.isfinite(res.ln_mgf)
+        assert calls == []
+
+    def test_cancelling_rows_match_fifty_digits(self):
+        # the double compensated sum on the rows below 1e-3 of their
+        # largest term, against the 50-digit j-term; an 80-bit re-sum of
+        # the same g_k and P_k measured 3.66e-8 here
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 1024
+        ctx = _TermContext(params, n)
+        rows = _cancelling_rows(ctx, np.arange(1, n + 1, dtype=float))
+        assert rows.size == 293
+        terms = ln_mgf_exact(params, n, keep_terms=True).per_term
+        errs = [abs(terms[i] - _log_term_mp(ctx, i + 1)) for i in rows.tolist()]
+        assert math.fsum(errs) <= 5e-8
 
 
 class TestHighPrecisionAgreement:
