@@ -1,28 +1,31 @@
 """Command-line front end.
 
     mlcp exact      --config cfg.json [--format csv|json] [--out FILE]
-    mlcp compare    --config cfg.json [--tol T]
-    mlcp mc         --config cfg.json [--seed S] [--samples N]
-    mlcp identities
-    mlcp dump-polys --a-max 4 --b 1
+    mlcp compare    --config cfg.json [--tol T] [--format ...] [--out ...]
+    mlcp mc         --config cfg.json [--seed S] [--samples N] [--format ...] [--out ...]
+    mlcp identities [--format csv|json] [--out FILE]
+    mlcp dump-polys [--a-max 4] [--b 1] [--format csv|json] [--out FILE]
 
 Configuration is a single JSON file; command-line flags win over config
 values.  Exit codes: 0 success, 2 configuration/domain error, 3 accuracy
 error or any other failed computation (overflow, an exception from scipy or
 mpmath), 4 identity failure.  Exits 2 and 3 write one JSON error record to
-standard error.  All floating-point output carries 17 significant digits so
-values round-trip exactly; JSON writes a non-finite Monte Carlo estimate as
-null.
+standard error.  Every command writes its rows through _write: CSV quotes a
+field holding a comma, JSON writes every non-finite float as null, and all
+floating-point output carries 17 significant digits so values round-trip
+exactly.
 """
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -71,15 +74,15 @@ class RunConfig:
 
 
 def _fmt(x):
+    """One CSV field: floats with 17 significant digits, None and nan as
+    null, a list as its items joined by spaces (0 if empty)."""
+    if x is None or (isinstance(x, float) and math.isnan(x)):
+        return "null"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "null"
         return format(x, ".17g")
+    if isinstance(x, list):
+        return " ".join(map(str, x)) if x else "0"
     return str(x)
-
-
-def _finite_or_none(x):
-    return x if math.isfinite(x) else None
 
 
 def _integer(value, name):
@@ -124,10 +127,10 @@ def load_config(path, overrides):
     p = raw["params"]
     try:
         params = Params(
-            b=float(p["b"]),
-            alpha=float(p["alpha"]),
-            r=float(p["r"]),
-            u=float(p["u"]),
+            b=_number(p["b"], "b"),
+            alpha=_number(p["alpha"], "alpha"),
+            r=_number(p["r"], "r"),
+            u=_number(p["u"], "u"),
             a=_integer(p["a"], "a"),
         )
         merged = {
@@ -148,17 +151,42 @@ def load_config(path, overrides):
     return RunConfig(params=params, **merged)
 
 
-def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+def _null_nonfinite(obj):
+    """obj with every non-finite float, at any depth, replaced by None:
+    JSON has no inf or nan."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _null_nonfinite(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_null_nonfinite(value) for value in obj]
+    return obj
+
+
+def _write(fmt, out_path, columns, rows, extra=None, note=None):
+    """Write rows, dicts keyed by columns, to out_path or standard output.
+
+    CSV: the header, one line per row through csv.writer (a field holding
+    a comma or a quote is quoted), then the note line if there is one.
+    JSON: {"rows": rows, **extra}, sorted keys, every non-finite float as
+    null.
+    """
+    if fmt == "json":
+        payload = _null_nonfinite({"rows": rows, **(extra or {})})
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+        if note is not None:
+            buf.write(note + "\n")
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(obj, out_path):
-    _emit([json.dumps(obj, indent=2, sort_keys=True)], out_path)
 
 
 def _error_record(exc):
@@ -175,8 +203,9 @@ def cmd_exact(config, out_path):
     # With a diagnostic block, split_sums evaluates each n once and returns
     # ln_mgf along with the split.
     diag = config.diagnostic
+    columns = ("n", "ln_mgf", "seconds")
     rows = []
-    diagnostics = None if diag is None else []
+    diagnostics = []
     for n in config.n_list:
         t0 = time.perf_counter()
         if diag is None:
@@ -184,34 +213,12 @@ def cmd_exact(config, out_path):
         else:
             split = split_sums(config.params, n, diag["eps"], diag["m_prime"])
             value = split.ln_mgf
-            diagnostics.append(
-                {
-                    "n": n,
-                    "S0": split.S0,
-                    "S1": split.S1,
-                    "S2": split.S2,
-                    "S3": split.S3,
-                    "j_minus": split.j_minus,
-                    "j_plus": split.j_plus,
-                    "g_minus": split.g_minus,
-                    "g_plus": split.g_plus,
-                    "M": split.M,
-                    "theta_minus_eps": split.theta_minus_eps,
-                    "theta_plus_eps": split.theta_plus_eps,
-                    "theta_minus_M": split.theta_minus_M,
-                    "theta_plus_M": split.theta_plus_M,
-                }
-            )
-        rows.append((n, value, time.perf_counter() - t0))
-    if config.output == "json":
-        payload = {"rows": [{"n": n, "ln_mgf": v, "seconds": s} for n, v, s in rows]}
-        if diagnostics is not None:
-            payload["diagnostics"] = diagnostics
-        _emit_json(payload, out_path)
-    else:
-        lines = ["n,ln_mgf,seconds"]
-        lines += [f"{n},{_fmt(v)},{_fmt(s)}" for n, v, s in rows]
-        _emit(lines, out_path)
+            fields = asdict(split).items()
+            drop = ("ln_mgf", "eps", "m_prime")
+            diagnostics.append({"n": n, **{k: v for k, v in fields if k not in drop}})
+        rows.append(dict(zip(columns, (n, value, time.perf_counter() - t0))))
+    extra = None if diag is None else {"diagnostics": diagnostics}
+    _write(config.output, out_path, columns, rows, extra)
     return EXIT_OK
 
 
@@ -234,105 +241,43 @@ def fit_slope(ns, residuals):
 
 def cmd_compare(config, out_path):
     coeffs = compute_coeffs(config.params, config.tol)
+    columns = ("n", "ln_mgf", "prediction", "residual")
     rows = []
     for n in config.n_list:
         value = ln_mgf_exact(config.params, n).ln_mgf
         pred = predict(config.params, n, coeffs)
-        rows.append((n, value, pred, value - pred))
-    slope = fit_slope([r[0] for r in rows], [r[3] for r in rows])
+        rows.append(dict(zip(columns, (n, value, pred, value - pred))))
     summary = {
         "C1": coeffs.C1,
         "C2": coeffs.C2,
         "C3": coeffs.C3,
-        "slope": slope,
+        "slope": fit_slope([r["n"] for r in rows], [r["residual"] for r in rows]),
     }
-    if config.output == "json":
-        _emit_json(
-            {
-                "rows": [
-                    {"n": n, "ln_mgf": v, "prediction": p, "residual": res}
-                    for n, v, p, res in rows
-                ],
-                "summary": summary,
-            },
-            out_path,
-        )
-    else:
-        lines = ["n,ln_mgf,prediction,residual"]
-        lines += [
-            f"{n},{_fmt(v)},{_fmt(p)},{_fmt(res)}" for n, v, p, res in rows
-        ]
-        slope_txt = "null" if slope is None else _fmt(slope)
-        lines.append(
-            f"# C1={_fmt(coeffs.C1)} C2={_fmt(coeffs.C2)} C3={_fmt(coeffs.C3)} "
-            f"slope={slope_txt}"
-        )
-        _emit(lines, out_path)
+    note = "# " + " ".join(f"{key}={_fmt(value)}" for key, value in summary.items())
+    _write(config.output, out_path, columns, rows, {"summary": summary}, note)
     return EXIT_OK
 
 
 def cmd_mc(config, out_path):
-    rows = []
-    for n in config.n_list:
-        res = mc_ln_mgf(config.params, n, config.samples, config.seed)
-        rows.append(res)
-    if config.output == "json":
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "n": n,
-                        # JSON has no inf: an overflowed estimate is null
-                        "estimate_E": _finite_or_none(r.estimate_E),
-                        "stderr_E": _finite_or_none(r.stderr_E),
-                        "ln_estimate": r.ln_estimate,
-                        "ln_stderr": r.ln_stderr,
-                        "samples": r.samples,
-                        "seed": r.seed,
-                        "ess": r.ess,
-                    }
-                    for n, r in zip(config.n_list, rows)
-                ]
-            },
-            out_path,
-        )
-    else:
-        lines = ["n,estimate_E,stderr_E,ln_estimate,ln_stderr,ess,samples,seed"]
-        lines += [
-            f"{n},{_fmt(r.estimate_E)},{_fmt(r.stderr_E)},{_fmt(r.ln_estimate)},"
-            f"{_fmt(r.ln_stderr)},{_fmt(r.ess)},{r.samples},{r.seed}"
-            for n, r in zip(config.n_list, rows)
-        ]
-        _emit(lines, out_path)
+    columns = ("n", "estimate_E", "stderr_E", "ln_estimate", "ln_stderr", "ess",
+               "samples", "seed")
+    rows = [
+        {"n": n, **asdict(mc_ln_mgf(config.params, n, config.samples, config.seed))}
+        for n in config.n_list
+    ]
+    _write(config.output, out_path, columns, rows)
     return EXIT_OK
 
 
 def cmd_identities(fmt, out_path):
     results = run_all()
-    failures = [r for r in results if not r.passed]
-    if fmt == "json":
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "name": r.name,
-                        "status": "pass" if r.passed else "fail",
-                        "worst_deviation": r.worst,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                "failures": [r.name for r in failures],
-            },
-            out_path,
-        )
-    else:
-        lines = ["name,status,worst_deviation,detail"]
-        lines += [
-            f"{r.name},{'pass' if r.passed else 'fail'},{_fmt(r.worst)},{r.detail}"
-            for r in results
-        ]
-        _emit(lines, out_path)
+    failures = [r.name for r in results if not r.passed]
+    columns = ("name", "status", "worst_deviation", "detail")
+    rows = [
+        dict(zip(columns, (r.name, "pass" if r.passed else "fail", r.worst, r.detail)))
+        for r in results
+    ]
+    _write(fmt, out_path, columns, rows, {"failures": failures})
     return EXIT_IDENTITY if failures else EXIT_OK
 
 
@@ -353,25 +298,13 @@ def cmd_dump_polys(a_max, b, fmt, out_path):
         ("p1", lambda a: cp.p1(a, bq)),
         ("q1", lambda a: cp.q1(a, bq)),
     )
-    rows = []
-    for name, fn in families:
-        for a in range(a_max + 1):
-            coeffs = [str(c) for c in fn(a).coeffs]
-            rows.append((name, a, coeffs))
-    if fmt == "json":
-        _emit_json(
-            {
-                "b": str(bq),
-                "rows": [
-                    {"family": f, "index": a, "coeffs": cs} for f, a, cs in rows
-                ],
-            },
-            out_path,
-        )
-    else:
-        lines = ["family,index,coeffs"]
-        lines += [f"{f},{a},{' '.join(cs) if cs else '0'}" for f, a, cs in rows]
-        _emit(lines, out_path)
+    columns = ("family", "index", "coeffs")
+    rows = [
+        dict(zip(columns, (name, a, [str(c) for c in fn(a).coeffs])))
+        for name, fn in families
+        for a in range(a_max + 1)
+    ]
+    _write(fmt, out_path, columns, rows, {"b": str(bq)})
     return EXIT_OK
 
 
@@ -383,12 +316,17 @@ def build_parser():
         "moment generating function of the modulus characteristic polynomial.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("exact", "compare", "mc"):
+    # each config-driven subcommand takes only the overrides it reads
+    config_flags = {
+        "exact": {},
+        "compare": {"--tol": float},
+        "mc": {"--seed": int, "--samples": int},
+    }
+    for name, flags in config_flags.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol", type=float)
+        for flag, kind in flags.items():
+            p.add_argument(flag, type=kind)
         p.add_argument("--format", choices=("csv", "json"), dest="fmt")
         p.add_argument("--out")
     p = sub.add_parser("identities")
@@ -409,12 +347,8 @@ def main(argv=None):
             return cmd_identities(args.fmt, args.out)
         if args.command == "dump-polys":
             return cmd_dump_polys(args.a_max, args.b, args.fmt, args.out)
-        overrides = {
-            "seed": args.seed,
-            "samples": args.samples,
-            "tol": args.tol,
-            "output": args.fmt,
-        }
+        overrides = {key: getattr(args, key, None) for key in ("tol", "seed", "samples")}
+        overrides["output"] = args.fmt
         config = load_config(args.config, overrides)
         if args.command == "exact":
             return cmd_exact(config, args.out)

@@ -84,7 +84,6 @@ class SplitDiagnostics:
 class ExactResult:
     ln_mgf: float
     per_term: Optional[np.ndarray] = None
-    split: Optional[SplitDiagnostics] = None
 
 
 class _TermContext:

@@ -1,13 +1,20 @@
 """Command-line interface contract tests."""
 
+import csv
+import io
 import json
 
 import pytest
 
-from mlcp import cli, exact_mgf
+from mlcp import cli, exact_mgf, identities
 from mlcp.cli import main
+from mlcp.errors import AccuracyError
 from mlcp.exact_mgf import ln_mgf_exact
 from mlcp.params import Params
+
+
+def reject_constant(token):
+    raise ValueError(f"invalid JSON constant {token}")
 
 
 def write_config(tmp_path, **overrides):
@@ -163,9 +170,9 @@ class TestParserReuse:
 
         monkeypatch.setattr(cli, "load_config", recorded)
         cfg = write_config(tmp_path, n_list=[10])
-        assert main(["mc", "--config", cfg, "--seed", "5", "--tol", "1e-8"]) == 0
+        assert main(["mc", "--config", cfg, "--seed", "5", "--samples", "500"]) == 0
         assert main(["mc", "--config", cfg]) == 0
-        assert [(c.seed, c.tol) for c in loaded] == [(5, 1e-8), (7, 1e-9)]
+        assert [(c.seed, c.samples) for c in loaded] == [(5, 500), (7, 1000)]
         rows = capsys.readouterr().out.strip().splitlines()
         assert [row.split(",")[-1] for row in rows[1::2]] == ["5", "7"]
 
@@ -218,11 +225,8 @@ class TestMc:
         cfg = write_config(tmp_path, n_list=[1500], seed=3, samples=3000,
                            params={"b": 0.5, "alpha": 0.5, "r": 1.0, "u": 2.5})
         assert main(["mc", "--config", cfg, "--format", "json"]) == 0
-
-        def reject(token):
-            raise ValueError(f"invalid JSON constant {token}")
-
-        row = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"][0]
+        out = capsys.readouterr().out
+        row = json.loads(out, parse_constant=reject_constant)["rows"][0]
         assert row["estimate_E"] is None and row["stderr_E"] is None
         assert row["ln_estimate"] > 709.8
 
@@ -233,6 +237,29 @@ class TestIdentities:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "name,status,worst_deviation,detail"
         assert all(",pass," in line for line in out[1:])
+
+    def test_csv_detail_quoted(self, capsys):
+        # several details hold commas ("a,ell <= 10, exact")
+        assert main(["identities"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1 + len(identities.ALL_CHECKS)
+        assert all(len(row) == 4 for row in rows)
+        assert any("," in row[3] for row in rows[1:])
+
+    def test_crashed_check_is_null_json(self, capsys, monkeypatch):
+        # a crashed check records worst = inf, which strict JSON cannot hold
+        def crash():
+            raise AccuracyError("forced failure")
+
+        checks = (crash,) + identities.ALL_CHECKS[1:]
+        monkeypatch.setattr(identities, "ALL_CHECKS", checks)
+        assert main(["identities", "--format", "json"]) == 4
+        out = capsys.readouterr().out
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["failures"] == ["crash"]
+        row = payload["rows"][0]
+        assert (row["name"], row["status"]) == ("crash", "fail")
+        assert row["worst_deviation"] is None
 
 
 class TestDumpPolys:
@@ -261,7 +288,50 @@ class TestDumpPolys:
         assert main(["dump-polys", "--a-max", "2", "--b", "-1"]) == 2
 
 
+class TestSchema:
+    """Each command's CSV header and JSON row keys are the same columns."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--config"],
+            ["compare", "--config"],
+            ["mc", "--config"],
+            ["identities"],
+            ["dump-polys", "--a-max", "2"],
+        ],
+    )
+    def test_csv_header_matches_json_rows(self, tmp_path, capsys, argv):
+        if argv[-1] == "--config":
+            argv = argv + [write_config(tmp_path, n_list=[16, 32],
+                                        params={"u": 0.5, "a": 1})]
+        assert main(argv + ["--format", "csv"]) == 0
+        header = next(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(set(header)) == len(header)
+        assert rows and all(set(row) == set(header) for row in rows)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--seed", "3"],
+            ["exact", "--samples", "500"],
+            ["exact", "--tol", "1e-8"],
+            ["compare", "--seed", "3"],
+            ["compare", "--samples", "500"],
+            ["mc", "--tol", "1e-8"],
+        ],
+    )
+    def test_unread_flag_rejected(self, tmp_path, capsys, argv):
+        # each subcommand takes only the flags it reads
+        cfg = write_config(tmp_path, n_list=[10])
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", cfg] + argv[1:])
+        assert exc.value.code == 2
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["exact", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -321,7 +391,10 @@ class TestExitCodes:
 
     def test_bad_config_field_exit_2(self, tmp_path, capsys):
         cases = [
-            ({"params": {"b": None}}, "config"),
+            ({"params": {"b": None}}, "b"),
+            ({"params": {"b": True}}, "b"),
+            ({"params": {"alpha": "0"}}, "alpha"),
+            ({"params": {"r": "0.5"}}, "r"),
             ({"tol": True}, "tol"),
             ({"diagnostic": "yes"}, "diagnostic"),
             ({"diagnostic": {"eps": 0.05}}, "m_prime"),
