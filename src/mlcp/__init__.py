@@ -17,7 +17,6 @@ from .asymp import (
 )
 from .errors import (
     AccuracyError,
-    CancellationError,
     DomainError,
     MlcpError,
     RangeError,
@@ -31,7 +30,6 @@ from .sampler import MCResult, mc_ln_mgf, sample_moduli
 __all__ = [
     "AccuracyError",
     "AsymptoticCoeffs",
-    "CancellationError",
     "DomainError",
     "ExactResult",
     "GPair",

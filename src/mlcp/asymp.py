@@ -51,7 +51,7 @@ from .specfun import horner
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _T_MIN = 2.0**-30
-# math.erfc element by element: against 40-digit mpmath, scipy's erfc is
+# math.erfc element by element: against a 40-digit reference, scipy's erfc is
 # 1.4e-14 relative off for y in [6, 12] and 5.7e-14 by y = 26, where
 # math.erfc stays within 4e-16.
 _erfc = np.vectorize(math.erfc, otypes=[float])

@@ -7,13 +7,15 @@
     mlcp dump-polys [--a-max 4] [--b 1] [--format csv|json] [--out FILE]
 
 Configuration is a single JSON file; command-line flags win over config
-values.  Exit codes: 0 success, 2 configuration/domain error, 3 accuracy
-error or any other failed computation (overflow, an exception from scipy or
-mpmath), 4 identity failure.  Exits 2 and 3 write one JSON error record to
-standard error.  Every command writes its rows through _write: CSV quotes a
-field holding a comma, JSON writes every non-finite float as null, and all
-floating-point output carries 17 significant digits so values round-trip
-exactly.
+values.  The config's diagnostic block is written only by exact in JSON;
+in CSV it is a configuration error.  Exit codes: 0 success, 2
+configuration/domain error, 3 accuracy error (an uncertified tolerance, an
+exact inner sum that comes out nonpositive) or any other failed
+computation (overflow, an exception from scipy), 4 identity failure.
+Exits 2 and 3 write one JSON error record to standard error.  Every
+command writes its rows through _write: CSV quotes a field holding a comma,
+JSON writes every non-finite float as null, and all floating-point output
+carries 17 significant digits so values round-trip exactly.
 """
 
 import argparse
@@ -201,8 +203,13 @@ def _error_record(exc):
 
 def cmd_exact(config, out_path):
     # With a diagnostic block, split_sums evaluates each n once and returns
-    # ln_mgf along with the split.
+    # ln_mgf along with the split.  CSV has no place for the split, so the
+    # block is refused there before anything is computed.
     diag = config.diagnostic
+    if diag is not None and config.output != "json":
+        raise DomainError(
+            "the diagnostic block needs --format json", constraint="diagnostic"
+        )
     columns = ("n", "ln_mgf", "seconds")
     rows = []
     diagnostics = []
@@ -358,7 +365,7 @@ def main(argv=None):
             return cmd_mc(config, args.out)
         raise DomainError(f"unknown command {args.command}")
     except Exception as exc:
-        # an exception from outside mlcp (scipy, mpmath, ArithmeticError) is
+        # an exception from outside mlcp (scipy, ArithmeticError) is
         # a failed computation; _error_record adds its traceback
         sys.stderr.write(json.dumps(_error_record(exc)) + "\n")
         if isinstance(exc, MlcpError) and not isinstance(exc, AccuracyError):

@@ -32,10 +32,6 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def monomial(cls, coeff, power):
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1

@@ -35,12 +35,5 @@ class SingularPointError(MlcpError):
 
 
 class AccuracyError(MlcpError):
-    """A numerical routine could not certify the requested tolerance."""
-
-
-class CancellationError(AccuracyError):
-    """An alternating inner sum stayed nonpositive after precision escalation."""
-
-    def __init__(self, message, j=None):
-        super().__init__(message)
-        self.j = j
+    """A numerical routine could not certify the requested tolerance, or an
+    exact j-term's inner sum lost its sign to cancellation."""

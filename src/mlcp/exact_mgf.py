@@ -23,9 +23,10 @@ column, so that they share the powers of the shapes.
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
 near the critical index j ~ b n r^{2b}.  It is one compensated (Neumaier)
-double sum on every platform; only a row that comes out nonpositive is
-evaluated again, at 50 digits.  A wider re-sum of the same double-rounded
-inputs cannot recover the digits they lost.
+double sum on every platform, and a row that comes out nonpositive is an
+AccuracyError naming its j: by then the other rows near it have lost tens
+of nats, and a wider re-sum of the same double-rounded inputs cannot
+recover the digits they lost.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AccuracyError, CancellationError, DomainError, RangeError
+from .errors import AccuracyError, DomainError, RangeError
 from .params import Params
 from .specfun import (
     LARGE_A_THRESHOLD,
@@ -113,35 +114,11 @@ class _TermContext:
         self.window = saturation_window(self.z)
 
 
-def _log_term_mp(ctx, j):
-    """Last-resort 50-digit evaluation of one j-term."""
-    from mpmath import mp
-    from mpmath.libmp import NoConvergence
-
-    p = ctx.params
-    with mp.workdps(50):
-        z = mp.mpf(ctx.n) * mp.mpf(p.r) ** (2 * mp.mpf(p.b))
-        at0 = (mp.mpf(j) + mp.mpf(p.alpha)) / mp.mpf(p.b)
-        cu = mp.mpf(-1 if p.a % 2 else 1) * mp.exp(mp.mpf(p.u)) - 1
-        lg0 = mp.loggamma(at0)
-        total = mp.mpf(0)
-        for k in range(p.a + 1):
-            at = at0 + mp.mpf(k) / (2 * mp.mpf(p.b))
-            try:
-                pk = mp.gammainc(at, 0, z, regularized=True)
-            except NoConvergence as exc:
-                raise AccuracyError(
-                    f"50-digit incomplete gamma did not converge at j={j}: {exc}"
-                ) from exc
-            g = mp.loggamma(at) - lg0 - mp.mpf(k) / (2 * mp.mpf(p.b)) * mp.log(ctx.n)
-            total += mp.binomial(p.a, k) * (-mp.mpf(p.r)) ** (p.a - k) * mp.exp(g) * (
-                1 + cu * pk
-            )
-        if total <= 0:
-            raise CancellationError(
-                f"inner sum nonpositive at j={j} after 50-digit retry", j=j
-            )
-        return float(mp.log(total))
+def _nonpositive(j):
+    return AccuracyError(
+        f"inner sum nonpositive at j={j}: the alternating k-sum cancelled "
+        "below double-precision rounding"
+    )
 
 
 def _p_sorted(a, ctx):
@@ -170,8 +147,8 @@ def _log_terms(ctx, j):
     array j.
 
     The k-sum is accumulated in double precision with Neumaier
-    compensation; a row that comes out positive gets its log, and a row
-    that comes out nonpositive goes to the 50-digit evaluation.
+    compensation, and every row gets its log; a row that comes out
+    nonpositive raises AccuracyError naming the first such j.
     """
     p = ctx.params
     at0 = (j + p.alpha) / p.b
@@ -192,12 +169,10 @@ def _log_terms(ctx, j):
         total = s
     total = total + comp
 
-    out = np.empty_like(total)
-    good = total > 0.0
-    out[good] = np.log(total[good])
-    for i in np.flatnonzero(~good).tolist():
-        out[i] = _log_term_mp(ctx, int(j[i]))
-    return out
+    bad = np.flatnonzero(total <= 0.0)
+    if bad.size:
+        raise _nonpositive(int(j[bad[0]]))
+    return np.log(total)
 
 
 def ln_mgf_exact(params, n, keep_terms=False):
@@ -212,7 +187,8 @@ def ln_mgf_exact(params, n, keep_terms=False):
     beyond the window is exactly 0, and fsum rounds the exact sum once, so
     leaving those out does not change it.  No accuracy is certified: on
     50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
-    below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).
+    below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).  A j-term whose
+    inner sum comes out nonpositive raises AccuracyError naming its j.
     """
     if not isinstance(params, Params):
         raise DomainError("params must be a Params instance")
@@ -316,7 +292,8 @@ def ln_partition(params, n):
 
     ln Z_n uses the closed product formula; ln D_n evaluates the deformed
     product with its own max-shifted inner sums, so ln_D - ln_Z furnishes
-    an independent consistency route to ln E_n.
+    an independent consistency route to ln E_n.  An inner sum that comes
+    out nonpositive raises AccuracyError naming its j.
     """
     if not isinstance(params, Params):
         raise DomainError("params must be a Params instance")
@@ -349,9 +326,7 @@ def ln_partition(params, n):
             for k in range(params.a + 1)
         )
         if inner <= 0.0:
-            # the D-term equals lnGamma(at0) plus the normalized j-term
-            d_terms.append(math.lgamma(at0) + _log_term_mp(ctx, j))
-        else:
-            d_terms.append(shift + math.log(inner))
+            raise _nonpositive(j)
+        d_terms.append(shift + math.log(inner))
     ln_d = prefactor + math.fsum(d_terms)
     return {"ln_Z": ln_z, "ln_D": ln_d}

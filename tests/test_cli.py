@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -116,12 +117,44 @@ class TestExact:
     def test_bad_diagnostic_eps_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
+            output="json",
             n_list=[100],
             params={"r": 0.95},
             diagnostic={"eps": 0.06, "m_prime": 2},
         )
         assert main(["exact", "--config", cfg]) == 2
         assert "eps" in capsys.readouterr().err
+
+    def test_diagnostic_refused_in_csv(self, tmp_path, capsys, monkeypatch):
+        # CSV has no place for the split: refused before any computation
+        calls = []
+        monkeypatch.setattr(cli, "split_sums", lambda *args: calls.append(args))
+        cfg = write_config(
+            tmp_path,
+            n_list=[400],
+            params={"u": 0.5, "a": 2, "r": 0.6},
+            diagnostic={"eps": 0.05, "m_prime": 10},
+        )
+        assert main(["exact", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "diagnostic")
+        assert calls == []
+
+    def test_nonpositive_row_exit_3(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            n_list=[2**14],
+            params={"b": 3.0, "r": 0.7, "u": 2.5, "a": 6},
+        )
+        assert main(["exact", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert record["type"] == "AccuracyError"
+        assert "j=" in record["message"]
+        assert "traceback" not in record
 
 
 class TestCompare:
@@ -419,8 +452,7 @@ class TestExitCodes:
         assert record["error"]["type"] == "OverflowError"
 
     def test_library_error_exit_3(self, tmp_path, capsys, monkeypatch):
-        # an exception from outside mlcp, such as scipy's or mpmath's
-        # ValueError, leaves as a record, not as a traceback on its own
+        # an exception from outside mlcp, such as scipy's ValueError, leaves as a record, not as a traceback on its own
         def fail(params, tol):
             raise ValueError("math domain error")
 
@@ -445,3 +477,23 @@ class TestExitCodes:
         assert main(["compare", "--config", cfg, "--tol", "1e-18"]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "AccuracyError"
+
+
+class TestWithoutMpmath:
+    def test_commands_run(self, tmp_path, capsys, monkeypatch):
+        # mpmath is a test dependency only: a fresh import of mlcp, and every
+        # command, runs without it
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        for name in [m for m in sys.modules if m == "mlcp" or m.startswith("mlcp.")]:
+            monkeypatch.delitem(sys.modules, name)
+        from mlcp.cli import main
+        configs = [
+            ("exact", {"n_list": [16, 2**14], "params": {"u": 0.7, "a": 4}}),
+            ("compare", {"n_list": [16, 32], "params": {"u": 0.5, "a": 1}}),
+            ("mc", {"n_list": [10], "params": {"u": 0.5, "a": 1}}),
+        ]
+        for command, overrides in configs:
+            cfg = write_config(tmp_path, **overrides)
+            assert main([command, "--config", cfg]) == 0, command
+        assert main(["identities"]) == 0
+        assert capsys.readouterr().err == ""

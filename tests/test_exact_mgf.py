@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.optimize import brentq
 
 from mlcp import exact_mgf
 from mlcp.errors import AccuracyError, DomainError, RangeError
 from mlcp.exact_mgf import (
     _CHUNK,
-    _log_term_mp,
     _log_terms,
     _TermContext,
     default_window_width,
@@ -190,12 +190,25 @@ class TestLiveWindow:
         assert seen["lgamma_diff"] == params.a * n
 
 
-class TestFiftyDigitTier:
-    def test_no_convergence_is_accuracy_error(self):
-        # deep in the saturated regime mpmath's gammainc does not converge
-        ctx = _TermContext(Params(1, 0, 0.5, 0.7, 4), 100000)
-        with pytest.raises(AccuracyError):
-            _log_term_mp(ctx, 13000)
+def _log_term_mp(ctx, j):
+    """The j-term at 50 digits, independently of the double kernel: the
+    reference for its rows."""
+    p = ctx.params
+    with mp.workdps(50):
+        z = mp.mpf(ctx.n) * mp.mpf(p.r) ** (2 * mp.mpf(p.b))
+        at0 = (mp.mpf(j) + mp.mpf(p.alpha)) / mp.mpf(p.b)
+        cu = mp.mpf(-1 if p.a % 2 else 1) * mp.exp(mp.mpf(p.u)) - 1
+        lg0 = mp.loggamma(at0)
+        total = mp.mpf(0)
+        for k in range(p.a + 1):
+            d = mp.mpf(k) / (2 * mp.mpf(p.b))
+            pk = mp.gammainc(at0 + d, 0, z, regularized=True)
+            g = mp.loggamma(at0 + d) - lg0 - d * mp.log(ctx.n)
+            total += mp.binomial(p.a, k) * (-mp.mpf(p.r)) ** (p.a - k) * mp.exp(g) * (
+                1 + cu * pk
+            )
+        assert total > 0
+        return float(mp.log(total))
 
 
 def _cancelling_rows(ctx, j):
@@ -215,19 +228,11 @@ def _cancelling_rows(ctx, j):
 
 
 class TestOnePrecisionPath:
-    def test_no_fifty_digit_rows_without_long_double(self, monkeypatch):
-        # a platform whose long double is plain double must not send the
-        # cancelling rows to 50 digits (an 80-bit tier gated on the
-        # platform sent 4,777 of them there, about 21 s)
-        monkeypatch.setattr(exact_mgf, "_LONGDOUBLE_OK", False, raising=False)
-        calls = []
-        real = exact_mgf._log_term_mp
-        monkeypatch.setattr(
-            exact_mgf, "_log_term_mp", lambda ctx, j: calls.append(j) or real(ctx, j)
-        )
+    def test_a4_rows_positive_at_2_14(self):
+        # every inner sum at a = 4, n = 2**14 stays positive in the
+        # compensated double sum, which is the same on every platform
         res = ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**14)
         assert math.isfinite(res.ln_mgf)
-        assert calls == []
 
     def test_cancelling_rows_match_fifty_digits(self):
         # the double compensated sum on the rows below 1e-3 of their
@@ -245,31 +250,33 @@ class TestOnePrecisionPath:
 class TestHighPrecisionAgreement:
     def test_escalated_terms_match_mpmath(self):
         # config with strong inner cancellation around j ~ b n r^{2b}
-        from mpmath import mp
-
         p = Params(1.0, 0.0, 0.5, 0.3, 3)
         n = 300
         ours = ln_mgf_exact(p, n).ln_mgf
-        with mp.workdps(40):
-            z = mp.mpf(n) * mp.mpf(p.r) ** 2
-            total = mp.mpf(0)
-            for j in range(1, n + 1):
-                inner = mp.mpf(0)
-                lg0 = mp.loggamma(mp.mpf(j))
-                for k in range(p.a + 1):
-                    at = mp.mpf(j) + mp.mpf(k) / 2
-                    pk = mp.gammainc(at, 0, z, regularized=True)
-                    g = mp.loggamma(at) - lg0 - mp.mpf(k) / 2 * mp.log(n)
-                    cu = -mp.exp(mp.mpf(p.u)) - 1
-                    inner += (
-                        mp.binomial(p.a, k)
-                        * (-mp.mpf(p.r)) ** (p.a - k)
-                        * mp.exp(g)
-                        * (1 + cu * pk)
-                    )
-                total += mp.log(inner)
-            ref = float(total)
+        ctx = _TermContext(p, n)
+        ref = math.fsum(_log_term_mp(ctx, j) for j in range(1, n + 1))
         assert ours == pytest.approx(ref, abs=5e-8)
+
+
+NONPOSITIVE_CASES = [
+    (Params(3.0, 0.0, 0.7, 2.5, 6), 2**14),
+    (Params(3.0, 0.0, 0.7, -0.7, 6), 2**14),
+    (Params(1.0, 0.0, 0.5, 0.7, 6), 2**17),
+    (Params(0.5, 0.5, 1.0, 0.0, 6), 2**17),
+]
+
+
+class TestNonpositiveRow:
+    # rows whose double inner sum comes out nonpositive, where the rows
+    # around them are already tens of nats off: an AccuracyError, not a value
+    @pytest.mark.parametrize("params, n", NONPOSITIVE_CASES)
+    def test_exact_raises_naming_j(self, params, n):
+        with pytest.raises(AccuracyError, match=r"at j=\d+"):
+            ln_mgf_exact(params, n)
+
+    def test_partition_raises_naming_j(self):
+        with pytest.raises(AccuracyError, match=r"at j=\d+"):
+            ln_partition(Params(3.0, 0.0, 0.7, 2.5, 6), 4096)
 
 
 class TestSplitSums:
