@@ -8,10 +8,12 @@ ln E_n grows like C1*n + C2*sqrt(n) + C3 with
         - (a/2) y (1+2b+8b ln(sqrt(2)|y|)) + (2ab-a^2) y/(4(1+y^2)) } dy,
 
 where dmu(y) = 2 b^2 y^{2b-1} dy and (g0, g1) are erfc/Gaussian-smoothed
-evaluations of the p/q polynomial families.  The integrands cancel
-strongly at large |y|; all cancellations are performed either in exact
-coefficient space (polynomial counterterms) or via log1p of explicitly
-tiny corrections, never by subtracting two large floats.
+evaluations of the p/q polynomial families, built from one erfc per node
+(_parts).  The integrands cancel strongly at large |y|; all cancellations
+are performed either in exact coefficient space (polynomial counterterms)
+or via log1p of explicitly tiny corrections, never by subtracting two
+large floats: ln g0 - a ln(sqrt2 |y|) is one log1p formula on the whole
+line (_psi2), which the C3 integrand reuses.
 
 C1 is closed-form up to one smooth integral.  With s = 2b and Y = edge
 (Y^s = 1/b), C1 = u b r^s + a b I, I = int_0^Y s y^{s-1} ln|r-y| dy.
@@ -28,10 +30,11 @@ C1's error is a b r^s times K's estimate plus a rounding allowance of 4 eps
 a b times the summed |terms| of I, counting (1/b + r^s)|ln(Y-r)| for the
 first.
 
-C2 and C3 are each two adaptive Gauss-Kronrod integrals: the core
-|y| <= y_switch, and both tails mapped by t = 1/y onto [-1/y_switch,
-1/y_switch], where integrand(1/t)/t^2 is smooth through t = 0 (see _in_t).
-Their error estimate is the sum of the two integrals' estimates.
+C2 and C3 are each two adaptive Gauss-Kronrod integrals of the same
+integrand: the core |y| <= y_switch, and both tails mapped by t = 1/y onto
+[-1/y_switch, 1/y_switch], where integrand(1/t)/t^2 is smooth through
+t = 0 (see _in_t).  Their error estimate is the sum of the two integrals'
+estimates.
 """
 
 import functools
@@ -131,26 +134,19 @@ def _profile(params):
 
 
 def _parts(y, prof):
-    """s = -sqrt2 y and the erfc and Gaussian weights (amp, gauss) at the
-    array y: the pieces every profile p(s) amp + q(s) gauss is made of."""
-    amp = prof.sign_a + prof.cu_e * 0.5 * _erfc(y)
+    """s = -sqrt2 y, the erfc and Gaussian weights (amp, gauss) of every
+    profile p(s) amp + q(s) gauss, and erfc(|y|)/2 at the array y: one erfc
+    per node, read as erfc(y)/2 = 1 - erfc(|y|)/2 for y < 0."""
+    half = 0.5 * _erfc(np.abs(y))
+    amp = prof.sign_a + prof.cu_e * np.where(y < 0.0, 1.0 - half, half)
     gauss = prof.cu_e * np.exp(-y * y) / _SQRT_2PI
-    return -_SQRT2 * y, amp, gauss
+    return -_SQRT2 * y, amp, gauss, half
 
 
 def _mix(p, q, parts):
     """p(s) amp + q(s) gauss for the polynomial pair (p, q)."""
-    s, amp, gauss = parts
+    s, amp, gauss, _ = parts
     return horner(p, s) * amp + horner(q, s) * gauss
-
-
-def _positive_g0(y, prof, parts):
-    """g0 from the parts at y; AccuracyError where it is not positive."""
-    g0 = _mix(prof.p0, prof.q0, parts)
-    bad = g0 <= 0.0
-    if np.any(bad):
-        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
-    return g0
 
 
 def _float_or_array(x):
@@ -174,30 +170,29 @@ def eval_G(y, params):
     )
 
 
-def _psi2(y, prof, g0=None):
-    """C2 integrand: ln g0(y) - a ln(sqrt2 |y|) - u [y<0], stably.
+def _psi2(y, prof, parts=None):
+    """C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y != 0, by one
+    formula on the whole line.  With t = sqrt2 |y| and w = 1/t^2,
 
-    Beyond |y| >= y_switch the polynomial head dominates and the value is
-    assembled from two log1p's of explicitly small corrections.  A caller
-    that already holds g0 at y passes it, so the core does not rebuild it.
+      psi2 = log1p(p0(t)/t^a - 1) + log1p(side (e^u - (-1)^a) small),
+      small = erfc(|y|)/2 - exp(-y^2) q0(t) / (sqrt(2 pi) p0(t)),
+
+    side = (-1)^a for y > 0 and -e^-u for y < 0.  p0(t)/t^a - 1 is the
+    polynomial tail_ratio in w, so ln p0(t) - a ln t, which cancels at
+    large t (and the tail map multiplies that error by y^2), is never
+    formed by subtraction.  The second argument is at most -1 exactly where
+    g0 <= 0, which raises AccuracyError.  A caller that holds _parts(y)
+    passes them.
     """
-    out = np.empty_like(y)
-    ay = np.abs(y)
-    core = ay < prof.y_switch
-    yc = y[core]
-    psi = np.log(_positive_g0(yc, prof, _parts(yc, prof)) if g0 is None else g0[core])
-    if prof.a:
-        psi -= prof.a * np.log(_SQRT2 * ay[core])
-    out[core] = np.where(yc < 0.0, psi - prof.u, psi)
-    tail = ~core
-    yt = y[tail]
-    t = _SQRT2 * ay[tail]
+    _, _, gauss, half = _parts(y, prof) if parts is None else parts
+    t = _SQRT2 * np.abs(y)
     ratio = horner(prof.tail_ratio, 1.0 / (t * t))
-    qp = horner(prof.q0, t) / horner(prof.p0, t)
-    small = 0.5 * _erfc(ay[tail]) - np.exp(-yt * yt) / _SQRT_2PI * qp
-    side = np.where(yt > 0.0, prof.sign_a, -math.exp(-prof.u))
-    out[tail] = np.log1p(ratio) + np.log1p(side * prof.cu_e * small)
-    return out
+    small = prof.cu_e * half - gauss * (horner(prof.q0, t) / horner(prof.p0, t))
+    corr = np.where(y > 0.0, prof.sign_a, -math.exp(-prof.u)) * small
+    bad = corr <= -1.0
+    if np.any(bad):
+        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
+    return np.log1p(ratio) + np.log1p(corr)
 
 
 def _c3_integrand(y, prof):
@@ -209,11 +204,12 @@ def _c3_integrand(y, prof):
     """
     a, b = prof.a, prof.b
     parts = _parts(y, prof)
-    g0 = _positive_g0(y, prof, parts)
+    g0 = _mix(prof.p0, prof.q0, parts)
     combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
     linear = np.zeros_like(y)
     nonzero = y != 0.0
-    linear[nonzero] = 4.0 * b * y[nonzero] * _psi2(y[nonzero], prof, g0[nonzero])
+    psi2 = _psi2(y[nonzero], prof, [part[nonzero] for part in parts])
+    linear[nonzero] = 4.0 * b * y[nonzero] * psi2
     return combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + linear
 
 
@@ -237,16 +233,6 @@ def positivity_scan(params, y_min=-12.0, y_max=12.0, step=1e-3):
     )
 
 
-def _refine_edges(edges, times):
-    for _ in range(times):
-        out = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            out.extend((lo, 0.5 * (lo + hi)))
-        out.append(edges[-1])
-        edges = out
-    return edges
-
-
 def _in_t(integrand, prof):
     """h(t) = integrand(1/t, prof)/t^2 for 0 < |t| <= 1/y_switch: the tails
     in t = 1/y.  The integrands decay like A/y^2 (C2) and A/y^3 (C3), and
@@ -264,17 +250,18 @@ def _in_t(integrand, prof):
     return h
 
 
-def _whole_line(integrand, prof, tol, refine):
-    """Integral of integrand(y, prof) over the real line and its error: one
-    adaptive call on the core |y| <= y_switch, graded toward the log
-    singularity at y = 0 from both sides, and one on both tails (_in_t) on
-    uniform panels of [-1/y_switch, 1/y_switch], each to 2 tol; ``refine``
-    halves both.  The error is the sum of the two gk15 estimates; holding h
-    below t_min adds under 1e-17 at a <= 6, far below their roundoff term."""
-    core = _refine_edges(graded_edges(0.0, prof.y_switch, 0.0), refine)
+def _whole_line(integrand, prof, tol):
+    """Integral of integrand(y, prof) over the real line and its error.  The
+    integrand is one formula for every y; y_switch only places the split
+    between two adaptive calls, each to 2 tol: the core |y| <= y_switch,
+    graded toward the log singularity at y = 0 from both sides, and both
+    tails (_in_t) on uniform panels of [-1/y_switch, 1/y_switch].  The error
+    is the sum of the two gk15 estimates; holding h below t_min adds under
+    1e-17 at a <= 6, far below their roundoff term."""
+    core = graded_edges(0.0, prof.y_switch, 0.0)
     core = [-y for y in core[:0:-1]] + core
     t_edge = 1.0 / prof.y_switch
-    tail = _refine_edges([-t_edge, -0.5 * t_edge, 0.0, 0.5 * t_edge, t_edge], refine)
+    tail = [-t_edge, -0.5 * t_edge, 0.0, 0.5 * t_edge, t_edge]
     core_val, core_err = adaptive(lambda y: integrand(y, prof), core, 2.0 * tol)
     tail_val, tail_err = adaptive(_in_t(integrand, prof), tail, 2.0 * tol)
     return core_val + tail_val, core_err + tail_err
@@ -309,12 +296,12 @@ def coeff_C2(params, tol=1e-9):
     return _c2_with_err(params, tol)[0]
 
 
-def _c2_with_err(params, tol=1e-9, refine=0):
+def _c2_with_err(params, tol=1e-9):
     if tol <= 0:
         raise DomainError("tol must be positive", constraint="tol")
     prof = _profile(params)
     pref = _SQRT2 * params.b * params.r**params.b
-    total, err = _whole_line(_psi2, prof, tol / (4.0 * pref), refine)
+    total, err = _whole_line(_psi2, prof, tol / (4.0 * pref))
     return pref * total, pref * err
 
 
@@ -322,7 +309,7 @@ def coeff_C3(params, tol=1e-9):
     return _c3_with_err(params, tol)[0]
 
 
-def _c3_with_err(params, tol=1e-9, refine=0):
+def _c3_with_err(params, tol=1e-9):
     if tol <= 0:
         raise DomainError("tol must be positive", constraint="tol")
     a, b, alpha, u = params.a, params.b, params.alpha, params.u
@@ -334,7 +321,7 @@ def _c3_with_err(params, tol=1e-9, refine=0):
         closed += 0.25 * a * (2.0 + a - 2.0 * b + 4.0 * alpha) * math.log(
             1.0 / inner_radius - 1.0
         )
-    total, err = _whole_line(_c3_integrand, _profile(params), tol / 4.0, refine)
+    total, err = _whole_line(_c3_integrand, _profile(params), tol / 4.0)
     return closed + total, err
 
 

@@ -8,10 +8,11 @@
 
 Configuration is a single JSON file; command-line flags win over config
 values.  The config's diagnostic block is written only by exact in JSON;
-in CSV it is a configuration error.  Exit codes: 0 success, 2
-configuration/domain error, 3 accuracy error (an uncertified tolerance, an
-exact inner sum that comes out nonpositive) or any other failed
-computation (overflow, an exception from scipy), 4 identity failure.
+in exact CSV, compare and mc it is a configuration error.  Exit codes: 0
+success, 2 configuration/domain error, 3 accuracy error (an uncertified
+tolerance, an exact inner sum that comes out nonpositive) or any other
+failed computation (overflow, an exception from scipy), 4 identity
+failure.
 Exits 2 and 3 write one JSON error record to standard error.  Every
 command writes its rows through _write: CSV quotes a field holding a comma,
 JSON writes every non-finite float as null, and all floating-point output
@@ -357,6 +358,10 @@ def main(argv=None):
         overrides = {key: getattr(args, key, None) for key in ("tol", "seed", "samples")}
         overrides["output"] = args.fmt
         config = load_config(args.config, overrides)
+        if config.diagnostic is not None and args.command != "exact":
+            raise DomainError(
+                f"{args.command} takes no diagnostic block", constraint="diagnostic"
+            )
         if args.command == "exact":
             return cmd_exact(config, args.out)
         if args.command == "compare":

@@ -8,9 +8,10 @@ floats appear only when a polynomial is evaluated numerically.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from scipy import special
 
 from .errors import DomainError, SingularPointError, UnsupportedOrderError
 
@@ -99,13 +100,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def evalf(self, x):
-        """Horner evaluation in double precision."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def float_coeffs(self):
         return [float(c) for c in self.coeffs]
 
@@ -128,59 +122,19 @@ def stirling2(ell, j):
     """Stirling number of the second kind S(ell, j), exact integer."""
     if ell < 0 or j < 0:
         raise DomainError("stirling2 requires nonnegative indices")
-    if ell == j:
-        return 1
-    if j == 0 or j > ell:
-        return 0
-    return j * stirling2(ell - 1, j) + stirling2(ell - 1, j - 1)
-
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_log1p(u, order):
-    # log(1 + u) for a series u with u[0] == 0
-    out = [Fraction(0)] * (order + 1)
-    power = u[:]
-    sign = 1
-    for n in range(1, order + 1):
-        for i, c in enumerate(power):
-            if i <= order:
-                out[i] += Fraction(sign, n) * c
-        power = _series_mul(power, u, order)
-        sign = -sign
-    return out
-
-def _series_exp(v, order):
-    # exp(v) for a series v with v[0] == 0
-    out = [Fraction(0)] * (order + 1)
-    out[0] = Fraction(1)
-    term = [Fraction(0)] * (order + 1)
-    term[0] = Fraction(1)
-    for n in range(1, order + 1):
-        term = _series_mul(term, v, order)
-        for i, c in enumerate(term):
-            out[i] += Fraction(1, math.factorial(n)) * c
-    return out
+    return special.stirling2(ell, j, exact=True)
 
 
 @lru_cache(maxsize=None)
 def _gen_bernoulli_series(k, order):
-    # coefficients of (t/(e^t - 1))^k  =  exp(-k * log((e^t-1)/t))
-    u = [Fraction(1, math.factorial(m + 1)) for m in range(order + 1)]
-    u[0] = Fraction(0)  # (e^t - 1)/t - 1
-    logf = _series_log1p(u, order)
-    scaled = [-Fraction(k) * c for c in logf]
-    return tuple(_series_exp(scaled, order))
+    """Coefficients g_0..g_order of (t/(e^t - 1))^k = v^-k, v = sum_m
+    t^m/(m+1)!, by J.C.P. Miller's power recurrence: g_0 = 1 and
+    g_m = (1/m) sum_{j=1..m} ((1-k) j - m) v_j g_{m-j}."""
+    v = [Fraction(1, math.factorial(m + 1)) for m in range(order + 1)]
+    g = [Fraction(1)]
+    for m in range(1, order + 1):
+        g.append(sum(((1 - k) * j - m) * v[j] * g[m - j] for j in range(1, m + 1)) / m)
+    return tuple(g)
 
 
 def gen_bernoulli(ell, k, x):
@@ -284,30 +238,22 @@ def q0(a):
     return Poly(coeffs)
 
 
-@dataclass(frozen=True)
-class BracketedQ:
-    """A q-polynomial combination whose small-a values follow special rules."""
-
-    value: Poly
-    convention_case: str  # "Generic", "A0", "A1" or "A2"
-
-
 def bracket_a_q0(a):
     """[a * q_{0,a-1}]: equals 1 when a = 0, else a*q_{0,a-1}."""
     if a == 0:
-        return BracketedQ(Poly([1]), "A0")
-    return BracketedQ(a * q0(a - 1), "Generic")
+        return Poly([1])
+    return a * q0(a - 1)
 
 
 def bracket_a3_q0(a):
     """[a(a-1)(a-2) * q_{0,a-3}] with the four-case convention at a <= 2."""
     if a == 0:
-        return BracketedQ(Poly([-1, 0, 1]), "A0")  # x^2 - 1
+        return Poly([-1, 0, 1])  # x^2 - 1
     if a == 1:
-        return BracketedQ(Poly([0, -1]), "A1")  # -x
+        return Poly([0, -1])  # -x
     if a == 2:
-        return BracketedQ(Poly([2]), "A2")
-    return BracketedQ(a * (a - 1) * (a - 2) * q0(a - 3), "Generic")
+        return Poly([2])
+    return a * (a - 1) * (a - 2) * q0(a - 3)
 
 
 def p1(a, b):
@@ -333,8 +279,8 @@ def q1(a, b):
     b = Fraction(b)
     inner = (
         a * q0(a + 1)
-        - (3 * a - 1) * bracket_a_q0(a).value
-        + Fraction(5, 3) * bracket_a3_q0(a).value
+        - (3 * a - 1) * bracket_a_q0(a)
+        + Fraction(5, 3) * bracket_a3_q0(a)
     )
     return Fraction(-a, 2) * q0(a + 1) - b * inner
 

@@ -277,16 +277,16 @@ def check_profile_wiring(n_points=20, seed=7):
         scale = p.r ** (a - a * p.b) / (2.0 * p.b) ** a
         sign_a = -1.0 if a % 2 else 1.0
         cu_e = math.exp(p.u) - sign_a
-        p0c = cp.p0(a)
-        q0c = cp.q0(a)
+        p0c = cp.p0(a).float_coeffs()
+        q0c = cp.q0(a).float_coeffs()
         for _ in range(n_points):
             x = rng.uniform(-8.0, 8.0)
             y = -p.r**p.b * x / math.sqrt(2.0)
             via_eval = scale * eval_G(y, p).g0
             s = -math.sqrt(2.0) * y
             raw = scale * (
-                p0c.evalf(s) * (sign_a + cu_e * 0.5 * math.erfc(y))
-                + q0c.evalf(s) * cu_e * math.exp(-y * y) / _SQRT_2PI
+                specfun.horner(p0c, s) * (sign_a + cu_e * 0.5 * math.erfc(y))
+                + specfun.horner(q0c, s) * cu_e * math.exp(-y * y) / _SQRT_2PI
             )
             ref = max(abs(raw), 1e-300)
             worst = max(worst, abs(via_eval - raw) / ref)

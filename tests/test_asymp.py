@@ -277,17 +277,6 @@ class TestCoeffBundle:
         assert (c.C1, c.C2, c.C3) == (0.0, 0.0, 0.0)
         assert max(c.err1, c.err2, c.err3) <= 1e-9
 
-    def test_double_grid_consistency(self):
-        # halving the base panel width moves C2, C3 by less than the
-        # reported error estimates
-        p = Params(1.0, 0.0, 0.5, 1.0, 1)
-        c2, e2 = asymp._c2_with_err(p, 1e-9)
-        c2r, _ = asymp._c2_with_err(p, 1e-9, refine=1)
-        assert abs(c2 - c2r) <= e2
-        c3, e3 = asymp._c3_with_err(p, 1e-9)
-        c3r, _ = asymp._c3_with_err(p, 1e-9, refine=1)
-        assert abs(c3 - c3r) <= e3
-
     def test_error_estimates_within_tol(self):
         c = compute_coeffs(Params(1.0, 0.0, 0.6, 0.5, 2), tol=1e-9)
         assert c.err1 <= 1e-9 and c.err2 <= 1e-9 and c.err3 <= 1e-9
@@ -357,6 +346,45 @@ def mp_integrands(params):
         )
 
     return psi2, c3
+
+
+class TestSinglePath:
+    """_psi2 is one formula on the whole line, and every profile evaluation
+    shares one erfc per node (asymp._parts)."""
+
+    YS = [0.5, 2.0, 3.6, 5.0, 7.0, 7.99, 8.01, 9.0, 12.0, 20.0]  # y_switch = 8
+
+    def test_one_erfc_per_evaluation(self, monkeypatch):
+        calls = []
+        erfc = asymp._erfc
+
+        def counted(x):
+            calls.append(np.size(x))
+            return erfc(x)
+
+        monkeypatch.setattr(asymp, "_erfc", counted)
+        p = Params(1.0, 0.0, 0.5, 0.7, 3)
+        prof = asymp._profile(p)
+        y = np.array([-20.0, -9.0, -1.0, 0.5, 8.5, 30.0])
+        for evaluate in (asymp._psi2, asymp._c3_integrand, lambda y, _: eval_G(y, p)):
+            calls.clear()
+            evaluate(y, prof)
+            assert calls == [y.size]
+
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    @pytest.mark.parametrize("u", [-0.7, 2.5])
+    @pytest.mark.parametrize("a", [1, 2, 6])
+    def test_integrands_vs_mpmath(self, b, u, a):
+        params = Params(b, *GEOMETRIES[b], u, a)
+        prof = asymp._profile(params)
+        y = np.array(sorted([-v for v in self.YS] + self.YS))
+        with mp.workdps(60):
+            for f, integrand in zip(
+                mp_integrands(params), (asymp._psi2, asymp._c3_integrand)
+            ):
+                ref = np.array([float(f(mp.mpf(v))) for v in y])
+                err = np.abs(integrand(y, prof) - ref)
+                assert np.all(err <= 2e-14 + 1e-12 * np.abs(ref))
 
 
 class TestTails:

@@ -441,6 +441,22 @@ class TestExitCodes:
             record = json.loads(capsys.readouterr().err)
             assert record["error"]["constraint"] == constraint
 
+    @pytest.mark.parametrize("command", ["compare", "mc"])
+    def test_diagnostic_refused(self, tmp_path, capsys, monkeypatch, command):
+        # only exact writes the split; the others refuse the block before
+        # computing anything, in either format
+        calls = []
+        monkeypatch.setattr(cli, "compute_coeffs", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "mc_ln_mgf", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path, diagnostic={"eps": 0.05, "m_prime": 10})
+        for fmt in ("csv", "json"):
+            assert main([command, "--config", cfg, "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            record = json.loads(err)["error"]
+            assert (record["type"], record["constraint"]) == ("DomainError", "diagnostic")
+        assert calls == []
+
     def test_arithmetic_error_exit_3(self, tmp_path, capsys, monkeypatch):
         def overflow(params, n):
             raise OverflowError("math range error")

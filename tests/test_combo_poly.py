@@ -82,6 +82,12 @@ class TestStirling:
     def test_four_two(self):
         assert cp.stirling2(4, 2) == 7
 
+    def test_negative_indices(self):
+        # scipy's stirling2 returns 0 there
+        for ell, j in ((-1, 0), (0, -1), (3, -2)):
+            with pytest.raises(DomainError):
+                cp.stirling2(ell, j)
+
     def test_brute_force(self):
         for ell in range(7):
             for j in range(7):
@@ -112,6 +118,20 @@ class TestGenBernoulli:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             cp.gen_bernoulli(33, 1, 0)
+
+    @pytest.mark.parametrize(
+        "k", [Fraction(1, 2), Fraction(-3, 4), Fraction(7, 3), Fraction(5)], ids=str
+    )
+    def test_norlund_identities(self, k):
+        # difference: B_l^(k)(x+1) - B_l^(k)(x) = l B_{l-1}^(k-1)(x);
+        # reflection: B_l^(k)(k-x) = (-1)^l B_l^(k)(x)
+        for x in (Fraction(0), Fraction(2, 7), Fraction(-5, 3)):
+            for ell in range(13):
+                value = cp.gen_bernoulli(ell, k, x)
+                if ell:
+                    step = cp.gen_bernoulli(ell, k, x + 1) - value
+                    assert step == ell * cp.gen_bernoulli(ell - 1, k - 1, x)
+                assert cp.gen_bernoulli(ell, k, k - x) == (-1) ** ell * value
 
 
 class TestHermiteFamilies:
@@ -201,15 +221,13 @@ class TestHermiteFamilies:
             assert cp.q1(a, b) == expected
 
     def test_bracket_conventions(self):
-        assert cp.bracket_a_q0(0).value == cp.Poly([1])
-        assert cp.bracket_a_q0(0).convention_case == "A0"
-        assert cp.bracket_a3_q0(0).value == cp.Poly([-1, 0, 1])
-        assert cp.bracket_a3_q0(1).value == cp.Poly([0, -1])
-        assert cp.bracket_a3_q0(2).value == cp.Poly([2])
+        assert cp.bracket_a_q0(0) == cp.Poly([1])
+        assert cp.bracket_a3_q0(0) == cp.Poly([-1, 0, 1])
+        assert cp.bracket_a3_q0(1) == cp.Poly([0, -1])
+        assert cp.bracket_a3_q0(2) == cp.Poly([2])
         for a in range(3, 8):
-            assert cp.bracket_a_q0(a).convention_case == "Generic"
-            assert cp.bracket_a3_q0(a).convention_case == "Generic"
-            assert cp.bracket_a3_q0(a).value == a * (a - 1) * (a - 2) * cp.q0(a - 3)
+            assert cp.bracket_a_q0(a) == a * cp.q0(a - 1)
+            assert cp.bracket_a3_q0(a) == a * (a - 1) * (a - 2) * cp.q0(a - 3)
 
 
 class TestGfrak:
