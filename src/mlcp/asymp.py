@@ -221,9 +221,10 @@ def c3_integrand(y, params):
     return _float_or_array(_c3_integrand(np.asarray(y, dtype=float), _profile(params)))
 
 
-def positivity_scan(params, y_min=-12.0, y_max=12.0, step=1e-3):
-    """Check g0 > 0 on a uniform grid; returns the grid minimum and location."""
-    y = np.arange(y_min, y_max + 0.5 * step, step)
+def positivity_scan(params):
+    """Check g0 > 0 on the grid of step 1e-3 over [-12, 12]; returns the
+    grid minimum and its location."""
+    y = np.arange(-12.0, 12.0 + 0.5e-3, 1e-3)
     g0 = eval_G(y, params).g0
     idx = int(np.argmin(g0))
     return ScanResult(
@@ -258,7 +259,7 @@ def _whole_line(integrand, prof, tol):
     tails (_in_t) on uniform panels of [-1/y_switch, 1/y_switch].  The error
     is the sum of the two gk15 estimates; holding h below t_min adds under
     1e-17 at a <= 6, far below their roundoff term."""
-    core = graded_edges(0.0, prof.y_switch, 0.0)
+    core = graded_edges(prof.y_switch)
     core = [-y for y in core[:0:-1]] + core
     t_edge = 1.0 / prof.y_switch
     tail = [-t_edge, -0.5 * t_edge, 0.0, 0.5 * t_edge, t_edge]
@@ -282,7 +283,7 @@ def _c1_with_err(params, tol=1e-9):
     s, r_s, gap = 2.0 * b, r ** (2.0 * b), params.edge_radius - r
     k, k_err = adaptive(
         lambda h: np.expm1(s * np.log1p(h)) / h,  # (t^s - 1)/(t - 1), t = 1 + h
-        graded_edges(0.0, gap / r, 0.0),
+        graded_edges(gap / r),
         tol / (2 * a * b * r_s),
     )
     log_gap = math.log(gap)

@@ -50,11 +50,11 @@ EXIT_IDENTITY = 4
 class RunConfig:
     params: Params
     n_list: Sequence[int]
-    tol: float = 1e-9
-    seed: int = 1
-    samples: int = 100000
-    output: str = "csv"
-    diagnostic: Optional[dict] = None
+    tol: float
+    seed: int
+    samples: int
+    output: str
+    diagnostic: Optional[dict]
 
     def __post_init__(self):
         if not self.n_list:
@@ -204,13 +204,8 @@ def _error_record(exc):
 
 def cmd_exact(config, out_path):
     # With a diagnostic block, split_sums evaluates each n once and returns
-    # ln_mgf along with the split.  CSV has no place for the split, so the
-    # block is refused there before anything is computed.
+    # ln_mgf along with the split.
     diag = config.diagnostic
-    if diag is not None and config.output != "json":
-        raise DomainError(
-            "the diagnostic block needs --format json", constraint="diagnostic"
-        )
     columns = ("n", "ln_mgf", "seconds")
     rows = []
     diagnostics = []
@@ -358,9 +353,12 @@ def main(argv=None):
         overrides = {key: getattr(args, key, None) for key in ("tol", "seed", "samples")}
         overrides["output"] = args.fmt
         config = load_config(args.config, overrides)
-        if config.diagnostic is not None and args.command != "exact":
+        # only exact in JSON has a place for the split; refused before any
+        # computation everywhere else
+        if config.diagnostic is not None and (args.command, config.output) != ("exact", "json"):
             raise DomainError(
-                f"{args.command} takes no diagnostic block", constraint="diagnostic"
+                f"{args.command} {config.output} output takes no diagnostic block",
+                constraint="diagnostic",
             )
         if args.command == "exact":
             return cmd_exact(config, args.out)

@@ -165,34 +165,23 @@ def gen_bernoulli(ell, k, x):
 
 @lru_cache(maxsize=None)
 def assoc_hermite(nu, k):
-    """Associated Hermite polynomial He_k^(nu) as an exact Poly.
+    """Associated Hermite polynomial He_k^(nu) as an exact Poly, k >= 0.
 
-    Three-term recurrence He_{k+1} = x He_k - (k+nu) He_{k-1} with
-    He_0 = 1, He_1 = x.  nu = 0 gives the classical polynomials and
-    supports the conventional negative indices k >= -3
-    (He_{-1} = 0, He_{-2} = 1, He_{-3} = -x/2); nu = 1 supports k >= -1.
+    Three-term recurrence He_{m+1} = x He_m - (m+nu) He_{m-1} from
+    He_{-1} = 0, He_0 = 1, run as a loop on integer coefficient lists;
+    nu = 0 gives the classical polynomials.
     """
     if nu not in (0, 1):
         raise DomainError("assoc_hermite implements nu in {0, 1} only")
-    if nu == 0:
-        if k < -3:
-            raise DomainError("He_k defined for k >= -3 only")
-        if k == -1:
-            return Poly()
-        if k == -2:
-            return Poly([1])
-        if k == -3:
-            return Poly([0, Fraction(-1, 2)])
-    else:
-        if k < -1:
-            raise DomainError("He_k^(1) defined for k >= -1 only")
-        if k == -1:
-            return Poly()
-    if k == 0:
-        return Poly([1])
-    if k == 1:
-        return X
-    return X * assoc_hermite(nu, k - 1) - (k - 1 + nu) * assoc_hermite(nu, k - 2)
+    if k < 0:
+        raise DomainError("assoc_hermite requires k >= 0")
+    prev, cur = [], [1]
+    for m in range(k):
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= (m + nu) * c
+        prev, cur = cur, nxt
+    return Poly(cur)
 
 
 def hermite(k):
@@ -200,42 +189,21 @@ def hermite(k):
     return assoc_hermite(0, k)
 
 
-def hermite_i_twist(s):
-    """The real polynomial i^s He_s(i x), equal to (-1)^s p0(s)."""
-    if s < 0:
-        raise DomainError("hermite_i_twist requires s >= 0")
-    sign = -1 if s % 2 else 1
-    return sign * p0(s)
-
-
 @lru_cache(maxsize=None)
 def p0(a):
     """p_{0,a}(x) = i^{-a} He_a(i x): He_a with all coefficients made positive."""
     if a < 0:
         raise DomainError("p0 requires a >= 0")
-    coeffs = [Fraction(0)] * (a + 1)
-    for s in range(a // 2 + 1):
-        coeffs[a - 2 * s] = Fraction(
-            math.factorial(a), math.factorial(s) * math.factorial(a - 2 * s) * 2**s
-        )
-    return Poly(coeffs)
+    return Poly([abs(c) for c in hermite(a).coeffs])
 
 
 @lru_cache(maxsize=None)
 def q0(a):
-    """q_{0,a}(x) = i^{-(a-1)} He_{a-1}^{(1)}(i x); q_{0,0} = 0."""
+    """q_{0,a}(x) = i^{-(a-1)} He_{a-1}^{(1)}(i x): He_{a-1}^{(1)} with all
+    coefficients made positive; q_{0,0} = 0."""
     if a < 0:
         raise DomainError("q0 requires a >= 0")
-    if a == 0:
-        return Poly()
-    coeffs = [Fraction(0)] * a
-    for s in range((a - 1) // 2 + 1):
-        inner = sum(
-            Fraction(math.factorial(a - 1 - j) * 2**j, math.factorial(s - j))
-            for j in range(s + 1)
-        )
-        coeffs[a - 1 - 2 * s] = inner / (math.factorial(a - 1 - 2 * s) * 2**s)
-    return Poly(coeffs)
+    return Poly([abs(c) for c in assoc_hermite(1, a - 1).coeffs]) if a else Poly()
 
 
 def bracket_a_q0(a):

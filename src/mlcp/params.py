@@ -10,7 +10,7 @@ from .errors import DomainError
 class Params:
     """Parameter tuple of the radial two-dimensional ensemble.
 
-    b      : potential exponent, > 0
+    b      : potential exponent, > 0, with a finite edge b**(-1/(2b))
     alpha  : pointwise root-type charge at the origin, > -1
     r      : radius of the circular singularity, strictly inside the
              droplet: 0 < r < b**(-1/(2b))
@@ -29,7 +29,15 @@ class Params:
             raise DomainError("b must be positive and finite", constraint="b")
         if not (self.alpha > -1 and math.isfinite(self.alpha)):
             raise DomainError("alpha must be > -1", constraint="alpha")
-        edge = self.b ** (-1.0 / (2.0 * self.b))
+        try:
+            edge = self.edge_radius
+        except OverflowError:
+            edge = math.inf
+        if edge == math.inf:
+            raise DomainError(
+                "b is too small: the edge b**(-1/(2b)) overflows a double",
+                constraint="b",
+            )
         if not (0.0 < self.r < edge):
             raise DomainError(
                 f"r must lie strictly inside (0, {edge!r})", constraint="r"
@@ -48,3 +56,11 @@ class Params:
     def bulk_mass(self):
         """Mass b*r^(2b) of the radial law on [0, r]."""
         return self.b * self.r ** (2.0 * self.b)
+
+
+def check_size(params, n):
+    """Raise DomainError unless params is a Params and n a positive int."""
+    if not isinstance(params, Params):
+        raise DomainError("params must be a Params instance")
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError("n must be a positive integer", constraint="n")

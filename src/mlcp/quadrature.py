@@ -16,7 +16,6 @@ resolve them by grading panels geometrically toward the singular point.
 """
 
 import heapq
-import math
 
 import numpy as np
 
@@ -57,6 +56,9 @@ _W_K15 = np.array(_WGK + _WGK[-2::-1])
 _W_G7 = np.zeros(15)
 _W_G7[1::2] = _WG + _WG[-2::-1]
 
+# Panel budget of one adaptive call: its initial panels plus one per bisection.
+_MAX_PANELS = 4000
+
 
 def gk15(f, lo, hi):
     """Apply the 15-point Kronrod rule on the panels [lo, hi].
@@ -82,13 +84,13 @@ def gk15(f, lo, hi):
     return res_k * half, err
 
 
-def adaptive(f, edges, tol, max_panels=4000):
+def adaptive(f, edges, tol):
     """Integrate f over the union of [edges[i], edges[i+1]] panels.
 
     The worst panel is bisected until the total error estimate is below
-    ``tol`` (absolute); raises AccuracyError when the panel budget is
-    exhausted first.  f is called once for all initial panels and once
-    per bisection.  Returns (integral, error_estimate).
+    ``tol`` (absolute); raises AccuracyError when the panel budget
+    _MAX_PANELS is exhausted first.  f is called once for all initial
+    panels and once per bisection.  Returns (integral, error_estimate).
     """
     edges = np.asarray(edges, dtype=float)
     distinct = edges[:-1] != edges[1:]
@@ -105,7 +107,7 @@ def adaptive(f, edges, tol, max_panels=4000):
         total_err += err
     heapq.heapify(heap)
     counter = panels = len(heap)
-    while total_err > tol and heap and panels < max_panels:
+    while total_err > tol and heap and panels < _MAX_PANELS:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         # stop splitting once interior nodes would round onto the endpoints
         if err <= 0.0 or hi - lo <= 1024.0 * max(abs(lo), abs(hi)) * 2.3e-16 + 5e-300:
@@ -130,29 +132,10 @@ def adaptive(f, edges, tol, max_panels=4000):
     return total, total_err
 
 
-def graded_edges(lo, hi, singular_end, levels=54):
-    """Panel edges on [lo, hi] graded geometrically toward one endpoint.
+def graded_edges(hi):
+    """Panel edges on [0, hi] graded geometrically toward the singular end 0.
 
-    ``singular_end`` must equal lo or hi.  Successive panels shrink by a
-    factor 2 toward the singular endpoint, which resolves integrable log
-    and algebraic endpoint singularities under gk15.  The grading stops
-    before panel widths fall below a few ulps of the singular endpoint,
-    so quadrature nodes can never round onto the singularity itself.
+    Successive panels shrink by a factor 2 toward 0, over 54 levels, which
+    resolves integrable log and algebraic singularities at 0 under gk15.
     """
-    width = hi - lo
-    if width <= 0:
-        raise ValueError("graded_edges requires lo < hi")
-    if singular_end != 0.0:
-        # the extreme Kronrod node sits at ~0.0043 * panel width from the
-        # endpoint; keep that at least a few ulps away from it
-        min_width = 1024.0 * abs(singular_end) * 2.3e-16
-        max_levels = max(1, int(math.log2(width / min_width))) if width > min_width else 1
-        levels = min(levels, max_levels)
-    offsets = [width * 0.5**k for k in range(levels + 1)]
-    if singular_end == lo:
-        edges = [lo] + [lo + off for off in reversed(offsets)]
-    elif singular_end == hi:
-        edges = [hi - off for off in offsets] + [hi]
-    else:
-        raise ValueError("singular_end must be one of the interval endpoints")
-    return edges
+    return [0.0] + [hi * 0.5**k for k in range(54, -1, -1)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import Params
+from .params import check_size
 
 # Samples per round: long enough that each draw call outweighs its Python
 # overhead, short enough that a stage's row stays in cache.
@@ -66,10 +66,7 @@ def _shapes(params, n):
 
 
 def _check_args(params, n, seed):
-    if not isinstance(params, Params):
-        raise DomainError("params must be a Params instance")
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError("n must be a positive integer", constraint="n")
+    check_size(params, n)
     if not (isinstance(seed, int) and seed >= 0):
         raise DomainError("seed must be a nonnegative integer", constraint="seed")
 

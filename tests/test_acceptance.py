@@ -223,7 +223,7 @@ def test_criterion_10_g0_positivity():
     worst = math.inf
     for u in (-10.0, -1.0, 0.0, 1.0, 10.0):
         for a in range(7):
-            scan = positivity_scan(Params(1.0, 0.0, 0.5, u, a), -12.0, 12.0, 1e-3)
+            scan = positivity_scan(Params(1.0, 0.0, 0.5, u, a))
             assert scan.all_positive, f"g0 <= 0 at u={u}, a={a}, y={scan.argmin}"
             worst = min(worst, scan.min_value)
     report(10, f"g0 > 0 on 35 grids of 24001 points (min value {worst:.2e})")

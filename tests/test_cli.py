@@ -374,6 +374,17 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["constraint"] == "n_list"
 
+    def test_edge_overflow_exit_2(self, tmp_path, capsys):
+        # b ** (-1/(2b)) overflows a double below b of about 0.0039
+        cfg = write_config(tmp_path, n_list=[10],
+                           params={"b": 0.001, "r": 0.5, "u": 0.5, "a": 1})
+        assert main(["exact", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "b")
+        assert "traceback" not in record
+
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[10], params={"u": 0.5, "a": 1})
         assert main(["mc", "--config", cfg, "--seed", "-1"]) == 2

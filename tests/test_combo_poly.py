@@ -1,5 +1,6 @@
 """Exact combinatorics and polynomial-family tests."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,26 @@ from hypothesis import strategies as st
 from mlcp import combo_poly as cp
 from mlcp.errors import DomainError, SingularPointError, UnsupportedOrderError
 from mlcp.params import Params
+
+
+def _p0_factorial_sum(a):
+    coeffs = [0] * (a + 1)
+    for s in range(a // 2 + 1):
+        coeffs[a - 2 * s] = Fraction(
+            math.factorial(a), math.factorial(s) * math.factorial(a - 2 * s) * 2**s
+        )
+    return cp.Poly(coeffs)
+
+
+def _q0_factorial_sum(a):
+    coeffs = [0] * a
+    for s in range((a - 1) // 2 + 1):
+        inner = sum(
+            Fraction(math.factorial(a - 1 - j) * 2**j, math.factorial(s - j))
+            for j in range(s + 1)
+        )
+        coeffs[a - 1 - 2 * s] = inner / (math.factorial(a - 1 - 2 * s) * 2**s)
+    return cp.Poly(coeffs)
 
 
 def brute_force_partitions(ell, j):
@@ -139,24 +160,19 @@ class TestHermiteFamilies:
         assert cp.hermite(2) == cp.Poly([-1, 0, 1])
         assert cp.assoc_hermite(1, 2) == cp.Poly([-2, 0, 1])
 
-    def test_negative_indices(self):
-        assert cp.assoc_hermite(0, -1).is_zero
-        assert cp.assoc_hermite(0, -2) == cp.Poly([1])
-        assert cp.assoc_hermite(0, -3) == cp.Poly([0, Fraction(-1, 2)])
-        assert cp.assoc_hermite(1, -1).is_zero
-
-    def test_negative_indices_satisfy_recurrence(self):
-        # He_{k+1} = x He_k - k He_{k-1} holds down through the table
-        for k in (-2, -1, 0):
-            lhs = cp.assoc_hermite(0, k + 1)
-            rhs = cp.X * cp.assoc_hermite(0, k) - k * cp.assoc_hermite(0, k - 1)
-            assert lhs == rhs
+    def test_cold_high_degree(self):
+        # the recurrence is a loop: no recursion depth limit on a cold cache
+        cp.assoc_hermite.cache_clear()
+        he = cp.hermite(1500)
+        assert he.degree == 1500 and he.coeffs[-1] == 1
+        # He_{2m}(0) = (-1)^m (2m)! / (m! 2^m)
+        assert he.coeffs[0] == math.factorial(1500) // (math.factorial(750) * 2**750)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cp.assoc_hermite(0, -4)
+            cp.assoc_hermite(0, -1)
         with pytest.raises(DomainError):
-            cp.assoc_hermite(1, -2)
+            cp.assoc_hermite(1, -1)
         with pytest.raises(DomainError):
             cp.assoc_hermite(2, 3)
 
@@ -184,10 +200,12 @@ class TestHermiteFamilies:
         for a, e in enumerate(expected):
             assert cp.q0(a) == e
 
-    def test_p0_is_unsigned_hermite(self):
-        for a in range(9):
-            he = cp.hermite(a).coeffs
-            assert cp.p0(a).coeffs == tuple(abs(c) for c in he)
+    def test_p0_q0_factorial_sums(self):
+        # the closed forms p_{0,a} = sum_s a!/(s! (a-2s)! 2^s) x^{a-2s} and
+        # q_{0,a} = sum_s [sum_j (a-1-j)! 2^j/(s-j)!] / ((a-1-2s)! 2^s) x^{a-1-2s}
+        for a in range(41):
+            assert cp.p0(a) == _p0_factorial_sum(a)
+            assert cp.q0(a) == _q0_factorial_sum(a)
 
     def test_q0_recurrence(self):
         # q_{0,k+2} = x q_{0,k+1} + (k+1) q_{0,k}

@@ -295,11 +295,11 @@ class TestSplitSums:
         assert split.j_plus == math.floor(p.b * n * p.r ** (2 * p.b) / (1 - eps) - p.alpha)
 
     def test_diagnostic_invariance(self):
-        # the total never depends on (eps, m_prime, M)
+        # the total never depends on (eps, m_prime)
         p = Params(1.0, 0.3, 0.55, -0.4, 1)
         n = 400
         t1 = split_sums(p, n, 0.04, 5).total
-        t2 = split_sums(p, n, 0.09, 17, M=2.0).total
+        t2 = split_sums(p, n, 0.09, 17).total
         assert t1 == pytest.approx(t2, abs=1e-11)
 
     @given(

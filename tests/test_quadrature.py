@@ -24,23 +24,15 @@ def test_smooth():
 
 
 def test_log_endpoint_singularity():
-    edges = graded_edges(0.0, 1.0, 0.0)
+    edges = graded_edges(1.0)
     val, _ = adaptive(np.log, edges, 1e-12)
     assert val == pytest.approx(-1.0, abs=1e-13)
 
 
 def test_algebraic_endpoint_singularity():
-    edges = graded_edges(0.0, 1.0, 0.0)
+    edges = graded_edges(1.0)
     val, _ = adaptive(lambda y: y**-0.5, edges, 1e-10)
     assert val == pytest.approx(2.0, abs=1e-10)
-
-
-def test_singularity_at_right_end():
-    # grading at a nonzero endpoint bottoms out near float resolution, so
-    # a few 1e-12 of the log spike is genuinely unresolvable
-    edges = graded_edges(0.0, 1.0, 1.0)
-    val, _ = adaptive(lambda y: np.log(1.0 - y), edges, 1e-10)
-    assert val == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_oscillatory():
@@ -48,10 +40,10 @@ def test_oscillatory():
     assert val == pytest.approx((1.0 - math.cos(60.0)) / 20.0, abs=1e-13)
 
 
-def test_panel_budget_failure():
+def test_panel_budget_failure(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(AccuracyError):
-        adaptive(lambda y: np.sin(300.0 * y) / (1e-8 + abs(y - 0.3)), [0.0, 1.0],
-                 1e-16, max_panels=8)
+        adaptive(lambda y: np.sin(300.0 * y) / (1e-8 + abs(y - 0.3)), [0.0, 1.0], 1e-16)
 
 
 def test_deterministic():
@@ -61,7 +53,7 @@ def test_deterministic():
     assert a == b
 
 
-def test_one_call_per_bisection():
+def test_one_call_per_bisection(monkeypatch):
     # three initial panels in one call, then one call of both halves per
     # bisection; a budget of 10 panels allows exactly 7 bisections
     shapes = []
@@ -70,8 +62,9 @@ def test_one_call_per_bisection():
         shapes.append(y.shape)
         return np.sin(300.0 * y) / (1e-8 + abs(y - 0.3))
 
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 10)
     with pytest.raises(AccuracyError):
-        adaptive(f, [0.0, 0.3, 0.6, 1.0], 1e-16, max_panels=10)
+        adaptive(f, [0.0, 0.3, 0.6, 1.0], 1e-16)
     assert shapes == [(3, 15)] + [(2, 15)] * 7
 
 
