@@ -160,6 +160,13 @@ class TestHermiteFamilies:
         assert cp.hermite(2) == cp.Poly([-1, 0, 1])
         assert cp.assoc_hermite(1, 2) == cp.Poly([-2, 0, 1])
 
+    def test_negative_indices(self):
+        # there is no table below k = 0: every negative index is refused,
+        # including the ones a negative-index table would have filled
+        for nu, k in product((0, 1), (-1, -2, -3, -4)):
+            with pytest.raises(DomainError):
+                cp.assoc_hermite(nu, k)
+
     def test_cold_high_degree(self):
         # the recurrence is a loop: no recursion depth limit on a cold cache
         cp.assoc_hermite.cache_clear()
@@ -199,6 +206,11 @@ class TestHermiteFamilies:
         ]
         for a, e in enumerate(expected):
             assert cp.q0(a) == e
+
+    def test_p0_is_unsigned_hermite(self):
+        for a in range(9):
+            he = cp.hermite(a).coeffs
+            assert cp.p0(a).coeffs == tuple(abs(c) for c in he)
 
     def test_p0_q0_factorial_sums(self):
         # the closed forms p_{0,a} = sum_s a!/(s! (a-2s)! 2^s) x^{a-2s} and
