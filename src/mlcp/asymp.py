@@ -214,7 +214,18 @@ def _c3_integrand(y, prof):
 
 
 def c2_integrand(y, params):
-    return _float_or_array(_psi2(np.asarray(y, dtype=float), _profile(params)))
+    """The C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y, a float
+    or an array.  At y = 0, where _psi2's formula is not defined, it is
+    ln g0(0) for a = 0 and +inf for a >= 1 (the log singularity); the
+    quadrature calls _psi2 itself, on nodes that are never 0."""
+    prof = _profile(params)
+    y = np.asarray(y, dtype=float)
+    at0 = y == 0.0
+    out = np.empty_like(y)
+    out[~at0] = _psi2(y[~at0], prof)
+    if np.any(at0):
+        out[at0] = math.inf if prof.a else math.log(eval_G(0.0, params).g0)
+    return _float_or_array(out)
 
 
 def c3_integrand(y, params):

@@ -10,16 +10,18 @@ where P is the regularized lower incomplete gamma function.  One kernel,
 ``_log_terms``, evaluates the j-terms as arrays, a chunk of indices at a
 time.
 
-P is live only near the critical index.  For shapes s >= 1e3 (the uniform
-expansion's route) P(s, z) is exactly 1 below and exactly 0 above a window
-of width about 2*sqrt(2*745*z) around z (``specfun.saturation_window``),
+P can change a j-term only near the critical index.  For shapes s >= 1e3
+(the uniform expansion's route) the factor 1 + cu*P, cu = (-1)^a e^u - 1,
+is the same double for P = 1 below and P = 0 above a window of width
+about 2*sqrt(2*E*z) around z, E = min(745, 40 + log1p(|cu|))
+(``specfun.saturation_window``; the derivation is on ``_TermContext``),
 which holds O(sqrt(n)) of the n rows of each shift.  The shapes grow with
 j, so the kernel finds the window in each chunk by binary search, calls
 ``reg_lower_gamma`` only on the rows inside it and on those with s < 1e3,
-and writes the constants 1 and 0 elsewhere: the values ``reg_lower_gamma``
-returns there.  The shift k = 0 has a log-gamma ratio of 0 and needs no
-``lgamma_diff`` call; one call per chunk takes the shifts k >= 1 as a
-column, so that they share the powers of the shapes.
+and writes the constants 1 and 0 elsewhere.  With cu = 0 (u = 0, a even)
+it calls ``reg_lower_gamma`` on no row.  The shift k = 0 has a log-gamma
+ratio of 0 and needs no ``lgamma_diff`` call; one call per chunk takes the
+shifts k >= 1 as a column, so that they share the powers of the shapes.
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
 near the critical index j ~ b n r^{2b}.  It is one compensated (Neumaier)
@@ -32,6 +34,7 @@ The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,6 +45,7 @@ from .errors import AccuracyError, DomainError, RangeError
 from .params import check_size
 from .specfun import (
     LARGE_A_THRESHOLD,
+    SATURATION_EXPONENT,
     lgamma_diff,
     reg_lower_gamma,
     saturation_window,
@@ -50,6 +54,11 @@ from .specfun import (
 # j-terms per kernel call: bounds the kernel's working arrays, and so the
 # peak memory, independently of n.
 _CHUNK = 4096
+
+# A shape whose P(a, z) obeys P <= e^-E or 1 - P <= e^-E with
+# E = _TERM_EXPONENT + log1p(|cu|) cannot change the factor 1 + cu P of its
+# j-term in double precision (see _TermContext).
+_TERM_EXPONENT = 40.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,27 @@ class _TermContext:
 
     ``shifts`` is the column of the nonzero shifts k/(2b), k = 1..a.
     ``window`` holds the shape bounds (a_lo, a_hi) of specfun's
-    saturation_window at z: P(a, z) is exactly 1 below it and 0 above it.
+    saturation_window at z for the exponent
+
+        E = min(SATURATION_EXPONENT, _TERM_EXPONENT + log1p(|cu|)):
+
+    for shapes a >= 1e3 outside it, a*(lambda - 1 - ln lambda) > E with
+    lambda = z/a, and the factor 1 + cu*P of a j-term is the same double
+    for P from reg_lower_gamma as for the constant the kernel writes.
+
+    * Above the window (lambda < 1) the Chernoff bound gives
+      P <= lambda^a e^(a - z) < e^-E, so |cu P| < e^-40 < 2^-54 (also for
+      reg_lower_gamma's P, within 1e-12 relative of it): 1 + cu*P rounds
+      to 1, which is 1 + cu*0.
+    * Below it (lambda > 1) the uniform expansion's P is
+      1 - erfc(eta sqrt(a/2))/2 - e^(-a eta^2/2) series/sqrt(2 pi a) with
+      a eta^2/2 > E >= 40: erfc(sqrt(E))/2 and the correction are both
+      below 2^-54, so reg_lower_gamma returns exactly 1.0.
+
+    With E = SATURATION_EXPONENT this is the expansion's own rule: P is
+    exactly 0 or 1 there.  cu = 0 (u = 0 and a even) makes 1 + cu*P = 1
+    for every P, so then no row needs P at all.  A u whose e^u overflows
+    is a DomainError.
     """
 
     __slots__ = (
@@ -105,13 +134,20 @@ class _TermContext:
         self.n = n
         self.ln_n = math.log(n)
         self.z = n * params.r ** (2.0 * params.b)
+        try:
+            e_u = math.exp(params.u)
+        except OverflowError:
+            raise DomainError(
+                "u is too large: e**u overflows a double", constraint="u"
+            ) from None
         sign = -1.0 if params.a % 2 else 1.0
-        self.cu = sign * math.exp(params.u) - 1.0
+        self.cu = sign * e_u - 1.0
         self.binom = [math.comb(params.a, k) for k in range(params.a + 1)]
         self.r_pow = [(-params.r) ** (params.a - k) for k in range(params.a + 1)]
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
         self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
-        self.window = saturation_window(self.z)
+        exponent = min(SATURATION_EXPONENT, _TERM_EXPONENT + math.log1p(abs(self.cu)))
+        self.window = saturation_window(self.z, exponent)
 
 
 def _nonpositive(j):
@@ -122,12 +158,16 @@ def _nonpositive(j):
 
 
 def _p_sorted(a, ctx):
-    """P(a, z) on the nondecreasing array a of shapes.
+    """P(a, z) where it can change a j-term, on the nondecreasing array a
+    of shapes.
 
     reg_lower_gamma runs only on the rows with a < LARGE_A_THRESHOLD and on
-    those inside ctx.window; every other row gets the value it returns
-    there, exactly 1 (a below the window) or 0 (a above it).
+    those inside ctx.window; every other row gets 1 (a below the window) or
+    0 (a above it), which leaves 1 + cu*P as reg_lower_gamma's value would
+    (see _TermContext).  With cu = 0 no row runs it.
     """
+    if not ctx.cu:  # 1 + 0*P is 1 whatever P is
+        return np.zeros_like(a)
     a_lo, a_hi = ctx.window
     small = int(np.searchsorted(a, LARGE_A_THRESHOLD))
     lo = max(small, int(np.searchsorted(a, a_lo)))
@@ -181,11 +221,13 @@ def ln_mgf_exact(params, n, keep_terms=False):
     Returns an ExactResult; with ``keep_terms=True`` the n individual log
     summands are attached as an array (ascending j, the summation order).
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
-    evaluated only on its live window (see the module docstring); the
+    evaluated only where it can change a term: on shapes below 1e3 and in a
+    window about 2*sqrt(2*E*z) wide (see the module docstring); the
     per-term values are those of evaluating P on every row, bit for bit.
     The total is math.fsum of the nonzero terms: with a = 0 every term
     beyond the window is exactly 0, and fsum rounds the exact sum once, so
-    leaving those out does not change it.  No accuracy is certified: on
+    leaving those out does not change it.  A u with e^u beyond the double
+    range (u > 709.78) is a DomainError.  No accuracy is certified: on
     50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
     below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).  A j-term whose
     inner sum comes out nonpositive raises AccuracyError naming its j.
@@ -197,7 +239,12 @@ def ln_mgf_exact(params, n, keep_terms=False):
         for start in range(0, n, _CHUNK):
             j = np.arange(start + 1, min(start + _CHUNK, n) + 1, dtype=float)
             terms[start : start + j.size] = _log_terms(ctx, j)
-    total = math.fsum(terms[terms != 0.0])
+    # fsum reads Python floats far faster than numpy scalars; one chunk at a
+    # time keeps the lists, like the kernel's arrays, to _CHUNK entries
+    chunks = (terms[start : start + _CHUNK] for start in range(0, n, _CHUNK))
+    total = math.fsum(
+        itertools.chain.from_iterable(c[c != 0.0].tolist() for c in chunks)
+    )
     return ExactResult(ln_mgf=total, per_term=terms if keep_terms else None)
 
 

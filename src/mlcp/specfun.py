@@ -17,8 +17,9 @@ takes one of two routes, chosen by the size of a:
   at a = 1e6, lambda = 0.995), and n up to 2^20 reaches a = 2e6; the
   expansion stays within ~1e-15 there.
 
-``saturation_window`` gives, for one z, the shapes outside which the
-expansion's P is exactly 0 or 1, so that a caller with many shapes can skip
+``saturation_window`` gives, for one z and an exponent E, the shapes
+outside which a*(lambda - 1 - ln lambda) > E: with E = 745 the expansion's
+P is exactly 0 or 1 there, so that a caller with many shapes can skip
 them.  ``lgamma_diff`` gives ln Gamma(x + delta) - ln Gamma(x) with small
 absolute error for large x.  Every array function here accepts scalars or
 arrays, returns a scalar for scalar input, and is a pure function of its
@@ -46,8 +47,8 @@ NEAR_ONE_SWITCH = 0.05
 SATURATION_EXPONENT = 745.0
 
 # saturation_window widens the roots of its exponent equation by this
-# relative amount.  Moving a root by it moves the exponent by about
-# sqrt(2*745*z)*1e-6, far more than the ~1e-13 relative rounding of the
+# relative amount.  Moving a root by it moves the exponent E by about
+# sqrt(2*E*z)*1e-6, far more than the ~1e-13 relative rounding of the
 # exponent that _p_uniform compares with SATURATION_EXPONENT.
 _WINDOW_MARGIN = 1e-6
 
@@ -212,28 +213,29 @@ def _p_uniform(a, z):
     return out
 
 
-def saturation_window(z):
-    """Shape bounds (a_lo, a_hi) of the live window of P(., z) for a >= 1e3.
+def saturation_window(z, exponent):
+    """Shape bounds (a_lo, a_hi) outside which a*(lambda - 1 - ln lambda),
+    lambda = z/a, exceeds ``exponent``.
 
-    For every a >= LARGE_A_THRESHOLD outside [a_lo, a_hi], reg_lower_gamma
-    returns exactly 1 (a < a_lo) or exactly 0 (a > a_hi): there the
-    exponent a*eta^2/2 = a*(lambda - 1 - ln lambda), lambda = z/a, exceeds
-    SATURATION_EXPONENT.  The bounds are the two roots of that equation in
-    a, found by Newton's method and widened by a relative margin; a_lo is 0
-    where the exponent never reaches the limit below z.  For z = 0 both are
-    0: every P is 0.
+    The bounds are the two roots of that equation in a, found by Newton's
+    method and widened by a relative margin; a_lo is 0 where the exponent
+    never reaches the limit below z.  For z = 0 both are 0.  With
+    exponent = SATURATION_EXPONENT they bound the live window of P(., z)
+    for a >= 1e3: outside it reg_lower_gamma returns exactly 1 (a < a_lo)
+    or exactly 0 (a > a_hi).  A smaller exponent gives the narrower window
+    outside which P lies within e^-exponent of 1 or 0.
     """
     if not (z >= 0.0 and math.isfinite(z)):
         raise DomainError("z must be nonnegative", constraint="z")
     if z == 0.0:
         return 0.0, 0.0
-    width = math.sqrt(2.0 * SATURATION_EXPONENT * z)
+    width = math.sqrt(2.0 * exponent * z)
 
     def root(a):
         # phi(a) = z - a + a ln(a/z) is convex with phi'(a) = ln(a/z), so
         # after one step the iterates approach the root from outside
         for _ in range(100):
-            step = (z - a + a * math.log(a / z) - SATURATION_EXPONENT) / math.log(a / z)
+            step = (z - a + a * math.log(a / z) - exponent) / math.log(a / z)
             a -= step
             if abs(step) <= 1e-15 * a:
                 break
@@ -241,7 +243,7 @@ def saturation_window(z):
 
     # phi(z(1-t)) > z t^2/2 > phi(z(1+t)): z - width lies below the lower
     # root; z + width lies below the upper one, and the first step passes it
-    a_lo = root(max(z - width, 1e-300 * z)) if z > SATURATION_EXPONENT else 0.0
+    a_lo = root(max(z - width, 1e-300 * z)) if z > exponent else 0.0
     a_hi = root(z + width)
     return a_lo * (1.0 - _WINDOW_MARGIN), a_hi * (1.0 + _WINDOW_MARGIN)
 

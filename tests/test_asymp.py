@@ -1,6 +1,7 @@
 """Profile functions, asymptotic constants, and residual-decay tests."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -235,6 +236,23 @@ class TestC2:
             lo = c2_integrand(ys - 1e-9, p)
             hi = c2_integrand(ys + 1e-9, p)
             assert lo == pytest.approx(hi, rel=1e-9, abs=1e-13)
+
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_integrand_at_zero(self, a):
+        # y = 0: ln g0(0) = ln((1 + e^u)/2) at a = 0, its limit from the
+        # right, and +inf at a >= 1, with no warning; element by element in
+        # an array
+        p = Params(1.0, 0.0, 0.5, 0.6, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at0 = c2_integrand(0.0, p)
+            row = c2_integrand(np.array([-1.0, 0.0, 1e-12]), p)
+        if a == 0:
+            assert at0 == pytest.approx(math.log((1.0 + math.exp(0.6)) / 2.0), rel=1e-15)
+            assert at0 == pytest.approx(c2_integrand(1e-12, p), rel=1e-10)
+        else:
+            assert at0 == math.inf
+        assert row.tolist() == [c2_integrand(-1.0, p), at0, c2_integrand(1e-12, p)]
 
     def test_tail_rate(self):
         # y^2 * integrand -> a(a-1)/4; for a=1 the tail decays faster

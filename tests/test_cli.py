@@ -385,6 +385,17 @@ class TestExitCodes:
         assert (record["type"], record["constraint"]) == ("DomainError", "b")
         assert "traceback" not in record
 
+    def test_exp_u_overflow_exit_2(self, tmp_path, capsys):
+        # e**u overflows a double above u of about 709.78
+        cfg = write_config(tmp_path, n_list=[10],
+                           params={"b": 1.0, "r": 0.5, "u": 710.0, "a": 1})
+        assert main(["exact", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "u")
+        assert "traceback" not in record
+
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[10], params={"u": 0.5, "a": 1})
         assert main(["mc", "--config", cfg, "--seed", "-1"]) == 2

@@ -73,6 +73,22 @@ class TestNullCase:
             assert ln_mgf_exact(p, n).ln_mgf == 0.0
 
 
+class TestLargeU:
+    @pytest.mark.parametrize("u", [709.79, 710.0, 1e4])
+    def test_exp_overflow_is_domain_error(self, u):
+        # every route through _TermContext: e**u is no double there
+        params = Params(1.0, 0.0, 0.5, u, 1)
+        calls = (
+            lambda: ln_mgf_exact(params, 10),
+            lambda: split_sums(params, 500, 0.05, 10),
+            lambda: ln_partition(params, 10),
+        )
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            assert info.value.constraint == "u"
+
+
 class TestSmallNOracles:
     @pytest.mark.parametrize("n,tpl,expected", ORACLE_SMALL_N)
     def test_against_integration_oracle(self, n, tpl, expected):
@@ -123,16 +139,17 @@ class TestPerTerm:
                 assert res.per_term[j - 1] == one
 
 
-def _window_case(b, alpha, a, n):
+def _window_case(b, alpha, a, n, u=0.7):
     """Params whose P window straddles a chunk boundary once n > _CHUNK:
-    z is 0.9 times the shape of the boundary, the chunk boundary nearest
-    n/2 (for n = 4097 the only one), and the window is wider than the gap."""
+    z is 0.98 times the shape of the boundary, the chunk boundary nearest
+    n/2 (for n = 4097 the only one), and the window, at least
+    2*sqrt(2*40*z) wide, is wider than the gap."""
     edge = b ** (-1.0 / (2.0 * b))
     if n <= _CHUNK:
-        return Params(b, alpha, 0.5 * edge, 0.7, a), None
+        return Params(b, alpha, 0.5 * edge, u, a), None
     boundary = _CHUNK * max(1, n // (2 * _CHUNK))
-    r = (0.9 * boundary / b / n) ** (1.0 / (2.0 * b))
-    return Params(b, alpha, r, 0.7, a), boundary
+    r = (0.98 * boundary / b / n) ** (1.0 / (2.0 * b))
+    return Params(b, alpha, r, u, a), boundary
 
 
 WINDOW_CASES = [
@@ -147,47 +164,98 @@ WINDOW_CASES = [
     for a in (0, 1, 4)
 ]
 
+# the window's exponent 40 + log1p(|cu|) from 40.69 (u = -5, a even) to 90
+# (u = 50); at a = 4, u = 50, n = 2**17 a row comes out nonpositive
+U_WINDOW_CASES = [
+    (b, alpha, a, n, u)
+    for b, alpha in ((0.5, -0.5), (1.0, 0.0), (2.0, 0.5))
+    for a in (1, 2)
+    for n in (4097, 2**17)
+    for u in (-5.0, 2.5, 50.0)
+] + [(1.0, 0.0, 4, 2**17, u) for u in (-5.0, 2.5, 50.0)]
+
+
+def _outcome(params, n):
+    """per_term and ln_mgf of ln_mgf_exact, or its AccuracyError's message."""
+    try:
+        res = ln_mgf_exact(params, n, keep_terms=True)
+    except AccuracyError as exc:
+        return str(exc)
+    return res.per_term.tolist(), res.ln_mgf
+
+
+def _counting(monkeypatch, *names):
+    """Counts of the elements that the exact kernel passes to each named
+    function of exact_mgf, from here on."""
+    seen = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(exact_mgf, name)
+
+        def counted(*args, name=name, real=real):
+            seen[name] += np.broadcast(*args).size
+            return real(*args)
+
+        monkeypatch.setattr(exact_mgf, name, counted)
+    return seen
+
+
+def _check_window_case(monkeypatch, b, alpha, a, n, u=0.7):
+    # the reference evaluates P with reg_lower_gamma on every row
+    params, boundary = _window_case(b, alpha, a, n, u)
+    res = _outcome(params, n)
+    with monkeypatch.context() as m:
+        m.setattr(exact_mgf, "_p_sorted", lambda s, ctx: reg_lower_gamma(s, ctx.z))
+        ref = _outcome(params, n)
+    if isinstance(ref, str):  # the same nonpositive row, at the same j
+        assert res == ref
+    else:
+        assert res[0] == ref[0]
+        assert res[1] == math.fsum(ref[0])  # zero terms left out of fsum
+    if boundary is not None:
+        a_lo, a_hi = _TermContext(params, n).window
+        assert a_lo < (boundary + alpha) / b < a_hi
+        if n > 2 * _CHUNK:  # P saturates on both sides of the window
+            assert LARGE_A_THRESHOLD < a_lo and a_hi < (n + alpha) / b
+
 
 class TestLiveWindow:
     @pytest.mark.parametrize("b, alpha, a, n", WINDOW_CASES)
     def test_matches_p_on_every_row(self, monkeypatch, b, alpha, a, n):
-        # the reference evaluates P with reg_lower_gamma on every row
-        params, boundary = _window_case(b, alpha, a, n)
-        res = ln_mgf_exact(params, n, keep_terms=True)
-        with monkeypatch.context() as m:
-            m.setattr(exact_mgf, "_p_sorted", lambda s, ctx: reg_lower_gamma(s, ctx.z))
-            ref = ln_mgf_exact(params, n, keep_terms=True).per_term
-        assert res.per_term.tolist() == ref.tolist()
-        assert res.ln_mgf == math.fsum(ref)  # zero terms left out of fsum
-        if boundary is not None:
-            a_lo, a_hi = _TermContext(params, n).window
-            assert a_lo < (boundary + alpha) / b < a_hi
-            if n > 2 * _CHUNK:  # P saturates on both sides of the window
-                assert LARGE_A_THRESHOLD < a_lo and a_hi < (n + alpha) / b
+        _check_window_case(monkeypatch, b, alpha, a, n)
+
+    @pytest.mark.parametrize("b, alpha, a, n, u", U_WINDOW_CASES)
+    def test_matches_p_at_other_u(self, monkeypatch, b, alpha, a, n, u):
+        _check_window_case(monkeypatch, b, alpha, a, n, u)
 
     def test_work_counts_at_2_20(self, monkeypatch):
-        # P only on the rows below a = 1e3 and on the analytic window, and
+        # P only on the rows below a = 1e3 and on the window where it can
+        # change a term, E = 40 + log1p(|cu|) wide in the exponent, and
         # lgamma_diff on no row of the zero shift
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
-        seen = {"reg_lower_gamma": 0, "lgamma_diff": 0}
-        for name in seen:
-            real = getattr(exact_mgf, name)
-
-            def counted(*args, name=name, real=real):
-                seen[name] += np.broadcast(*args).size
-                return real(*args)
-
-            monkeypatch.setattr(exact_mgf, name, counted)
+        seen = _counting(monkeypatch, "reg_lower_gamma", "lgamma_diff")
         ln_mgf_exact(params, n)
         z = n * params.r**2
+        limit = 40.0 + math.log1p(math.exp(params.u) - 1.0)
 
         def excess(a):
-            return z - a + a * math.log(a / z) - SATURATION_EXPONENT
+            return z - a + a * math.log(a / z) - limit
 
         width = brentq(excess, z + 1.0, 2.0 * z) - brentq(excess, 1.0, z - 1.0)
         shifts = params.a + 1
         assert seen["reg_lower_gamma"] <= 1.01 * shifts * (width + LARGE_A_THRESHOLD)
         assert seen["lgamma_diff"] == params.a * n
+
+    @pytest.mark.parametrize("a, n", [(2, 300), (2, 4097), (4, 2**17)])
+    def test_no_p_when_cu_is_zero(self, monkeypatch, a, n):
+        # u = 0 with a even: every factor 1 + cu*P is 1, on shapes below
+        # 1e3 as well
+        params = Params(1.0, 0.0, 0.5, 0.0, a)
+        assert _TermContext(params, n).cu == 0.0
+        seen = _counting(monkeypatch, "reg_lower_gamma")
+        res = ln_mgf_exact(params, n, keep_terms=True)
+        assert seen["reg_lower_gamma"] == 0
+        monkeypatch.setattr(exact_mgf, "_p_sorted", lambda s, ctx: reg_lower_gamma(s, ctx.z))
+        assert res.per_term.tolist() == ln_mgf_exact(params, n, keep_terms=True).per_term.tolist()
 
 
 def _log_term_mp(ctx, j):

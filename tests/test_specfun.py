@@ -253,7 +253,7 @@ class TestSaturationWindow:
     @pytest.mark.parametrize("z", [1e3, 1490.0, 5e3, 2.6e5, 2.1e6, 1e8])
     def test_saturated_outside(self, z):
         # on each side, 200 shapes next to the bound and 200 farther out
-        a_lo, a_hi = saturation_window(z)
+        a_lo, a_hi = saturation_window(z, SATURATION_EXPONENT)
         below = np.concatenate([
             np.nextafter(a_lo, 0.0) - np.arange(200.0) * 1e-6 * a_lo,
             np.geomspace(0.01 * a_lo, a_lo, 200, endpoint=False),
@@ -270,26 +270,29 @@ class TestSaturationWindow:
     @pytest.mark.parametrize("z", [746.0, 1e3, 5e3, 2.6e5, 2.1e6, 1e8])
     def test_bounds_hug_the_roots(self, z):
         # a (lambda - 1 - ln lambda) at the bounds, lambda = z/a, lies just
-        # above the saturation exponent: widening a root by 1e-6 relative
-        # adds about 1e-6 sqrt(2 * 745 z) to it
-        slack = 2e-6 * math.sqrt(2.0 * SATURATION_EXPONENT * z)
-        with mp.workdps(40):
-            for bound in saturation_window(z):
-                a = mpf(bound)
-                lam = mpf(z) / a
-                expo = a * (lam - 1 - mp.log(lam))
-                assert SATURATION_EXPONENT < expo < SATURATION_EXPONENT + slack
+        # above the exponent: widening a root by 1e-6 relative adds about
+        # 1e-6 sqrt(2 * exponent * z) to it.  40.7 is the exact kernel's
+        # exponent at u = 0.7, a even.
+        for exponent in (40.7, SATURATION_EXPONENT):
+            slack = 2e-6 * math.sqrt(2.0 * exponent * z)
+            with mp.workdps(40):
+                for bound in saturation_window(z, exponent):
+                    a = mpf(bound)
+                    lam = mpf(z) / a
+                    expo = a * (lam - 1 - mp.log(lam))
+                    assert exponent < expo < exponent + slack
 
     def test_no_lower_root(self):
-        # for z <= 745 the exponent stays under the limit for every a < z
-        a_lo, a_hi = saturation_window(745.0)
-        assert a_lo == 0.0 and a_hi > 745.0
-        assert saturation_window(0.0) == (0.0, 0.0)
+        # for z <= exponent the exponent stays under it for every a < z
+        for z in (40.7, 745.0):
+            a_lo, a_hi = saturation_window(z, z)
+            assert a_lo == 0.0 and a_hi > z
+            assert saturation_window(0.0, z) == (0.0, 0.0)
 
     def test_domain(self):
         for z in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                saturation_window(z)
+                saturation_window(z, SATURATION_EXPONENT)
 
 
 class TestLgammaDiff:
