@@ -17,18 +17,22 @@ about 2*sqrt(2*E*z) around z, E = min(745, 40 + log1p(|cu|))
 (``specfun.saturation_window``; the derivation is on ``_TermContext``),
 which holds O(sqrt(n)) of the n rows of each shift.  The shapes grow with
 j, so the kernel finds the window in each chunk by binary search, calls
-``reg_lower_gamma`` only on the rows inside it and on those with s < 1e3,
-and writes the constants 1 and 0 elsewhere.  With cu = 0 (u = 0, a even)
-it calls ``reg_lower_gamma`` on no row.  The shift k = 0 has a log-gamma
-ratio of 0 and needs no ``lgamma_diff`` call; one call per chunk takes the
-shifts k >= 1 as a column, so that they share the powers of the shapes.
+``reg_lower_gamma`` only on the rows inside it and on those with s < 1e3
+up to its top, and writes the constants 1 and 0 elsewhere; a chunk whose
+shapes of one shift all saturate gets a scalar factor and no P array.
+With cu = 0 (u = 0, a even) it calls ``reg_lower_gamma`` on no row.  The
+shift k = 0 has a log-gamma ratio of 0 and needs no ``lgamma_diff`` call;
+one call per chunk takes the shifts k >= 1 as a column, so that they share
+the powers of the shapes, and its Stirling series stops at the first term
+that cannot change a bit (see ``specfun.lgamma_diff``).
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
-near the critical index j ~ b n r^{2b}.  It is one compensated (Neumaier)
-double sum on every platform, and a row that comes out nonpositive is an
-AccuracyError naming its j: by then the other rows near it have lost tens
-of nats, and a wider re-sum of the same double-rounded inputs cannot
-recover the digits they lost.
+near the critical index j ~ b n r^{2b}.  It is one compensated double sum
+on every platform: Knuth's TwoSum gives the exact rounding error of each
+addition, and the errors are added back at the end.  A row that comes out
+nonpositive is an AccuracyError naming its j: by then the other rows near
+it have lost tens of nats, and a wider re-sum of the same double-rounded
+inputs cannot recover the digits they lost.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -119,14 +123,18 @@ class _TermContext:
       below 2^-54, so reg_lower_gamma returns exactly 1.0.
 
     With E = SATURATION_EXPONENT this is the expansion's own rule: P is
-    exactly 0 or 1 there.  cu = 0 (u = 0 and a even) makes 1 + cu*P = 1
-    for every P, so then no row needs P at all.  A u whose e^u overflows
-    is a DomainError.
+    exactly 0 or 1 there.  The Chernoff side holds for every shape, so
+    ``zero_from``, the shape above which the kernel writes P = 0, is a_hi
+    for shapes below 1e3 too.  Only when the cap cuts E below
+    _TERM_EXPONENT + log1p(|cu|) can |cu| e^-E reach 2^-54; then
+    ``zero_from`` is max(a_hi, 1e3), and only the expansion's exact 0 is
+    used.  cu = 0 (u = 0 and a even) makes 1 + cu*P = 1 for every P, so
+    then no row needs P at all.  A u whose e^u overflows is a DomainError.
     """
 
     __slots__ = (
         "params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b", "shifts",
-        "window",
+        "window", "zero_from",
     )
 
     def __init__(self, params, n):
@@ -146,8 +154,11 @@ class _TermContext:
         self.r_pow = [(-params.r) ** (params.a - k) for k in range(params.a + 1)]
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
         self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
-        exponent = min(SATURATION_EXPONENT, _TERM_EXPONENT + math.log1p(abs(self.cu)))
-        self.window = saturation_window(self.z, exponent)
+        exponent = _TERM_EXPONENT + math.log1p(abs(self.cu))
+        self.window = saturation_window(self.z, min(SATURATION_EXPONENT, exponent))
+        a_hi = self.window[1]
+        capped = exponent > SATURATION_EXPONENT
+        self.zero_from = max(a_hi, LARGE_A_THRESHOLD) if capped else a_hi
 
 
 def _nonpositive(j):
@@ -157,28 +168,40 @@ def _nonpositive(j):
     )
 
 
-def _p_sorted(a, ctx):
-    """P(a, z) where it can change a j-term, on the nondecreasing array a
-    of shapes.
+def _p_sorted(at0, d, ctx):
+    """P(a, z) where it can change a j-term, for the shapes a = at0 + d of
+    the ascending array at0: a float where one value serves the whole
+    chunk, else an array.
 
-    reg_lower_gamma runs only on the rows with a < LARGE_A_THRESHOLD and on
-    those inside ctx.window; every other row gets 1 (a below the window) or
-    0 (a above it), which leaves 1 + cu*P as reg_lower_gamma's value would
-    (see _TermContext).  With cu = 0 no row runs it.
+    reg_lower_gamma runs only on the rows inside ctx.window and on those
+    below LARGE_A_THRESHOLD up to ctx.zero_from.  Every other row gets 1
+    (1e3 <= a < a_lo) or 0 (a > ctx.zero_from), which leaves 1 + cu*P as
+    reg_lower_gamma's value would (see _TermContext).  The 0 side covers
+    the shapes below 1e3 as well: the Chernoff bound P <= e^-E holds for
+    every shape, and scipy's P is within 1e-12 relative of the true one.
+    The 1 side does not: only the expansion is known to return exactly 1.0
+    there, so scipy still runs on the shapes below both 1e3 and a_lo.  With
+    cu = 0 no row runs it.
     """
     if not ctx.cu:  # 1 + 0*P is 1 whatever P is
-        return np.zeros_like(a)
-    a_lo, a_hi = ctx.window
+        return 0.0
+    a_lo, _ = ctx.window
+    first, last = at0[0] + d, at0[-1] + d
+    if first > ctx.zero_from:
+        return 0.0
+    if first >= LARGE_A_THRESHOLD and last < a_lo:
+        return 1.0
+    a = at0 + d
     small = int(np.searchsorted(a, LARGE_A_THRESHOLD))
-    lo = max(small, int(np.searchsorted(a, a_lo)))
-    hi = max(lo, int(np.searchsorted(a, a_hi, side="right")))
-    out = np.empty_like(a)
-    if small:
-        out[:small] = reg_lower_gamma(a[:small], ctx.z)
+    lo = int(np.searchsorted(a, a_lo))
+    hi = int(np.searchsorted(a, ctx.zero_from, side="right"))
+    out = np.zeros_like(a)  # the rows from hi on
+    if min(small, hi):
+        out[: min(small, hi)] = reg_lower_gamma(a[: min(small, hi)], ctx.z)
     out[small:lo] = 1.0
+    lo = max(small, lo)
     if hi > lo:
         out[lo:hi] = reg_lower_gamma(a[lo:hi], ctx.z)
-    out[hi:] = 0.0
     return out
 
 
@@ -186,9 +209,11 @@ def _log_terms(ctx, j):
     """ln of the inner k-sum for every index in the ascending integer
     array j.
 
-    The k-sum is accumulated in double precision with Neumaier
-    compensation, and every row gets its log; a row that comes out
-    nonpositive raises AccuracyError naming the first such j.
+    The k-sum is accumulated in double precision with compensation: each
+    step adds the exact rounding error of fl(total + t), found by Knuth's
+    branch-free TwoSum, to a running correction.  Every row gets its log; a
+    row that comes out nonpositive raises AccuracyError naming the first
+    such j.
     """
     p = ctx.params
     at0 = (j + p.alpha) / p.b
@@ -196,18 +221,22 @@ def _log_terms(ctx, j):
     # that the powers of at0 are shared; the shift k = 0 has g = 0, and
     # leaving out its factor exp(0) = 1 changes no bit of its term
     gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
-    ps = [_p_sorted(at0 + d, ctx) for d in ctx.k_over_2b]
-    terms = [ctx.binom[0] * ctx.r_pow[0] * (1.0 + ctx.cu * ps[0])] + [
-        ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k - 1]) * (1.0 + ctx.cu * ps[k])
-        for k in range(1, p.a + 1)
-    ]
+    terms = []
+    for k, d in enumerate(ctx.k_over_2b):
+        term = ctx.binom[k] * ctx.r_pow[k]
+        if k:
+            term = term * np.exp(gs[k - 1])
+        terms.append(term * (1.0 + ctx.cu * _p_sorted(at0, d, ctx)))
     total = terms[0]
-    comp = np.zeros_like(total)
+    comp = 0.0
     for t in terms[1:]:
         s = total + t
-        comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
+        t_part = s - total
+        comp = comp + ((total - (s - t_part)) + (t - t_part))
         total = s
     total = total + comp
+    if np.ndim(total) == 0:  # a = 0 on a chunk where P is one constant
+        total = np.full_like(j, total)
 
     bad = np.flatnonzero(total <= 0.0)
     if bad.size:

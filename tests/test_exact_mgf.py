@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.optimize import brentq
 
-from mlcp import exact_mgf
+from mlcp import exact_mgf, specfun
 from mlcp.errors import AccuracyError, DomainError, RangeError
 from mlcp.exact_mgf import (
     _CHUNK,
@@ -154,34 +154,74 @@ def _window_case(b, alpha, a, n, u=0.7):
 
 WINDOW_CASES = [
     (b, alpha, a, n)
-    for b in (0.5, 1.0, 2.0)
+    for b in (0.5, 1.0, 2.0, 3.0)
     for alpha in (-0.5, 0.0, 0.5)
     for a in (0, 1, 4)
     for n in (1, 300, 4097)
 ] + [
     (b, alpha, a, 2**17)
-    for b, alpha in ((0.5, -0.5), (1.0, 0.0), (2.0, 0.5))
+    for b, alpha in ((0.5, -0.5), (1.0, 0.0), (2.0, 0.5), (3.0, 0.0))
     for a in (0, 1, 4)
 ]
 
 # the window's exponent 40 + log1p(|cu|) from 40.69 (u = -5, a even) to 90
-# (u = 50); at a = 4, u = 50, n = 2**17 a row comes out nonpositive
+# (u = 50); at a = 4, u = 50, n = 2**17 a row comes out nonpositive.  u = 0
+# with a even has cu = 0; a = 6 at n = 4097 cancels hardest.
 U_WINDOW_CASES = [
     (b, alpha, a, n, u)
-    for b, alpha in ((0.5, -0.5), (1.0, 0.0), (2.0, 0.5))
+    for b, alpha in ((0.5, -0.5), (1.0, 0.0), (2.0, 0.5), (3.0, 0.0))
     for a in (1, 2)
     for n in (4097, 2**17)
     for u in (-5.0, 2.5, 50.0)
-] + [(1.0, 0.0, 4, 2**17, u) for u in (-5.0, 2.5, 50.0)]
+] + [(1.0, 0.0, 4, 2**17, u) for u in (-5.0, 2.5, 50.0)] + [
+    (b, 0.0, a, n, u)
+    for b in (0.5, 1.0, 2.0, 3.0)
+    for a in (2, 6)
+    for n in (300, 4097)
+    for u in (-0.7, 0.0, 50.0)
+]
 
 
 def _outcome(params, n):
-    """per_term and ln_mgf of ln_mgf_exact, or its AccuracyError's message."""
+    """per_term bytes and ln_mgf of ln_mgf_exact, or its AccuracyError's
+    message."""
     try:
         res = ln_mgf_exact(params, n, keep_terms=True)
     except AccuracyError as exc:
         return str(exc)
-    return res.per_term.tolist(), res.ln_mgf
+    return res.per_term.tobytes(), res.ln_mgf
+
+
+def _reference_log_terms(ctx, j):
+    """The j-terms as the kernel would give them without its skips: P on
+    every row, all five Stirling terms in lgamma_diff (with
+    _reference_kernel) and Neumaier's branchy compensated sum."""
+    p = ctx.params
+    at0 = (j + p.alpha) / p.b
+    gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
+    ps = [reg_lower_gamma(at0 + d, ctx.z) for d in ctx.k_over_2b]
+    terms = [ctx.binom[0] * ctx.r_pow[0] * (1.0 + ctx.cu * ps[0])] + [
+        ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k - 1]) * (1.0 + ctx.cu * ps[k])
+        for k in range(1, p.a + 1)
+    ]
+    total = terms[0]
+    comp = np.zeros_like(total)
+    for t in terms[1:]:
+        s = total + t
+        comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
+        total = s
+    total = total + comp
+    bad = np.flatnonzero(total <= 0.0)
+    if bad.size:
+        raise exact_mgf._nonpositive(int(j[bad[0]]))
+    return np.log(total)
+
+
+def _reference_kernel(monkeypatch):
+    """From here on ln_mgf_exact runs _reference_log_terms, and
+    lgamma_diff every Stirling term."""
+    monkeypatch.setattr(exact_mgf, "_log_terms", _reference_log_terms)
+    monkeypatch.setattr(specfun, "_STIRLING_REACH", (math.inf,) * 5)
 
 
 def _counting(monkeypatch, *names):
@@ -200,17 +240,17 @@ def _counting(monkeypatch, *names):
 
 
 def _check_window_case(monkeypatch, b, alpha, a, n, u=0.7):
-    # the reference evaluates P with reg_lower_gamma on every row
     params, boundary = _window_case(b, alpha, a, n, u)
     res = _outcome(params, n)
     with monkeypatch.context() as m:
-        m.setattr(exact_mgf, "_p_sorted", lambda s, ctx: reg_lower_gamma(s, ctx.z))
+        _reference_kernel(m)
         ref = _outcome(params, n)
     if isinstance(ref, str):  # the same nonpositive row, at the same j
         assert res == ref
     else:
         assert res[0] == ref[0]
-        assert res[1] == math.fsum(ref[0])  # zero terms left out of fsum
+        terms = np.frombuffer(ref[0])
+        assert res[1] == math.fsum(terms.tolist())  # zero terms left out of fsum
     if boundary is not None:
         a_lo, a_hi = _TermContext(params, n).window
         assert a_lo < (boundary + alpha) / b < a_hi
@@ -245,6 +285,50 @@ class TestLiveWindow:
         assert seen["reg_lower_gamma"] <= 1.01 * shifts * (width + LARGE_A_THRESHOLD)
         assert seen["lgamma_diff"] == params.a * n
 
+    def test_stirling_terms_at_2_20(self, monkeypatch, stirling_terms):
+        # Stirling terms 3-5 only on the chunks whose smallest shape lies
+        # below their thresholds X_3..X_5 (about 1.5e4, 622 and 134); the
+        # shapes here are j, so chunks 0-3 run term 3 and chunk 0 all five
+        per_chunk = []
+        real = exact_mgf.lgamma_diff
+
+        def counted(x, delta):
+            before = len(stirling_terms)
+            out = real(x, delta)
+            per_chunk.append((float(np.min(x)), len(stirling_terms) - before))
+            return out
+
+        monkeypatch.setattr(exact_mgf, "lgamma_diff", counted)
+        ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**20)
+        assert len(per_chunk) == 2**20 // _CHUNK
+        for x_min, terms in per_chunk:
+            reach = max(x_min, 20.0)
+            assert terms == sum(reach < limit for limit in specfun._STIRLING_REACH)
+        runs = [terms for _, terms in per_chunk]
+        assert runs[:4] == [5, 3, 3, 3] and set(runs[4:]) == {2}
+
+    def test_no_p_above_the_window_below_1e3(self, monkeypatch):
+        # z = 64: shapes above the window, about 150, get P = 0 without
+        # scipy, though they are below 1e3
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 256
+        ctx = _TermContext(params, n)
+        assert ctx.zero_from == ctx.window[1] < 160.0
+        seen = _counting(monkeypatch, "reg_lower_gamma")
+        ln_mgf_exact(params, n)
+        j = np.arange(1, n + 1)
+        assert seen["reg_lower_gamma"] == sum(
+            int(np.count_nonzero(j + d <= ctx.zero_from)) for d in ctx.k_over_2b
+        )
+
+    def test_capped_exponent_keeps_scipy_below_1e3(self):
+        # u = 708 at a odd: |cu| e^-745 reaches 2^-54, so the Chernoff side
+        # no longer covers scipy's P, only the expansion's exact 0
+        for u, capped in ((700.0, False), (708.0, True)):
+            ctx = _TermContext(Params(1.0, 0.0, 0.05, u, 1), 4096)
+            a_hi = ctx.window[1]
+            assert a_hi < LARGE_A_THRESHOLD
+            assert ctx.zero_from == (LARGE_A_THRESHOLD if capped else a_hi)
+
     @pytest.mark.parametrize("a, n", [(2, 300), (2, 4097), (4, 2**17)])
     def test_no_p_when_cu_is_zero(self, monkeypatch, a, n):
         # u = 0 with a even: every factor 1 + cu*P is 1, on shapes below
@@ -252,10 +336,10 @@ class TestLiveWindow:
         params = Params(1.0, 0.0, 0.5, 0.0, a)
         assert _TermContext(params, n).cu == 0.0
         seen = _counting(monkeypatch, "reg_lower_gamma")
-        res = ln_mgf_exact(params, n, keep_terms=True)
+        res = _outcome(params, n)
         assert seen["reg_lower_gamma"] == 0
-        monkeypatch.setattr(exact_mgf, "_p_sorted", lambda s, ctx: reg_lower_gamma(s, ctx.z))
-        assert res.per_term.tolist() == ln_mgf_exact(params, n, keep_terms=True).per_term.tolist()
+        _reference_kernel(monkeypatch)
+        assert res == _outcome(params, n)
 
 
 def _log_term_mp(ctx, j):

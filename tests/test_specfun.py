@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from scipy.special import erfi, gammainc
 
@@ -321,3 +323,71 @@ class TestLgammaDiff:
             lgamma_diff(0.0, 1.0)
         with pytest.raises(DomainError):
             lgamma_diff(np.array([3.0, 0.5]), -1.0)
+        for x, d in ((math.nan, 1.0), (3.0, math.nan)):
+            with pytest.raises(DomainError):
+                lgamma_diff(x, d)
+
+    def test_pairs_not_extrema(self):
+        # min(x) + min(delta) <= 0 here, but every pair is positive
+        x, d = np.array([1.0, 10.0]), np.array([5.0, -5.0])
+        assert lgamma_diff(x, d).tolist() == [lgamma_diff(1.0, 5.0), lgamma_diff(10.0, -5.0)]
+        assert lgamma_diff(np.array([]), -1.0).shape == (0,)
+
+
+def _full_series(x, delta):
+    """lgamma_diff with every Stirling term, whatever x is."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specfun, "_STIRLING_REACH", (math.inf,) * 5)
+        return lgamma_diff(x, delta)
+
+
+# shifts up to 6, the largest kernel shift a/(2b) at a = 6, b = 0.5
+CUTOFF_SHIFTS = np.concatenate(
+    [[0.0, 2.0**-30], np.geomspace(1e-9, 6.0, 40), np.linspace(0.05, 6.0, 120)]
+).reshape(-1, 1)
+
+
+class TestStirlingCutoff:
+    def test_thresholds(self):
+        # X_m falls with m, so stopping at the first m with x >= X_m
+        # leaves out only terms below 2^-60 of the first
+        reach = specfun._STIRLING_REACH
+        assert reach[0] == math.inf
+        assert all(a > b for a, b in zip(reach, reach[1:]))
+        tail = specfun._STIRLING_TAIL
+        for m in range(2, 6):
+            bound = (2 * m - 1) * abs(tail[m - 1] / tail[0]) * reach[m - 1] ** (2 - 2 * m)
+            assert bound == pytest.approx(2.0**-60, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bitwise_just_above_each_threshold(self, m):
+        # rows starting at X_m itself: the call stops the series at term m
+        limit = specfun._STIRLING_REACH[m - 1]
+        x = np.concatenate([
+            limit * (1.0 + np.arange(3000) * 2.0**-52),
+            np.geomspace(limit, 1.01 * limit, 1000),
+        ])
+        assert x.min() >= limit
+        fast = lgamma_diff(x, CUTOFF_SHIFTS)
+        assert fast.tobytes() == _full_series(x, CUTOFF_SHIFTS).tobytes()
+
+    @given(
+        st.floats(min_value=20.0, max_value=1e9),
+        st.floats(min_value=0.0, max_value=6.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_property(self, x, d):
+        fast = lgamma_diff(x, d)
+        full = _full_series(x, d)
+        assert fast.hex() == full.hex()
+
+    def test_negative_shift_runs_every_term(self, stirling_terms):
+        # the bound needs delta >= 0; with a negative shift the series runs
+        # all five terms on every entry
+        x = np.array([2e4, 5e4, 1e6])
+        d = np.array([[-0.5], [1.0]])
+        lgamma_diff(x, d)
+        assert stirling_terms == [6] * 5
+        stirling_terms.clear()
+        lgamma_diff(x, np.abs(d))
+        assert stirling_terms == [6] * 2
