@@ -285,8 +285,8 @@ def coeff_C1(params, tol=1e-9):
 
 def _c1_with_err(params, tol=1e-9):
     """C1 and its error from the closed form in the module docstring."""
-    if tol <= 0:
-        raise DomainError("tol must be positive", constraint="tol")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite", constraint="tol")
     a, b, r, u = params.a, params.b, params.r, params.u
     u_part = u * params.bulk_mass
     if a == 0:
@@ -309,8 +309,8 @@ def coeff_C2(params, tol=1e-9):
 
 
 def _c2_with_err(params, tol=1e-9):
-    if tol <= 0:
-        raise DomainError("tol must be positive", constraint="tol")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite", constraint="tol")
     prof = _profile(params)
     pref = _SQRT2 * params.b * params.r**params.b
     total, err = _whole_line(_psi2, prof, tol / (4.0 * pref))
@@ -322,8 +322,8 @@ def coeff_C3(params, tol=1e-9):
 
 
 def _c3_with_err(params, tol=1e-9):
-    if tol <= 0:
-        raise DomainError("tol must be positive", constraint="tol")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite", constraint="tol")
     a, b, alpha, u = params.a, params.b, params.alpha, params.u
     mass = params.bulk_mass  # b r^{2b}
     closed = -(0.5 + alpha) * u

@@ -66,8 +66,8 @@ class RunConfig:
                 "n_list must be strictly increasing positive integers",
                 constraint="n_list",
             )
-        if not (self.tol > 0):
-            raise DomainError("tol must be positive", constraint="tol")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite", constraint="tol")
         if self.output not in ("csv", "json"):
             raise DomainError("output must be csv or json", constraint="output")
         if not (isinstance(self.samples, int) and self.samples >= 100):

@@ -10,21 +10,21 @@ where P is the regularized lower incomplete gamma function.  One kernel,
 ``_log_terms``, evaluates the j-terms as arrays, a chunk of indices at a
 time.
 
-P can change a j-term only near the critical index.  For shapes s >= 1e3
-(the uniform expansion's route) the factor 1 + cu*P, cu = (-1)^a e^u - 1,
-is the same double for P = 1 below and P = 0 above a window of width
-about 2*sqrt(2*E*z) around z, E = min(745, 40 + log1p(|cu|))
-(``specfun.saturation_window``; the derivation is on ``_TermContext``),
-which holds O(sqrt(n)) of the n rows of each shift.  The shapes grow with
-j, so the kernel finds the window in each chunk by binary search, calls
-``reg_lower_gamma`` only on the rows inside it and on those with s < 1e3
-up to its top, and writes the constants 1 and 0 elsewhere; a chunk whose
-shapes of one shift all saturate gets a scalar factor and no P array.
-With cu = 0 (u = 0, a even) it calls ``reg_lower_gamma`` on no row.  The
-shift k = 0 has a log-gamma ratio of 0 and needs no ``lgamma_diff`` call;
-one call per chunk takes the shifts k >= 1 as a column, so that they share
-the powers of the shapes, and its Stirling series stops at the first term
-that cannot change a bit (see ``specfun.lgamma_diff``).
+P can change a j-term only near the critical index.  The factor
+1 + cu*P, cu = (-1)^a e^u - 1, is the same double for P = 1 below and
+P = 0 above a window of shapes about 2*sqrt(2*E*z) wide around z,
+E = 40 + log1p(|cu|) (``specfun.saturation_window``; the one rule, for
+every shape, is derived on ``_TermContext``), which holds O(sqrt(n)) of
+the n rows of each shift.  The shapes grow with j, so the kernel finds
+the window in each chunk by binary search, calls ``reg_lower_gamma`` only
+on the rows inside it, and writes the constants 1 and 0 elsewhere; a
+chunk whose shapes of one shift all saturate gets a scalar factor and no
+P array.  With cu = 0 (u = 0, a even) it calls ``reg_lower_gamma`` on no
+row.  The shift k = 0 has a log-gamma ratio of 0 and needs no
+``lgamma_diff`` call; one call per chunk takes the shifts k >= 1 as a
+column, so that they share the powers of the shapes, and its Stirling
+series stops at the first term that cannot change a bit (see
+``specfun.lgamma_diff``).
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
 near the critical index j ~ b n r^{2b}.  It is one compensated double sum
@@ -32,7 +32,8 @@ on every platform: Knuth's TwoSum gives the exact rounding error of each
 addition, and the errors are added back at the end.  A row that comes out
 nonpositive is an AccuracyError naming its j: by then the other rows near
 it have lost tens of nats, and a wider re-sum of the same double-rounded
-inputs cannot recover the digits they lost.
+inputs cannot recover the digits they lost.  A row whose terms overflow a
+double (e^u near its limit) is an AccuracyError too.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -47,21 +48,14 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeError
 from .params import check_size
-from .specfun import (
-    LARGE_A_THRESHOLD,
-    SATURATION_EXPONENT,
-    lgamma_diff,
-    reg_lower_gamma,
-    saturation_window,
-)
+from .specfun import lgamma_diff, reg_lower_gamma, saturation_window
 
 # j-terms per kernel call: bounds the kernel's working arrays, and so the
 # peak memory, independently of n.
 _CHUNK = 4096
 
-# A shape whose P(a, z) obeys P <= e^-E or 1 - P <= e^-E with
-# E = _TERM_EXPONENT + log1p(|cu|) cannot change the factor 1 + cu P of its
-# j-term in double precision (see _TermContext).
+# A shape outside the saturation window for E = _TERM_EXPONENT + log1p(|cu|)
+# cannot change the factor 1 + cu P of its j-term (see _TermContext).
 _TERM_EXPONENT = 40.0
 
 
@@ -107,34 +101,33 @@ class _TermContext:
     ``window`` holds the shape bounds (a_lo, a_hi) of specfun's
     saturation_window at z for the exponent
 
-        E = min(SATURATION_EXPONENT, _TERM_EXPONENT + log1p(|cu|)):
+        E = _TERM_EXPONENT + log1p(|cu|),
 
-    for shapes a >= 1e3 outside it, a*(lambda - 1 - ln lambda) > E with
-    lambda = z/a, and the factor 1 + cu*P of a j-term is the same double
-    for P from reg_lower_gamma as for the constant the kernel writes.
+    at most about 749.8, since e^u must not overflow.  Outside the window
+    a*(lambda - 1 - ln lambda) > E with lambda = z/a, and for every shape
+    the factor 1 + cu*P of a j-term is the same double for P from
+    reg_lower_gamma as for the constant the kernel writes:
 
     * Above the window (lambda < 1) the Chernoff bound gives
       P <= lambda^a e^(a - z) < e^-E, so |cu P| < e^-40 < 2^-54 (also for
       reg_lower_gamma's P, within 1e-12 relative of it): 1 + cu*P rounds
       to 1, which is 1 + cu*0.
-    * Below it (lambda > 1) the uniform expansion's P is
+    * Below it (lambda > 1) reg_lower_gamma returns exactly 1.0.  For
+      shapes >= 1e3 its uniform expansion's P is
       1 - erfc(eta sqrt(a/2))/2 - e^(-a eta^2/2) series/sqrt(2 pi a) with
       a eta^2/2 > E >= 40: erfc(sqrt(E))/2 and the correction are both
-      below 2^-54, so reg_lower_gamma returns exactly 1.0.
+      below 2^-54, and past 745 the expansion writes its exact constants.
+      For shapes below 1e3 scipy's gammainc rounds 1 - Q, Q <= e^-40 by
+      the same bound, to exactly 1.0 (tests/test_specfun.py,
+      TestSaturationWindow, checks this across z and E).
 
-    With E = SATURATION_EXPONENT this is the expansion's own rule: P is
-    exactly 0 or 1 there.  The Chernoff side holds for every shape, so
-    ``zero_from``, the shape above which the kernel writes P = 0, is a_hi
-    for shapes below 1e3 too.  Only when the cap cuts E below
-    _TERM_EXPONENT + log1p(|cu|) can |cu| e^-E reach 2^-54; then
-    ``zero_from`` is max(a_hi, 1e3), and only the expansion's exact 0 is
-    used.  cu = 0 (u = 0 and a even) makes 1 + cu*P = 1 for every P, so
-    then no row needs P at all.  A u whose e^u overflows is a DomainError.
+    cu = 0 (u = 0 and a even) makes 1 + cu*P = 1 for every P, so then no
+    row needs P at all.  A u whose e^u overflows is a DomainError.
     """
 
     __slots__ = (
         "params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b", "shifts",
-        "window", "zero_from",
+        "window",
     )
 
     def __init__(self, params, n):
@@ -155,16 +148,19 @@ class _TermContext:
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
         self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
         exponent = _TERM_EXPONENT + math.log1p(abs(self.cu))
-        self.window = saturation_window(self.z, min(SATURATION_EXPONENT, exponent))
-        a_hi = self.window[1]
-        capped = exponent > SATURATION_EXPONENT
-        self.zero_from = max(a_hi, LARGE_A_THRESHOLD) if capped else a_hi
+        self.window = saturation_window(self.z, exponent)
 
 
-def _nonpositive(j):
+def _row_error(j, total):
+    """The AccuracyError for row j, whose inner k-sum came out as total:
+    nonpositive, or not finite (a term overflowed a double)."""
+    if total <= 0.0:
+        return AccuracyError(
+            f"inner sum nonpositive at j={j}: the alternating k-sum cancelled "
+            "below double-precision rounding"
+        )
     return AccuracyError(
-        f"inner sum nonpositive at j={j}: the alternating k-sum cancelled "
-        "below double-precision rounding"
+        f"inner sum not finite at j={j}: a term of the k-sum overflowed a double"
     )
 
 
@@ -173,33 +169,23 @@ def _p_sorted(at0, d, ctx):
     the ascending array at0: a float where one value serves the whole
     chunk, else an array.
 
-    reg_lower_gamma runs only on the rows inside ctx.window and on those
-    below LARGE_A_THRESHOLD up to ctx.zero_from.  Every other row gets 1
-    (1e3 <= a < a_lo) or 0 (a > ctx.zero_from), which leaves 1 + cu*P as
-    reg_lower_gamma's value would (see _TermContext).  The 0 side covers
-    the shapes below 1e3 as well: the Chernoff bound P <= e^-E holds for
-    every shape, and scipy's P is within 1e-12 relative of the true one.
-    The 1 side does not: only the expansion is known to return exactly 1.0
-    there, so scipy still runs on the shapes below both 1e3 and a_lo.  With
-    cu = 0 no row runs it.
+    reg_lower_gamma runs only on the rows inside ctx.window; the rows below
+    it get 1 and those above it 0, which leaves 1 + cu*P as
+    reg_lower_gamma's value would (the rule on _TermContext).  With cu = 0
+    no row runs it.
     """
     if not ctx.cu:  # 1 + 0*P is 1 whatever P is
         return 0.0
-    a_lo, _ = ctx.window
-    first, last = at0[0] + d, at0[-1] + d
-    if first > ctx.zero_from:
+    a_lo, a_hi = ctx.window
+    if at0[0] + d > a_hi:
         return 0.0
-    if first >= LARGE_A_THRESHOLD and last < a_lo:
+    if at0[-1] + d < a_lo:
         return 1.0
     a = at0 + d
-    small = int(np.searchsorted(a, LARGE_A_THRESHOLD))
     lo = int(np.searchsorted(a, a_lo))
-    hi = int(np.searchsorted(a, ctx.zero_from, side="right"))
+    hi = int(np.searchsorted(a, a_hi, side="right"))
     out = np.zeros_like(a)  # the rows from hi on
-    if min(small, hi):
-        out[: min(small, hi)] = reg_lower_gamma(a[: min(small, hi)], ctx.z)
-    out[small:lo] = 1.0
-    lo = max(small, lo)
+    out[:lo] = 1.0
     if hi > lo:
         out[lo:hi] = reg_lower_gamma(a[lo:hi], ctx.z)
     return out
@@ -212,8 +198,8 @@ def _log_terms(ctx, j):
     The k-sum is accumulated in double precision with compensation: each
     step adds the exact rounding error of fl(total + t), found by Knuth's
     branch-free TwoSum, to a running correction.  Every row gets its log; a
-    row that comes out nonpositive raises AccuracyError naming the first
-    such j.
+    row that comes out nonpositive or not finite raises AccuracyError
+    naming the first such j.
     """
     p = ctx.params
     at0 = (j + p.alpha) / p.b
@@ -222,26 +208,32 @@ def _log_terms(ctx, j):
     # leaving out its factor exp(0) = 1 changes no bit of its term
     gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
     terms = []
-    for k, d in enumerate(ctx.k_over_2b):
-        term = ctx.binom[k] * ctx.r_pow[k]
-        if k:
-            term = term * np.exp(gs[k - 1])
-        terms.append(term * (1.0 + ctx.cu * _p_sorted(at0, d, ctx)))
-    total = terms[0]
-    comp = 0.0
-    for t in terms[1:]:
-        s = total + t
-        t_part = s - total
-        comp = comp + ((total - (s - t_part)) + (t - t_part))
-        total = s
-    total = total + comp
-    if np.ndim(total) == 0:  # a = 0 on a chunk where P is one constant
-        total = np.full_like(j, total)
+    # a term that overflows (e^u near its limit) leaves an inf or a NaN in
+    # its row; the log of a row that is not finite and positive is not
+    # finite, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, d in enumerate(ctx.k_over_2b):
+            term = ctx.binom[k] * ctx.r_pow[k]
+            if k:
+                term = term * np.exp(gs[k - 1])
+            terms.append(term * (1.0 + ctx.cu * _p_sorted(at0, d, ctx)))
+        total = terms[0]
+        comp = 0.0
+        for t in terms[1:]:
+            s = total + t
+            t_part = s - total
+            comp = comp + ((total - (s - t_part)) + (t - t_part))
+            total = s
+        total = total + comp
+        if np.ndim(total) == 0:  # a = 0 on a chunk where P is one constant
+            total = np.full_like(j, total)
+        logs = np.log(total)
 
-    bad = np.flatnonzero(total <= 0.0)
-    if bad.size:
-        raise _nonpositive(int(j[bad[0]]))
-    return np.log(total)
+    finite = np.isfinite(logs)
+    if not finite.all():
+        i = int(np.argmin(finite))  # argmin of a bool array: the first False
+        raise _row_error(int(j[i]), float(total[i]))
+    return logs
 
 
 def ln_mgf_exact(params, n, keep_terms=False):
@@ -250,16 +242,17 @@ def ln_mgf_exact(params, n, keep_terms=False):
     Returns an ExactResult; with ``keep_terms=True`` the n individual log
     summands are attached as an array (ascending j, the summation order).
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
-    evaluated only where it can change a term: on shapes below 1e3 and in a
-    window about 2*sqrt(2*E*z) wide (see the module docstring); the
-    per-term values are those of evaluating P on every row, bit for bit.
+    evaluated only in the window where it can change a term (the rule on
+    _TermContext); the per-term values are those of evaluating P on every
+    row, bit for bit.
     The total is math.fsum of the nonzero terms: with a = 0 every term
     beyond the window is exactly 0, and fsum rounds the exact sum once, so
     leaving those out does not change it.  A u with e^u beyond the double
     range (u > 709.78) is a DomainError.  No accuracy is certified: on
     50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
     below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).  A j-term whose
-    inner sum comes out nonpositive raises AccuracyError naming its j.
+    inner sum comes out nonpositive or not finite raises AccuracyError
+    naming its j.
     """
     check_size(params, n)
     terms = np.zeros(n)
@@ -362,11 +355,11 @@ def ln_partition(params, n):
     ln Z_n uses the closed product formula; ln D_n evaluates the deformed
     product with its own max-shifted inner sums, so ln_D - ln_Z furnishes
     an independent consistency route to ln E_n.  An inner sum that comes
-    out nonpositive raises AccuracyError naming its j.  On the 84 configs
-    of the benchmark's compare grid, ln_D - ln_Z is within 1e-9 of
-    ln_mgf_exact (criterion 09's gate) for n <= 1000 at a <= 1, n <= 300
-    at a = 2, 100 at a = 3, 60 at a = 4 and 30 at a = 5; at n = 1e4 it is
-    5e-8 (a <= 1) to 0.6 (a = 5) off.
+    out nonpositive or not finite raises AccuracyError naming its j.  On
+    the 84 configs of the benchmark's compare grid, ln_D - ln_Z is within
+    1e-9 of ln_mgf_exact (criterion 09's gate) for n <= 1000 at a <= 1,
+    n <= 300 at a = 2, 100 at a = 3, 60 at a = 4 and 30 at a = 5; at
+    n = 1e4 it is 5e-8 (a <= 1) to 0.6 (a = 5) off.
     """
     check_size(params, n)
     b, alpha = params.b, params.alpha
@@ -388,15 +381,18 @@ def ln_partition(params, n):
         at0 = (j + alpha) / b
         lgs = [math.lgamma(at0 + d) for d in ctx.k_over_2b]
         shift = max(lgs)
-        inner = math.fsum(
-            ctx.binom[k]
-            * ctx.r_pow[k]
-            * math.exp(lgs[k] - shift - ctx.k_over_2b[k] * ln_n)
-            * (1.0 + ctx.cu * ps[k][j - 1])
-            for k in range(params.a + 1)
-        )
-        if inner <= 0.0:
-            raise _nonpositive(j)
+        try:
+            inner = math.fsum(
+                ctx.binom[k]
+                * ctx.r_pow[k]
+                * math.exp(lgs[k] - shift - ctx.k_over_2b[k] * ln_n)
+                * (1.0 + ctx.cu * ps[k][j - 1])
+                for k in range(params.a + 1)
+            )
+        except (OverflowError, ValueError):  # past the double range, or inf - inf
+            inner = math.nan
+        if not 0.0 < inner < math.inf:
+            raise _row_error(j, inner)
         d_terms.append(shift + math.log(inner))
     ln_d = prefactor + math.fsum(d_terms)
     return {"ln_Z": ln_z, "ln_D": ln_d}

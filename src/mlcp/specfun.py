@@ -18,13 +18,12 @@ takes one of two routes, chosen by the size of a:
   expansion stays within ~1e-15 there.
 
 ``saturation_window`` gives, for one z and an exponent E, the shapes
-outside which a*(lambda - 1 - ln lambda) > E: with E = 745 the expansion's
-P is exactly 0 or 1 there, so that a caller with many shapes can skip
-them.  ``lgamma_diff`` gives ln Gamma(x + delta) - ln Gamma(x) with small
-absolute error for large x; its Stirling series stops at the first term
-that cannot change a bit of the result.  Every array function here
-accepts scalars or arrays, returns a scalar for scalar input, and is a
-pure function of its arguments.
+outside which a*(lambda - 1 - ln lambda) > E, so that a caller with many
+shapes can skip them.  ``lgamma_diff`` gives ln Gamma(x + delta) -
+ln Gamma(x) with small absolute error for large x; its Stirling series
+stops at the first term that cannot change a bit of the result.  Every
+array function here accepts scalars or arrays, returns a scalar for
+scalar input, and is a pure function of its arguments.
 """
 
 import math
@@ -220,11 +219,11 @@ def saturation_window(z, exponent):
 
     The bounds are the two roots of that equation in a, found by Newton's
     method and widened by a relative margin; a_lo is 0 where the exponent
-    never reaches the limit below z.  For z = 0 both are 0.  With
-    exponent = SATURATION_EXPONENT they bound the live window of P(., z)
-    for a >= 1e3: outside it reg_lower_gamma returns exactly 1 (a < a_lo)
-    or exactly 0 (a > a_hi).  A smaller exponent gives the narrower window
-    outside which P lies within e^-exponent of 1 or 0.
+    never reaches the limit below z.  For z = 0 both are 0.  Outside the
+    window P lies within e^-exponent of 1 (a < a_lo) or 0 (a > a_hi); with
+    exponent >= SATURATION_EXPONENT and a >= 1e3, reg_lower_gamma returns
+    exactly 1 or 0 there.  The exact kernel's exponents run from 40 up to
+    about 750.
     """
     if not (z >= 0.0 and math.isfinite(z)):
         raise DomainError("z must be nonnegative", constraint="z")

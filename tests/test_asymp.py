@@ -23,6 +23,7 @@ from mlcp.asymp import (
     predict,
     residual,
 )
+from mlcp.errors import DomainError
 from mlcp.params import Params
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -298,6 +299,15 @@ class TestCoeffBundle:
     def test_error_estimates_within_tol(self):
         c = compute_coeffs(Params(1.0, 0.0, 0.6, 0.5, 2), tol=1e-9)
         assert c.err1 <= 1e-9 and c.err2 <= 1e-9 and c.err3 <= 1e-9
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+    def test_tol_positive_and_finite(self, tol):
+        # an infinite tol would certify any error estimate
+        params = Params(1.0, 0.0, 0.6, 0.5, 2)
+        for call in (coeff_C1, coeff_C2, coeff_C3, compute_coeffs):
+            with pytest.raises(DomainError) as info:
+                call(params, tol)
+            assert info.value.constraint == "tol"
 
     def test_profile_built_once(self, monkeypatch):
         # one build for C2, C3 and later point evaluations of the same

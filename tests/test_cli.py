@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -155,6 +156,26 @@ class TestExact:
         assert record["type"] == "AccuracyError"
         assert "j=" in record["message"]
         assert "traceback" not in record
+
+
+    def test_overflowing_row_exit_3(self, tmp_path, capsys):
+        # e^u = e^708 overflows a term of the k-sum at j = 1: one record,
+        # no value and no RuntimeWarning
+        cfg = write_config(
+            tmp_path,
+            n_list=[1, 64],
+            params={"b": 0.5, "r": 1.8, "u": 708.0, "a": 4},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["exact", "--config", cfg]) == 3
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == "AccuracyError"
+        assert "not finite at j=1:" in record["message"]
 
 
 class TestCompare:
@@ -509,6 +530,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, n_list=[16, 32])
         with pytest.raises(KeyboardInterrupt):
             main(["compare", "--config", cfg])
+
+    @pytest.mark.parametrize("tol", ["Infinity", "NaN"])
+    def test_nonfinite_tol_exit_2(self, tmp_path, capsys, tol):
+        # in the config, written as a bare JSON constant, and as --tol
+        for config_tol, flags in ((float(tol), []), (1e-9, ["--tol", tol])):
+            cfg = write_config(tmp_path, n_list=[16, 32], tol=config_tol)
+            assert main(["compare", "--config", cfg, *flags]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            record = json.loads(err)["error"]
+            assert (record["type"], record["constraint"]) == ("DomainError", "tol")
 
     def test_unreachable_tolerance_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[16, 32], params={"u": 0.5, "a": 1})

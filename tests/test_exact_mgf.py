@@ -24,9 +24,9 @@ from mlcp.exact_mgf import (
 from mlcp.params import Params
 from mlcp.specfun import (
     LARGE_A_THRESHOLD,
-    SATURATION_EXPONENT,
     lgamma_diff,
     reg_lower_gamma,
+    saturation_window,
 )
 
 # ln E_n values from direct numerical integration of the defining
@@ -200,20 +200,21 @@ def _reference_log_terms(ctx, j):
     at0 = (j + p.alpha) / p.b
     gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
     ps = [reg_lower_gamma(at0 + d, ctx.z) for d in ctx.k_over_2b]
-    terms = [ctx.binom[0] * ctx.r_pow[0] * (1.0 + ctx.cu * ps[0])] + [
-        ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k - 1]) * (1.0 + ctx.cu * ps[k])
-        for k in range(1, p.a + 1)
-    ]
-    total = terms[0]
-    comp = np.zeros_like(total)
-    for t in terms[1:]:
-        s = total + t
-        comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
-        total = s
-    total = total + comp
-    bad = np.flatnonzero(total <= 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [ctx.binom[0] * ctx.r_pow[0] * (1.0 + ctx.cu * ps[0])] + [
+            ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k - 1]) * (1.0 + ctx.cu * ps[k])
+            for k in range(1, p.a + 1)
+        ]
+        total = terms[0]
+        comp = np.zeros_like(total)
+        for t in terms[1:]:
+            s = total + t
+            comp += np.where(np.abs(total) >= np.abs(t), (total - s) + t, (t - s) + total)
+            total = s
+        total = total + comp
+    bad = np.flatnonzero(~np.isfinite(total) | (total <= 0.0))
     if bad.size:
-        raise exact_mgf._nonpositive(int(j[bad[0]]))
+        raise exact_mgf._row_error(int(j[bad[0]]), float(total[bad[0]]))
     return np.log(total)
 
 
@@ -267,10 +268,21 @@ class TestLiveWindow:
     def test_matches_p_at_other_u(self, monkeypatch, b, alpha, a, n, u):
         _check_window_case(monkeypatch, b, alpha, a, n, u)
 
+    @pytest.mark.parametrize("u, a", [(0.7, 1), (-5.0, 2)])
+    def test_matches_p_on_every_row_at_large_z(self, monkeypatch, u, a):
+        # z = 9.8e5: moving a bound 1e-3 inward moves its exponent by about
+        # 9, far enough for P to leave 1.0 on the rows it passes
+        params, n = Params(0.25, 0.0, 14.0, u, a), 2**18
+        a_lo, a_hi = _TermContext(params, n).window
+        assert 9e5 < a_lo and a_hi < (n + params.alpha) / params.b
+        res = _outcome(params, n)
+        _reference_kernel(monkeypatch)
+        assert res == _outcome(params, n)
+
     def test_work_counts_at_2_20(self, monkeypatch):
-        # P only on the rows below a = 1e3 and on the window where it can
-        # change a term, E = 40 + log1p(|cu|) wide in the exponent, and
-        # lgamma_diff on no row of the zero shift
+        # P only on the window where it can change a term, E = 40 +
+        # log1p(|cu|) wide in the exponent, and lgamma_diff on no row of
+        # the zero shift
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
         seen = _counting(monkeypatch, "reg_lower_gamma", "lgamma_diff")
         ln_mgf_exact(params, n)
@@ -282,7 +294,7 @@ class TestLiveWindow:
 
         width = brentq(excess, z + 1.0, 2.0 * z) - brentq(excess, 1.0, z - 1.0)
         shifts = params.a + 1
-        assert seen["reg_lower_gamma"] <= 1.01 * shifts * (width + LARGE_A_THRESHOLD)
+        assert seen["reg_lower_gamma"] <= 1.01 * shifts * width
         assert seen["lgamma_diff"] == params.a * n
 
     def test_stirling_terms_at_2_20(self, monkeypatch, stirling_terms):
@@ -308,26 +320,36 @@ class TestLiveWindow:
         assert runs[:4] == [5, 3, 3, 3] and set(runs[4:]) == {2}
 
     def test_no_p_above_the_window_below_1e3(self, monkeypatch):
-        # z = 64: shapes above the window, about 150, get P = 0 without
-        # scipy, though they are below 1e3
+        # z = 64: only the shapes inside the window, about 7.4 to 149, run
+        # scipy; those below it get P = 1 and those above it P = 0,
+        # though all are below 1e3
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 256
-        ctx = _TermContext(params, n)
-        assert ctx.zero_from == ctx.window[1] < 160.0
+        a_lo, a_hi = _TermContext(params, n).window
+        assert 0.0 < a_lo and a_hi < 160.0
         seen = _counting(monkeypatch, "reg_lower_gamma")
-        ln_mgf_exact(params, n)
-        j = np.arange(1, n + 1)
-        assert seen["reg_lower_gamma"] == sum(
-            int(np.count_nonzero(j + d <= ctx.zero_from)) for d in ctx.k_over_2b
+        res = _outcome(params, n)
+        shapes = np.arange(1, n + 1) + np.array([[0.0], [0.5], [1.0], [1.5], [2.0]])
+        assert seen["reg_lower_gamma"] == np.count_nonzero(
+            (a_lo <= shapes) & (shapes <= a_hi)
         )
+        _reference_kernel(monkeypatch)
+        assert res == _outcome(params, n)
 
-    def test_capped_exponent_keeps_scipy_below_1e3(self):
-        # u = 708 at a odd: |cu| e^-745 reaches 2^-54, so the Chernoff side
-        # no longer covers scipy's P, only the expansion's exact 0
-        for u, capped in ((700.0, False), (708.0, True)):
-            ctx = _TermContext(Params(1.0, 0.0, 0.05, u, 1), 4096)
-            a_hi = ctx.window[1]
-            assert a_hi < LARGE_A_THRESHOLD
-            assert ctx.zero_from == (LARGE_A_THRESHOLD if capped else a_hi)
+    @pytest.mark.parametrize("u", [700.0, 708.0])
+    def test_small_shapes_above_the_window_at_large_u(self, monkeypatch, u):
+        # z = 10.24: the whole window, up to about 307, lies below 1e3, and
+        # the shapes above it get P = 0 without scipy; at u = 708 the
+        # exponent is 748, past 745, and the window takes it uncapped
+        params, n = Params(1.0, 0.0, 0.05, u, 1), 4096
+        ctx = _TermContext(params, n)
+        exponent = 40.0 + math.log1p(abs(ctx.cu))
+        assert ctx.window == saturation_window(ctx.z, exponent)
+        assert ctx.window[1] < LARGE_A_THRESHOLD
+        seen = _counting(monkeypatch, "reg_lower_gamma")
+        res = _outcome(params, n)
+        assert 0 < seen["reg_lower_gamma"] < n
+        _reference_kernel(monkeypatch)
+        assert res == _outcome(params, n)
 
     @pytest.mark.parametrize("a, n", [(2, 300), (2, 4097), (4, 2**17)])
     def test_no_p_when_cu_is_zero(self, monkeypatch, a, n):
@@ -429,6 +451,23 @@ class TestNonpositiveRow:
     def test_partition_raises_naming_j(self):
         with pytest.raises(AccuracyError, match=r"at j=\d+"):
             ln_partition(Params(3.0, 0.0, 0.7, 2.5, 6), 4096)
+
+
+class TestOverflowingRow:
+    # e^u near the double limit: a term of the k-sum overflows, and the
+    # row is an AccuracyError naming it, with no RuntimeWarning
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_exact_raises_naming_j(self, n):
+        with pytest.raises(AccuracyError, match="not finite at j=1:"):
+            ln_mgf_exact(Params(0.5, 0.0, 1.8, 708.0, 4), n)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_partition_raises_naming_j(self, a):
+        # shape 0.2 at j = 1: the k = 0 term leads its max-shifted sum with
+        # r^a (1 + cu P) past the double range; at a = 3 the k = 1 term
+        # overflows the other way, and fsum meets inf - inf
+        with pytest.raises(AccuracyError, match="not finite at j=1:"):
+            ln_partition(Params(0.5, -0.9, 1.9, 709.7, a), 1)
 
 
 class TestSplitSums:

@@ -269,6 +269,32 @@ class TestSaturationWindow:
         assert np.all(reg_lower_gamma(above, z) == 0.0)
         assert below.size >= (200 if a_lo > 1.001 * LARGE_A_THRESHOLD else 0)
 
+    @pytest.mark.parametrize("exponent", [40.0, 40.69, 41.0, 45.0, 90.0, 400.0, 745.0, 749.78])
+    def test_one_rule_for_every_shape(self, exponent):
+        # the exact kernel's rule, E = 40 + log1p(|cu|) up to 749.78 at the
+        # largest e^u: below the window scipy's P, like the expansion's, is
+        # exactly 1.0, and above it |cu P| leaves 1 + cu*P at 1
+        cu = math.expm1(exponent - 40.0)
+        checked = 0
+        for z in np.geomspace(1e2, 1e9, 22):
+            a_lo, a_hi = saturation_window(z, exponent)
+            top = min(a_lo, LARGE_A_THRESHOLD)
+            below = np.concatenate([
+                np.nextafter(top, 0.0) - np.arange(300.0) * 1e-6 * top,
+                np.geomspace(1e-3, top, 300, endpoint=False),
+            ]) if top > 1e-3 else np.empty(0)
+            below = below[below < a_lo]
+            above = np.concatenate([
+                np.nextafter(a_hi, math.inf) + np.arange(300.0) * 1e-6 * a_hi,
+                np.geomspace(a_hi * 1.001, 100.0 * a_hi, 300),
+            ])
+            assert np.all(reg_lower_gamma(below, z) == 1.0)
+            p_above = reg_lower_gamma(above, z)
+            assert np.all(1.0 + cu * p_above == 1.0)
+            assert np.all(1.0 - cu * p_above == 1.0)
+            checked += below.size
+        assert checked >= 10_000
+
     @pytest.mark.parametrize("z", [746.0, 1e3, 5e3, 2.6e5, 2.1e6, 1e8])
     def test_bounds_hug_the_roots(self, z):
         # a (lambda - 1 - ln lambda) at the bounds, lambda = z/a, lies just
