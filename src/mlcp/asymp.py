@@ -48,6 +48,7 @@ from scipy.special import digamma
 from . import combo_poly
 from .errors import AccuracyError, DomainError
 from .exact_mgf import ln_mgf_exact
+from .params import exp_u
 from .quadrature import adaptive, graded_edges
 from .specfun import horner
 
@@ -101,7 +102,7 @@ class _Profile:
         self.b = b
         self.u = u
         self.sign_a = -1.0 if a % 2 else 1.0
-        self.cu_e = math.exp(u) - self.sign_a  # e^u - (-1)^a
+        self.cu_e = exp_u(u) - self.sign_a  # e^u - (-1)^a
         bfrac = Fraction(b) if float(b).is_integer() else Fraction(b).limit_denominator(10**12)
         p0 = combo_poly.p0(a)
         q0 = combo_poly.q0(a)

@@ -12,7 +12,7 @@ time.
 
 P can change a j-term only near the critical index.  The factor
 1 + cu*P, cu = (-1)^a e^u - 1, is the same double for P = 1 below and
-P = 0 above a window of shapes about 2*sqrt(2*E*z) wide around z,
+P = 0 above a window of shapes 2*sqrt(E^2/9 + 2*E*z) wide around z + E/3,
 E = 40 + log1p(|cu|) (``specfun.saturation_window``; the one rule, for
 every shape, is derived on ``_TermContext``), which holds O(sqrt(n)) of
 the n rows of each shift.  The shapes grow with j, so the kernel finds
@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeError
-from .params import check_size
+from .params import check_size, exp_u
 from .specfun import lgamma_diff, reg_lower_gamma, saturation_window
 
 # j-terms per kernel call: bounds the kernel's working arrays, and so the
@@ -116,7 +116,7 @@ class _TermContext:
       shapes >= 1e3 its uniform expansion's P is
       1 - erfc(eta sqrt(a/2))/2 - e^(-a eta^2/2) series/sqrt(2 pi a) with
       a eta^2/2 > E >= 40: erfc(sqrt(E))/2 and the correction are both
-      below 2^-54, and past 745 the expansion writes its exact constants.
+      below 2^-54, and past about 745.13 both underflow to 0.
       For shapes below 1e3 scipy's gammainc rounds 1 - Q, Q <= e^-40 by
       the same bound, to exactly 1.0 (tests/test_specfun.py,
       TestSaturationWindow, checks this across z and E).
@@ -135,14 +135,8 @@ class _TermContext:
         self.n = n
         self.ln_n = math.log(n)
         self.z = n * params.r ** (2.0 * params.b)
-        try:
-            e_u = math.exp(params.u)
-        except OverflowError:
-            raise DomainError(
-                "u is too large: e**u overflows a double", constraint="u"
-            ) from None
         sign = -1.0 if params.a % 2 else 1.0
-        self.cu = sign * e_u - 1.0
+        self.cu = sign * exp_u(params.u) - 1.0
         self.binom = [math.comb(params.a, k) for k in range(params.a + 1)]
         self.r_pow = [(-params.r) ** (params.a - k) for k in range(params.a + 1)]
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
@@ -359,7 +353,9 @@ def ln_partition(params, n):
     the 84 configs of the benchmark's compare grid, ln_D - ln_Z is within
     1e-9 of ln_mgf_exact (criterion 09's gate) for n <= 1000 at a <= 1,
     n <= 300 at a = 2, 100 at a = 3, 60 at a = 4 and 30 at a = 5; at
-    n = 1e4 it is 5e-8 (a <= 1) to 0.6 (a = 5) off.
+    n = 1e4 it is 5e-8 (a <= 1) to 0.6 (a = 5) off, and at a = 6 it
+    raises (first at j = 2457-2458, 2480-2508 and 4914 on the three
+    geometries), where ln_mgf_exact returns a value.
     """
     check_size(params, n)
     b, alpha = params.b, params.alpha

@@ -64,3 +64,13 @@ def check_size(params, n):
         raise DomainError("params must be a Params instance")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("n must be a positive integer", constraint="n")
+
+
+def exp_u(u):
+    """e**u; a u whose e**u overflows a double (u > 709.78) is a DomainError."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise DomainError(
+            "u is too large: e**u overflows a double", constraint="u"
+        ) from None

@@ -17,9 +17,10 @@ takes one of two routes, chosen by the size of a:
   at a = 1e6, lambda = 0.995), and n up to 2^20 reaches a = 2e6; the
   expansion stays within ~1e-15 there.
 
-``saturation_window`` gives, for one z and an exponent E, the shapes
-outside which a*(lambda - 1 - ln lambda) > E, so that a caller with many
-shapes can skip them.  ``lgamma_diff`` gives ln Gamma(x + delta) -
+Past a*eta^2/2 ~ 745.13 its erfc and exp underflow, and it gives exactly 1
+or 0.  ``saturation_window`` gives, for one z and an exponent E, closed-form
+shape bounds outside which a*(lambda - 1 - ln lambda) > E, so that a caller
+with many shapes can skip them.  ``lgamma_diff`` gives ln Gamma(x + delta) -
 ln Gamma(x) with small absolute error for large x; its Stirling series
 stops at the first term that cannot change a bit of the result.  Every
 array function here accepts scalars or arrays, returns a scalar for
@@ -42,15 +43,6 @@ LARGE_A_THRESHOLD = 1.0e3
 # ~1e-12 (the naive 1e-3 window leaves c_3 with only ~5 correct digits at
 # its boundary).
 NEAR_ONE_SWITCH = 0.05
-
-# exp(-x) underflows to zero for x > ~745.13; beyond that P saturates hard.
-SATURATION_EXPONENT = 745.0
-
-# saturation_window widens the roots of its exponent equation by this
-# relative amount.  Moving a root by it moves the exponent E by about
-# sqrt(2*E*z)*1e-6, far more than the ~1e-13 relative rounding of the
-# exponent that _p_uniform compares with SATURATION_EXPONENT.
-_WINDOW_MARGIN = 1e-6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -153,7 +145,9 @@ def _eta(h):
     far = ~near
     out[near] = horner(_ETA_SERIES, h[near])
     hf = h[far]
-    out[far] = np.copysign(np.sqrt(2.0 * (hf - np.log1p(hf))), hf)
+    # h = -1 (lambda below 2^-53) gives eta = -inf, and P = 0, exactly
+    with np.errstate(divide="ignore"):
+        out[far] = np.copysign(np.sqrt(2.0 * (hf - np.log1p(hf))), hf)
     return out
 
 
@@ -198,54 +192,36 @@ def temme_c(j, lam):
 
 
 def _p_uniform(a, z):
-    # The uniform expansion on 1-d arrays with a >= LARGE_A_THRESHOLD, z > 0.
+    # The uniform expansion on 1-d arrays with a >= LARGE_A_THRESHOLD, z > 0;
+    # saturated (exactly 1 or 0) by underflow past expo ~ 745.13.
     h = z / a - 1.0
     eta = _eta(h)
     expo = 0.5 * a * eta * eta
-    live = expo <= SATURATION_EXPONENT
-    out = np.where(h > 0.0, 1.0, 0.0)
-    a, h, eta, expo = a[live], h[live], eta[live], expo[live]
     half = 0.5 * special.erfc(-eta * np.sqrt(0.5 * a))
     cs = _temme_cs(h, eta)
     inv_a = 1.0 / a
     series = cs[0] + inv_a * (cs[1] + inv_a * (cs[2] + inv_a * cs[3]))
-    out[live] = half - np.exp(-expo) / _SQRT_2PI / np.sqrt(a) * series
-    return out
+    return half - np.exp(-expo) / _SQRT_2PI / np.sqrt(a) * series
 
 
 def saturation_window(z, exponent):
     """Shape bounds (a_lo, a_hi) outside which a*(lambda - 1 - ln lambda),
-    lambda = z/a, exceeds ``exponent``.
+    lambda = z/a, exceeds ``exponent`` E.
 
-    The bounds are the two roots of that equation in a, found by Newton's
-    method and widened by a relative margin; a_lo is 0 where the exponent
-    never reaches the limit below z.  For z = 0 both are 0.  Outside the
-    window P lies within e^-exponent of 1 (a < a_lo) or 0 (a > a_hi); with
-    exponent >= SATURATION_EXPONENT and a >= 1e3, reg_lower_gamma returns
-    exactly 1 or 0 there.  The exact kernel's exponents run from 40 up to
-    about 750.
+    With a = z(1 + x) the exponent is z*h(x), h(x) = (1+x) ln(1+x) - x >=
+    x^2/(2(1 + x/3)) for x > -1 (Bennett's inequality), and that bound falls
+    on (-1, 0) and rises after.  Its roots a = z + E/3 -+ sqrt(E^2/9 + 2Ez)
+    thus enclose the exact ones; a_lo is clipped at 0, and z = 0 gives
+    (0, 0).  Outside the window P lies within e^-E of 1 (a < a_lo) or 0
+    (a > a_hi).  The exact kernel's exponents run from 40 to about 750.
     """
     if not (z >= 0.0 and math.isfinite(z)):
         raise DomainError("z must be nonnegative", constraint="z")
     if z == 0.0:
         return 0.0, 0.0
-    width = math.sqrt(2.0 * exponent * z)
-
-    def root(a):
-        # phi(a) = z - a + a ln(a/z) is convex with phi'(a) = ln(a/z), so
-        # after one step the iterates approach the root from outside
-        for _ in range(100):
-            step = (z - a + a * math.log(a / z) - exponent) / math.log(a / z)
-            a -= step
-            if abs(step) <= 1e-15 * a:
-                break
-        return a
-
-    # phi(z(1-t)) > z t^2/2 > phi(z(1+t)): z - width lies below the lower
-    # root; z + width lies below the upper one, and the first step passes it
-    a_lo = root(max(z - width, 1e-300 * z)) if z > exponent else 0.0
-    a_hi = root(z + width)
-    return a_lo * (1.0 - _WINDOW_MARGIN), a_hi * (1.0 + _WINDOW_MARGIN)
+    center = z + exponent / 3.0
+    half_width = math.sqrt(exponent * exponent / 9.0 + 2.0 * exponent * z)
+    return max(center - half_width, 0.0), center + half_width
 
 
 def reg_lower_gamma(a_tilde, z):
@@ -253,9 +229,8 @@ def reg_lower_gamma(a_tilde, z):
 
     Scalars or broadcastable arrays; returns values in [0, 1].  Relative
     error <= ~1e-12 wherever P >= 1e-300: scipy's gammainc for a < 1e3, the
-    uniform expansion with four correction coefficients for a >= 1e3, with
-    P set to exactly 0 or 1 once a*eta^2/2 exceeds the double-precision
-    exponent range.
+    uniform expansion with four correction coefficients for a >= 1e3, which
+    is exactly 0 or 1 once its erfc and exp underflow (a*eta^2/2 > ~745.13).
     """
     (a, z), restore = _flat(a_tilde, z)
     if not np.all((a > 0) & np.isfinite(a)):

@@ -417,6 +417,19 @@ class TestExitCodes:
         assert (record["type"], record["constraint"]) == ("DomainError", "u")
         assert "traceback" not in record
 
+    def test_exp_u_overflow_compare_exit_2(self, tmp_path, capsys):
+        # compare builds the asymptotic profile before any exact call; its
+        # e**u is checked like the exact route's
+        cfg = write_config(tmp_path, n_list=[10], output="json",
+                           params={"b": 1.0, "r": 0.5, "u": 720.0, "a": 1})
+        assert main(["compare", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "u")
+        assert "traceback" not in record
+
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[10], params={"u": 0.5, "a": 1})
         assert main(["mc", "--config", cfg, "--seed", "-1"]) == 2

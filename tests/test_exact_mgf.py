@@ -320,7 +320,7 @@ class TestLiveWindow:
         assert runs[:4] == [5, 3, 3, 3] and set(runs[4:]) == {2}
 
     def test_no_p_above_the_window_below_1e3(self, monkeypatch):
-        # z = 64: only the shapes inside the window, about 7.4 to 149, run
+        # z = 64: only the shapes inside the window, about 4.1 to 151, run
         # scipy; those below it get P = 1 and those above it P = 0,
         # though all are below 1e3
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 256
@@ -547,6 +547,15 @@ class TestPartitionFunctions:
         for n in (1, 7, 40):
             res = ln_partition(p, n)
             assert res["ln_D"] == pytest.approx(res["ln_Z"], abs=1e-9 * max(1, n))
+
+    def test_tiny_radius_without_warning(self):
+        # z = 2e-15: every shape from 1e3 on has z/a below 2^-53, where the
+        # uniform expansion's P is 0 without a RuntimeWarning
+        p = Params(1.0, 0.0, 1e-9, 0.5, 1)
+        res = ln_partition(p, 2000)
+        assert res["ln_D"] - res["ln_Z"] == pytest.approx(
+            ln_mgf_exact(p, 2000).ln_mgf, abs=1e-8
+        )
 
     def test_ratio_identity(self):
         p = Params(1.0, 0.0, 0.5, 0.7, 1)

@@ -14,7 +14,6 @@ from mlcp import specfun
 from mlcp.errors import DomainError, UnsupportedOrderError
 from mlcp.specfun import (
     LARGE_A_THRESHOLD,
-    SATURATION_EXPONENT,
     lgamma_diff,
     reg_lower_gamma,
     saturation_window,
@@ -132,6 +131,11 @@ class TestRegLowerGamma:
     def test_erf_identity(self):
         # gamma(1/2, z) = sqrt(pi) erf(sqrt(z))
         assert reg_lower_gamma(0.5, 1.0) == pytest.approx(math.erf(1.0), rel=1e-13)
+
+    def test_tiny_lambda_without_warning(self):
+        # z/a below 2^-53 rounds lambda - 1 to -1: eta = -inf and P = 0,
+        # with no divide-by-zero warning from log1p(-1)
+        assert reg_lower_gamma(np.array([1e3, 2e3]), 2e-15).tolist() == [0.0, 0.0]
 
     def test_huge_balanced(self):
         p = reg_lower_gamma(1e6, 1e6)
@@ -255,7 +259,7 @@ class TestSaturationWindow:
     @pytest.mark.parametrize("z", [1e3, 1490.0, 5e3, 2.6e5, 2.1e6, 1e8])
     def test_saturated_outside(self, z):
         # on each side, 200 shapes next to the bound and 200 farther out
-        a_lo, a_hi = saturation_window(z, SATURATION_EXPONENT)
+        a_lo, a_hi = saturation_window(z, 745.0)
         below = np.concatenate([
             np.nextafter(a_lo, 0.0) - np.arange(200.0) * 1e-6 * a_lo,
             np.geomspace(0.01 * a_lo, a_lo, 200, endpoint=False),
@@ -295,20 +299,30 @@ class TestSaturationWindow:
             checked += below.size
         assert checked >= 10_000
 
-    @pytest.mark.parametrize("z", [746.0, 1e3, 5e3, 2.6e5, 2.1e6, 1e8])
-    def test_bounds_hug_the_roots(self, z):
-        # a (lambda - 1 - ln lambda) at the bounds, lambda = z/a, lies just
-        # above the exponent: widening a root by 1e-6 relative adds about
-        # 1e-6 sqrt(2 * exponent * z) to it.  40.7 is the exact kernel's
-        # exponent at u = 0.7, a even.
-        for exponent in (40.7, SATURATION_EXPONENT):
-            slack = 2e-6 * math.sqrt(2.0 * exponent * z)
-            with mp.workdps(40):
-                for bound in saturation_window(z, exponent):
-                    a = mpf(bound)
-                    lam = mpf(z) / a
-                    expo = a * (lam - 1 - mp.log(lam))
-                    assert exponent < expo < exponent + slack
+    @pytest.mark.parametrize("z", [50.0, 100.0, 746.0, 1e3, 5e3, 2.6e5, 2.1e6, 1e8])
+    def test_bounds_enclose_the_roots(self, z):
+        # a (lambda - 1 - ln lambda), lambda = z/a, is at least the exponent
+        # at each positive bound (Bennett's bound lies under it), and for
+        # large z the bounds sit within 0.01 sqrt(2 E z) outside the exact
+        # roots.  40.7 is the exact kernel's exponent at u = 0.7, a even,
+        # and 749.78 its largest.
+        def expo(a):
+            return a * (mpf(z) / a - 1 - mp.log(mpf(z) / a))
+
+        with mp.workdps(40):
+            for exponent in (40.0, 40.7, 90.0, 745.0, 749.78):
+                a_lo, a_hi = saturation_window(z, exponent)
+                for bound in (a_lo, a_hi):
+                    assert bound == 0.0 or expo(mpf(bound)) >= exponent
+                if z < 5e3:
+                    continue
+                lo_root, hi_root = (
+                    mp.findroot(lambda a: expo(a) - exponent, bracket, solver="anderson")
+                    for bracket in ((1e-30 * z, z), (z, 2 * z + 4 * exponent))
+                )
+                slack = 0.01 * math.sqrt(2.0 * exponent * z)
+                assert 0.0 <= lo_root - a_lo <= slack
+                assert 0.0 <= a_hi - hi_root <= slack
 
     def test_no_lower_root(self):
         # for z <= exponent the exponent stays under it for every a < z
@@ -320,7 +334,7 @@ class TestSaturationWindow:
     def test_domain(self):
         for z in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
-                saturation_window(z, SATURATION_EXPONENT)
+                saturation_window(z, 745.0)
 
 
 class TestLgammaDiff:
