@@ -93,7 +93,7 @@ class _Profile:
     """
 
     __slots__ = (
-        "a", "b", "u", "cu_e", "sign_a",
+        "a", "b", "u", "cu_e", "exp_neg_u", "sign_a",
         "p0", "q0", "p1", "q1", "p_comb", "q_comb", "tail_ratio", "y_switch",
     )
 
@@ -103,6 +103,7 @@ class _Profile:
         self.u = u
         self.sign_a = -1.0 if a % 2 else 1.0
         self.cu_e = exp_u(u) - self.sign_a  # e^u - (-1)^a
+        self.exp_neg_u = exp_u(-u)  # e^-u, for y < 0 in _psi2
         bfrac = Fraction(b) if float(b).is_integer() else Fraction(b).limit_denominator(10**12)
         p0 = combo_poly.p0(a)
         q0 = combo_poly.q0(a)
@@ -189,7 +190,7 @@ def _psi2(y, prof, parts=None):
     t = _SQRT2 * np.abs(y)
     ratio = horner(prof.tail_ratio, 1.0 / (t * t))
     small = prof.cu_e * half - gauss * (horner(prof.q0, t) / horner(prof.p0, t))
-    corr = np.where(y > 0.0, prof.sign_a, -math.exp(-prof.u)) * small
+    corr = np.where(y > 0.0, prof.sign_a, -prof.exp_neg_u) * small
     bad = corr <= -1.0
     if np.any(bad):
         raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")

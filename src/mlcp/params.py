@@ -67,10 +67,12 @@ def check_size(params, n):
 
 
 def exp_u(u):
-    """e**u; a u whose e**u overflows a double (u > 709.78) is a DomainError."""
+    """e**u; a u whose e**u overflows a double (u > 709.78) is a DomainError.
+    The asymptotic profile also takes e**-u through it, so that a u below
+    -709.78 is one there."""
     try:
         return math.exp(u)
     except OverflowError:
         raise DomainError(
-            "u is too large: e**u overflows a double", constraint="u"
+            f"|u| is too large: e**{u!r} overflows a double", constraint="u"
         ) from None

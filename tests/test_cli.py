@@ -112,8 +112,9 @@ class TestExact:
         assert sum(rows) == 400 + 5000
         payload = json.loads(capsys.readouterr().out)
         for row in payload["rows"]:
-            direct = ln_mgf_exact(Params(1.0, 0.0, 0.6, 0.5, 2), row["n"]).ln_mgf
-            assert row["ln_mgf"] == direct
+            # split_sums sums the rows one by one, as keep_terms does
+            direct = ln_mgf_exact(Params(1.0, 0.0, 0.6, 0.5, 2), row["n"], keep_terms=True)
+            assert row["ln_mgf"] == direct.ln_mgf
 
     def test_bad_diagnostic_eps_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -429,6 +430,19 @@ class TestExitCodes:
         record = json.loads(err)["error"]
         assert (record["type"], record["constraint"]) == ("DomainError", "u")
         assert "traceback" not in record
+
+    def test_exp_minus_u_overflow_compare_exit_2(self, tmp_path, capsys):
+        # the C2 integrand takes e**-u, which overflows below u of about
+        # -709.78; the exact route, whose e**u underflows to 0, runs
+        params = {"b": 1.0, "r": 0.5, "u": -800.0, "a": 1}
+        cfg = write_config(tmp_path, n_list=[10], output="json", params=params)
+        assert main(["compare", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "u")
+        assert "traceback" not in record
+        assert main(["exact", "--config", cfg]) == 0
 
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[10], params={"u": 0.5, "a": 1})

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from mlcp import exact_mgf, specfun
 from mlcp.errors import AccuracyError, DomainError, RangeError
 from mlcp.exact_mgf import (
     _CHUNK,
+    _gregory_ranges,
     _log_terms,
+    _summands,
     _TermContext,
     default_window_width,
     ln_mgf_exact,
@@ -285,7 +288,7 @@ class TestLiveWindow:
         # the zero shift
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
         seen = _counting(monkeypatch, "reg_lower_gamma", "lgamma_diff")
-        ln_mgf_exact(params, n)
+        ln_mgf_exact(params, n, keep_terms=True)  # the row path
         z = n * params.r**2
         limit = 40.0 + math.log1p(math.exp(params.u) - 1.0)
 
@@ -311,7 +314,7 @@ class TestLiveWindow:
             return out
 
         monkeypatch.setattr(exact_mgf, "lgamma_diff", counted)
-        ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**20)
+        ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**20, keep_terms=True)
         assert len(per_chunk) == 2**20 // _CHUNK
         for x_min, terms in per_chunk:
             reach = max(x_min, 20.0)
@@ -451,6 +454,115 @@ class TestNonpositiveRow:
     def test_partition_raises_naming_j(self):
         with pytest.raises(AccuracyError, match=r"at j=\d+"):
             ln_partition(Params(3.0, 0.0, 0.7, 2.5, 6), 4096)
+
+
+class TestGregoryRanges:
+    # without keep_terms, the rows outside the head, the critical window and
+    # the ends of each Gregory range are summed by Gregory's formula
+
+    GEOMETRIES = [(1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)]
+
+    @staticmethod
+    def _work(monkeypatch, params, n):
+        """Rows (integer j) and quadrature nodes that ln_mgf_exact(params, n)
+        passes to the kernel."""
+        seen = {"rows": 0, "nodes": 0}
+        real = exact_mgf._log_terms
+
+        def counted(ctx, j):
+            seen["rows" if np.all(j == np.floor(j)) else "nodes"] += j.size
+            return real(ctx, j)
+
+        with monkeypatch.context() as m:
+            m.setattr(exact_mgf, "_log_terms", counted)
+            ln_mgf_exact(params, n)
+        return seen
+
+    def test_work_grows_like_sqrt_n(self, monkeypatch):
+        # b = 1, a = 1: W = 40 sqrt(j_c); the head, the window, eight rows
+        # at each end of the two ranges, and 42 panels of 15 nodes each
+        params = Params(1.0, 0.0, 0.5, 0.7, 1)
+        work = []
+        for n in (2**18, 2**20):
+            seen = self._work(monkeypatch, params, n)
+            j_c = n * params.r**2
+            width = 40.0 * math.sqrt(j_c)
+            window = math.floor(j_c + width) - math.ceil(j_c - width) + 1
+            assert seen["rows"] == 2000 + window + 2 * 2 * 8
+            assert seen["nodes"] == 2 * 42 * 15  # no panel bisected
+            work.append(seen["rows"] + seen["nodes"])
+        assert work[1] < 2.1 * work[0]  # x4 in n, about x2 in work
+        assert work[1] < 0.05 * 2**20
+
+    def test_peak_memory_independent_of_n(self):
+        # nothing of size n: 2**24 doubles alone would take 134 MB
+        tracemalloc.start()
+        try:
+            ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 1), 2**24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("a", [0, 1, 3, 4])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_matches_the_row_sum_at_2_17(self, geometry, a):
+        params, n = Params(*geometry, 1.0, a), 2**17
+        assert _gregory_ranges(_TermContext(params, n))
+        rows = ln_mgf_exact(params, n, keep_terms=True).ln_mgf
+        gate = 1e-12 if a >= 4 else 1e-13
+        assert abs(ln_mgf_exact(params, n).ln_mgf - rows) <= gate * abs(rows)
+
+    def test_matches_the_row_sum_at_2_20(self):
+        params, n = Params(0.5, 0.5, 1.0, 2.5, 3), 2**20
+        rows = ln_mgf_exact(params, n, keep_terms=True).ln_mgf
+        assert abs(ln_mgf_exact(params, n).ln_mgf - rows) <= 1e-13 * abs(rows)
+
+    def test_formula_on_a_smooth_sum(self, monkeypatch):
+        # Gregory's formula and the quadrature alone, on f(j) = sqrt(j) + 1e4/j
+        monkeypatch.setattr(exact_mgf, "_log_terms", lambda ctx, j: np.sqrt(j) + 1e4 / j)
+        n = 10**6
+        ctx = _TermContext(Params(1.0, 0.0, 0.5, 0.7, 1), n)
+        got = math.fsum(_summands(ctx, [(3000, 900_000)]))
+        j = np.arange(1, n + 1, dtype=float)
+        assert got == pytest.approx(math.fsum((np.sqrt(j) + 1e4 / j).tolist()), rel=1e-15)
+
+    @pytest.mark.parametrize("params, n", NONPOSITIVE_CASES)
+    def test_nonpositive_row_as_on_the_row_path(self, params, n):
+        # the rows that cancel lie in the critical window, summed one by one;
+        # at n = 2**14 no range is long enough for Gregory's formula
+        assert bool(_gregory_ranges(_TermContext(params, n))) == (n == 2**17)
+        with pytest.raises(AccuracyError) as rows:
+            ln_mgf_exact(params, n, keep_terms=True)
+        with pytest.raises(AccuracyError) as hybrid:
+            ln_mgf_exact(params, n)
+        assert str(hybrid.value) == str(rows.value)
+
+    def test_overflowing_row_as_on_the_row_path(self):
+        # e^708: the k-sum overflows from j = 8877 on, inside the lower
+        # Gregory range; the first row the hybrid meets is later
+        params, n = Params(0.5, 0.0, 1.4, 708.0, 4), 32771
+        assert _gregory_ranges(_TermContext(params, n))[0][0] < 8877
+        with pytest.raises(AccuracyError, match="not finite at j=8877:"):
+            ln_mgf_exact(params, n)
+
+    def test_stalled_quadrature_sums_every_row(self, monkeypatch):
+        def stalled(f, edges, tol):
+            raise AccuracyError("adaptive quadrature stalled")
+
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 1), 2**17
+        rows = ln_mgf_exact(params, n, keep_terms=True).ln_mgf
+        monkeypatch.setattr(exact_mgf, "adaptive", stalled)
+        assert ln_mgf_exact(params, n).ln_mgf == rows
+
+    @pytest.mark.parametrize("n", [128, 256, 4096])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_small_n_sums_every_row(self, geometry, n):
+        # no range long enough: the value is the row path's, bit for bit
+        params = Params(*geometry, 1.0, 3)
+        assert _gregory_ranges(_TermContext(params, n)) == []
+        res = ln_mgf_exact(params, n, keep_terms=True)
+        assert ln_mgf_exact(params, n).ln_mgf == res.ln_mgf == math.fsum(res.per_term)
 
 
 class TestOverflowingRow:
