@@ -203,8 +203,8 @@ def _error_record(exc):
 
 
 def cmd_exact(config, out_path):
-    # With a diagnostic block, split_sums evaluates each n once and returns
-    # ln_mgf along with the split.
+    # With a diagnostic block, split_sums evaluates each n once, and ln_mgf
+    # is the total of its split.
     diag = config.diagnostic
     columns = ("n", "ln_mgf", "seconds")
     rows = []
@@ -215,9 +215,9 @@ def cmd_exact(config, out_path):
             value = ln_mgf_exact(config.params, n).ln_mgf
         else:
             split = split_sums(config.params, n, diag["eps"], diag["m_prime"])
-            value = split.ln_mgf
+            value = split.total
             fields = asdict(split).items()
-            drop = ("ln_mgf", "eps", "m_prime")
+            drop = ("eps", "m_prime")
             diagnostics.append({"n": n, **{k: v for k, v in fields if k not in drop}})
         rows.append(dict(zip(columns, (n, value, time.perf_counter() - t0))))
     extra = None if diag is None else {"diagnostics": diagnostics}

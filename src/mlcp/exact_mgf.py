@@ -35,16 +35,16 @@ it have lost tens of nats, and a wider re-sum of the same double-rounded
 inputs cannot recover the digits they lost.  A row whose terms overflow a
 double (e^u near its limit) is an AccuracyError too.
 
-``ln_mgf_exact`` takes one of two paths, chosen by ``keep_terms`` and n.
-The row path (``keep_terms``, and every n too small for a Gregory range)
-evaluates all n rows.  Otherwise only three kinds of rows are evaluated
-one by one: j <= 2000; the critical window, the rows with
-|j - j_c| <= W around j_c = b n r^{2b} - alpha or with a shape inside the
-P window; and eight rows at each end of each remaining range [A, B] of at
-least 4096 rows.  On those ranges P is 1 or 0 on every shift, the j-term
-f is a smooth function of real j (the kernel takes real j as it is), and
-the range is summed by Gregory's end-corrected trapezoid rule (Gregory
-1670; Hildebrand, Introduction to Numerical Analysis, 5.9):
+One summation routine, ``_span_sums``, serves ``ln_mgf_exact`` (the span
+1..n) and ``split_sums`` (its four spans).  In each span only three kinds
+of rows are evaluated one by one: j <= 2000; the critical window, the
+rows with |j - j_c| <= W around j_c = b n r^{2b} - alpha or with a shape
+inside the P window; and eight rows at each end of each remaining range
+[A, B] of the span at least 4096 rows long.  On those ranges P is 1 or 0
+on every shift, the j-term f is a smooth function of real j (the kernel
+takes real j as it is), and the range is summed by Gregory's
+end-corrected trapezoid rule (Gregory 1670; Hildebrand, Introduction to
+Numerical Analysis, 5.9):
 
     sum_{j=A}^{B} f_j = int_A^B f + (f_A + f_B)/2
                         + sum_{k=1}^{7} c_k (nabla^k f_B + (-1)^k Delta^k f_A),
@@ -63,18 +63,18 @@ with n.  On the 84 compare geometries at n = 2^17 and 2^20 the hybrid is
 within 3.1e-16, 8.8e-16, 1.9e-15, 1.1e-14, 1.4e-13 and 6.4e-13 of |ln E_n|
 from the row sum at a = 0..5, and no panel was bisected.  The
 quadrature's error estimate is not a bound, and no error is stated with
-the value.  A row that cancels or overflows, or a quadrature that stalls,
-sends the hybrid back to summing every row, so it returns the row sum's
-value or raises the row sum's AccuracyError, naming the same j.
+the value.  A span with no Gregory range (every span at n too small for
+one) is summed row by row.  A row that cancels or overflows, or a
+quadrature that stalls, sends every span back to summing its rows, so the
+routine returns the row sums or raises the row sum's AccuracyError,
+naming the same j.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -113,10 +113,10 @@ _GREGORY = (1 / 12, 1 / 24, 19 / 720, 3 / 160, 863 / 60480, 275 / 24192, 33953 /
 class SplitDiagnostics:
     """Bookkeeping of the four-range decomposition of ln E_n.
 
-    ``ln_mgf`` is the fsum of all n terms, the value ln_mgf_exact returns.
+    S0..S3 are the sums of the j-terms over the four ranges of split_sums;
+    ``total`` is ln E_n from them.
     """
 
-    ln_mgf: float
     S0: float
     S1: float
     S2: float
@@ -141,7 +141,6 @@ class SplitDiagnostics:
 @dataclass(frozen=True)
 class ExactResult:
     ln_mgf: float
-    per_term: Optional[np.ndarray] = None
 
 
 class _TermContext:
@@ -280,12 +279,12 @@ def _log_terms(ctx, j):
     return logs
 
 
-def _gregory_ranges(ctx):
-    """The row ranges [A, B] that ln_mgf_exact sums by Gregory's formula:
-    past the head of _HEAD rows, below and above the critical window
-    |j - j_c| <= W and the rows with a shape inside ctx.window (P is 1 or
-    0 on every shift of a range's rows), each at least _MIN_GREGORY_ROWS
-    long."""
+def _gregory_ranges(ctx, lo, hi):
+    """The row ranges [A, B] inside the span lo..hi that are summed by
+    Gregory's formula: past the head of _HEAD rows, below and above the
+    critical window |j - j_c| <= W and the rows with a shape inside
+    ctx.window (P is 1 or 0 on every shift of a range's rows), each at
+    least _MIN_GREGORY_ROWS long."""
     p = ctx.params
     j_c = p.b * ctx.z - p.alpha
     width = _WINDOW_SQRT * math.sqrt(max(j_c, 0.0))
@@ -295,10 +294,10 @@ def _gregory_ranges(ctx):
     below = min(j_c - width, p.b * a_lo - p.alpha - 0.5 * p.a)
     above = max(j_c + width, p.b * a_hi - p.alpha)
     bounds = (
-        (_HEAD + 1, math.ceil(below) - 1),
-        (max(_HEAD, math.floor(above)) + 1, ctx.n),
+        (max(lo, _HEAD + 1), min(hi, math.ceil(below) - 1)),
+        (max(lo, _HEAD + 1, math.floor(above) + 1), hi),
     )
-    return [(lo, hi) for lo, hi in bounds if hi - lo + 1 >= _MIN_GREGORY_ROWS]
+    return [(A, B) for A, B in bounds if B - A + 1 >= _MIN_GREGORY_ROWS]
 
 
 def _row_chunks(ctx, lo, hi):
@@ -315,9 +314,10 @@ def _rows(ctx, lo, hi):
         yield from chunk.tolist()
 
 
-def _summands(ctx, ranges):
-    """Floats whose sum is ln E_n: every row outside the ranges one by one,
-    in ascending j, then for each range [A, B] of ``ranges``
+def _summands(ctx, lo, hi, ranges):
+    """Floats whose sum is sum_{j=lo}^{hi} f_j: every row of lo..hi outside
+    the ranges one by one, in ascending j, then for each range [A, B] of
+    ``ranges``
 
         sum_{j=A}^{B} f_j = int_A^B f + (f_A + f_B)/2
                             + sum_k c_k (nabla^k f_B + (-1)^k Delta^k f_A),
@@ -326,29 +326,29 @@ def _summands(ctx, ranges):
     B-7..B.  The integral is quadrature.adaptive on _log_terms at real j."""
     order = len(_GREGORY)
     ends = []
-    row = 1
-    for lo, hi in ranges:
-        yield from _rows(ctx, row, lo - 1)
-        ends.append((list(_rows(ctx, lo, lo + order)), list(_rows(ctx, hi - order, hi))))
-        row = hi + 1
-    yield from _rows(ctx, row, ctx.n)
+    row = lo
+    for A, B in ranges:
+        yield from _rows(ctx, row, A - 1)
+        ends.append((list(_rows(ctx, A, A + order)), list(_rows(ctx, B - order, B))))
+        row = B + 1
+    yield from _rows(ctx, row, hi)
 
     def f(x):
         return _log_terms(ctx, x.ravel()).reshape(x.shape)
 
     # panels halve toward both ends of a range, over _GRADE_LEVELS levels
     grades = [0.5**k for k in range(_GRADE_LEVELS, 0, -1)]
-    for (lo, hi), (first, last) in zip(ranges, ends):
-        half = 0.5 * (hi - lo)
+    for (A, B), (first, last) in zip(ranges, ends):
+        half = 0.5 * (B - A)
         edges = (
-            [lo] + [lo + half * g for g in grades] + [lo + half]
-            + [hi - half * g for g in reversed(grades)] + [hi]
+            [A] + [A + half * g for g in grades] + [A + half]
+            + [B - half * g for g in reversed(grades)] + [B]
         )
-        f_lo, f_hi = first[0], last[-1]
-        tol = _QUAD_RTOL * (hi - lo) * max(1.0, abs(f_lo), abs(f_hi))
+        f_A, f_B = first[0], last[-1]
+        tol = _QUAD_RTOL * (B - A) * max(1.0, abs(f_A), abs(f_B))
         yield adaptive(f, edges, tol)[0]
-        yield 0.5 * f_lo
-        yield 0.5 * f_hi
+        yield 0.5 * f_A
+        yield 0.5 * f_B
         forward, backward = np.array(first), np.array(last)
         for k, c in enumerate(_GREGORY, start=1):
             forward, backward = np.diff(forward), np.diff(backward)
@@ -356,48 +356,54 @@ def _summands(ctx, ranges):
             yield c * (-1) ** k * float(forward[0])
 
 
-def ln_mgf_exact(params, n, keep_terms=False):
+def _span_sums(params, n, spans):
+    """sum_{j=lo}^{hi} f_j for each span (lo, hi) of ``spans``, ascending
+    and together within 1..n.
+
+    Each span is the math.fsum of its _summands, with Gregory's formula on
+    the ranges that _gregory_ranges finds inside it.  A row that cancels
+    or overflows, or a stalled quadrature, in any span sends every span
+    back to summing its rows one by one, in ascending j: that gives the
+    row sums, or the error of the first bad row, which a Gregory range may
+    have skipped.  Where no span has a range the rows were summed one by
+    one already, and the error is raised as it is.
+    """
+    if params.a == 0 and params.u == 0.0:  # every factor is exactly 1
+        return [0.0] * len(spans)
+    ctx = _TermContext(params, n)
+    ranges = [_gregory_ranges(ctx, lo, hi) for lo, hi in spans]
+    try:
+        return [math.fsum(_summands(ctx, lo, hi, r)) for (lo, hi), r in zip(spans, ranges)]
+    except AccuracyError:
+        if not any(ranges):
+            raise
+    return [math.fsum(_rows(ctx, lo, hi)) for lo, hi in spans]
+
+
+def ln_mgf_exact(params, n):
     """Evaluate ln E_n exactly (up to floating-point error) at size n.
 
-    Returns an ExactResult; with ``keep_terms=True`` the n individual log
-    summands are attached as an array (ascending j, the summation order).
-    Without it nothing of size n is allocated, and once n is large enough
-    for a Gregory range (past _HEAD rows and the critical window, at least
-    _MIN_GREGORY_ROWS long) the rows outside the window are summed by
-    Gregory's formula (the module docstring); on the compare geometries
-    that value is within 1.1e-14 of |ln E_n| from the row sum at a <= 3,
-    1.4e-13 at a = 4 and 6.4e-13 at a = 5.
+    Returns an ExactResult.  Nothing of size n is allocated, and once n is
+    large enough for a Gregory range (past _HEAD rows and the critical
+    window, at least _MIN_GREGORY_ROWS long) the rows outside the window
+    are summed by Gregory's formula (the module docstring); on the compare
+    geometries that value is within 1.1e-14 of |ln E_n| from the row sum
+    at a <= 3, 1.4e-13 at a = 4 and 6.4e-13 at a = 5.
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
     evaluated only in the window where it can change a term (the rule on
     _TermContext); the per-term values are those of evaluating P on every
     row, bit for bit.
     The total is math.fsum of the summands, which rounds their exact sum
-    once, so neither the chunks nor keep_terms change a bit of the row
-    sum.  A u with e^u beyond the double range (u > 709.78) is a
-    DomainError.  No accuracy is certified: on
-    50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
+    once, so the chunks change no bit of it.  A u with e^u beyond the
+    double range (u > 709.78) is a DomainError.  No accuracy is certified:
+    on 50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
     below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).  A j-term whose
     inner sum comes out nonpositive or not finite raises AccuracyError
     naming its j.
     """
     check_size(params, n)
-    if params.a == 0 and params.u == 0.0:  # every factor is exactly 1
-        return ExactResult(ln_mgf=0.0, per_term=np.zeros(n) if keep_terms else None)
-    ctx = _TermContext(params, n)
-    if keep_terms:
-        chunks = list(_row_chunks(ctx, 1, n))
-        total = math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
-        return ExactResult(ln_mgf=total, per_term=np.concatenate(chunks))
-    ranges = _gregory_ranges(ctx)
-    try:
-        return ExactResult(ln_mgf=math.fsum(_summands(ctx, ranges)))
-    except AccuracyError:
-        if not ranges:
-            raise
-    # A row that cancels or overflows, or a stalled quadrature: the rows one
-    # by one give the row sum, or the error of the first bad row, which the
-    # hybrid may have skipped.
-    return ExactResult(ln_mgf=math.fsum(_summands(ctx, [])))
+    (total,) = _span_sums(params, n, [(1, n)])
+    return ExactResult(ln_mgf=total)
 
 
 def _frac_ceil(x):
@@ -427,6 +433,13 @@ def split_sums(params, n, eps, m_prime):
     g_minus, g_plus bound the window b n r^{2b}/(1 +- M/sqrt n) - alpha,
     with M = default_window_width(n).
     Purely diagnostic: the total is ln E_n for every admissible choice.
+    Each of the four ranges is summed as ln_mgf_exact sums 1..n
+    (_span_sums), with Gregory's formula on the saturated rows inside it,
+    so work and memory grow like sqrt(n), as ln_mgf_exact's do.  Where no
+    Gregory range fits in any of the four (every n below 6096) the
+    total is within a few ulps of ln_mgf_exact's row sum; elsewhere each
+    S_i agrees with its row sum as ln_mgf_exact does.  A row that cancels
+    or overflows raises ln_mgf_exact's AccuracyError.
     """
     check_size(params, n)
     mass = params.bulk_mass
@@ -453,14 +466,9 @@ def split_sums(params, n, eps, m_prime):
     if j_plus > n:
         raise RangeError(f"j_plus={j_plus} exceeds n={n} (n too small for eps)")
 
-    exact = ln_mgf_exact(params, n, keep_terms=True)
-    terms = exact.per_term
-    s0 = math.fsum(terms[0:m_prime])
-    s1 = math.fsum(terms[m_prime : j_minus - 1])
-    s2 = math.fsum(terms[j_minus - 1 : j_plus])
-    s3 = math.fsum(terms[j_plus:n])
+    spans = [(1, m_prime), (m_prime + 1, j_minus - 1), (j_minus, j_plus), (j_plus + 1, n)]
+    s0, s1, s2, s3 = _span_sums(params, n, spans)
     return SplitDiagnostics(
-        ln_mgf=exact.ln_mgf,
         S0=s0,
         S1=s1,
         S2=s2,

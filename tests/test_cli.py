@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from mlcp import cli, exact_mgf, identities
@@ -111,10 +113,34 @@ class TestExact:
         assert main(["exact", "--config", cfg]) == 0
         assert sum(rows) == 400 + 5000
         payload = json.loads(capsys.readouterr().out)
-        for row in payload["rows"]:
-            # split_sums sums the rows one by one, as keep_terms does
-            direct = ln_mgf_exact(Params(1.0, 0.0, 0.6, 0.5, 2), row["n"], keep_terms=True)
-            assert row["ln_mgf"] == direct.ln_mgf
+        for row, diag in zip(payload["rows"], payload["diagnostics"]):
+            # ln_mgf is the total of the split
+            assert row["ln_mgf"] == math.fsum(diag[s] for s in ("S0", "S1", "S2", "S3"))
+
+    def test_diagnostic_sums_by_gregory_at_2_17(self, tmp_path, capsys, monkeypatch):
+        # split_sums takes Gregory's formula on the saturated rows of its
+        # ranges, as ln_mgf_exact does: far fewer than n rows
+        rows = []
+        kernel = exact_mgf._log_terms
+
+        def counted(ctx, j):
+            rows.append(j.size if np.all(j == np.floor(j)) else 0)
+            return kernel(ctx, j)
+
+        monkeypatch.setattr(exact_mgf, "_log_terms", counted)
+        n = 2**17
+        cfg = write_config(
+            tmp_path,
+            output="json",
+            n_list=[n],
+            params={"u": 0.5, "a": 2, "r": 0.3},
+            diagnostic={"eps": 0.05, "m_prime": 10},
+        )
+        assert main(["exact", "--config", cfg]) == 0
+        assert 0 < sum(rows) < n / 10
+        payload = json.loads(capsys.readouterr().out)
+        direct = ln_mgf_exact(Params(1.0, 0.0, 0.3, 0.5, 2), n).ln_mgf
+        assert payload["rows"][0]["ln_mgf"] == pytest.approx(direct, rel=1e-13)
 
     def test_bad_diagnostic_eps_exit_2(self, tmp_path, capsys):
         cfg = write_config(

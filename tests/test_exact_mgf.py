@@ -17,6 +17,7 @@ from mlcp.exact_mgf import (
     _CHUNK,
     _gregory_ranges,
     _log_terms,
+    _row_chunks,
     _summands,
     _TermContext,
     default_window_width,
@@ -43,6 +44,21 @@ ORACLE_SMALL_N = [
     (2, (1.0, 1.0, 0.7, 0.3, 2), -2.7885505564378887),
     (2, (0.5, 0.0, 0.8, 1.2, 1), 0.13850355737454776),
 ]
+
+
+def _row_sum(params, n):
+    """ln E_n as the row sum, every j-term evaluated one by one in the
+    kernel's chunks of _CHUNK rows, and the array of the n j-terms in
+    ascending j (the summation order)."""
+    terms = np.concatenate(list(_row_chunks(_TermContext(params, n), 1, n)))
+    return math.fsum(terms.tolist()), terms
+
+
+# ln E_n through each caller of the exact summation routine
+ROUTES = (
+    lambda params, n: ln_mgf_exact(params, n).ln_mgf,
+    lambda params, n: split_sums(params, n, 0.05, 10).total,
+)
 
 
 class TestParams:
@@ -133,13 +149,13 @@ class TestPerTerm:
         # 4097 crosses the boundary of the 4096-index evaluation chunks
         p = Params(1.0, 0.0, 0.6, 0.5, 2)
         for n in (300, 4097):
-            res = ln_mgf_exact(p, n, keep_terms=True)
-            assert len(res.per_term) == n
-            assert math.fsum(res.per_term) == pytest.approx(res.ln_mgf, abs=1e-12)
+            total, terms = _row_sum(p, n)
+            assert len(terms) == n
+            assert total == pytest.approx(ln_mgf_exact(p, n).ln_mgf, abs=1e-12)
             ctx = _TermContext(p, n)
             for j in (1, 2, n - 1, n):
                 one = _log_terms(ctx, np.array([float(j)]))[0]
-                assert res.per_term[j - 1] == one
+                assert terms[j - 1] == one
 
 
 def _window_case(b, alpha, a, n, u=0.7):
@@ -186,13 +202,13 @@ U_WINDOW_CASES = [
 
 
 def _outcome(params, n):
-    """per_term bytes and ln_mgf of ln_mgf_exact, or its AccuracyError's
+    """The bytes of the j-terms and their row sum, or the AccuracyError's
     message."""
     try:
-        res = ln_mgf_exact(params, n, keep_terms=True)
+        total, terms = _row_sum(params, n)
     except AccuracyError as exc:
         return str(exc)
-    return res.per_term.tobytes(), res.ln_mgf
+    return terms.tobytes(), total
 
 
 def _reference_log_terms(ctx, j):
@@ -288,7 +304,7 @@ class TestLiveWindow:
         # the zero shift
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
         seen = _counting(monkeypatch, "reg_lower_gamma", "lgamma_diff")
-        ln_mgf_exact(params, n, keep_terms=True)  # the row path
+        _row_sum(params, n)
         z = n * params.r**2
         limit = 40.0 + math.log1p(math.exp(params.u) - 1.0)
 
@@ -314,7 +330,7 @@ class TestLiveWindow:
             return out
 
         monkeypatch.setattr(exact_mgf, "lgamma_diff", counted)
-        ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**20, keep_terms=True)
+        _row_sum(Params(1.0, 0.0, 0.5, 0.7, 4), 2**20)
         assert len(per_chunk) == 2**20 // _CHUNK
         for x_min, terms in per_chunk:
             reach = max(x_min, 20.0)
@@ -419,7 +435,7 @@ class TestOnePrecisionPath:
         ctx = _TermContext(params, n)
         rows = _cancelling_rows(ctx, np.arange(1, n + 1, dtype=float))
         assert rows.size == 293
-        terms = ln_mgf_exact(params, n, keep_terms=True).per_term
+        terms = _row_sum(params, n)[1]
         errs = [abs(terms[i] - _log_term_mp(ctx, i + 1)) for i in rows.tolist()]
         assert math.fsum(errs) <= 5e-8
 
@@ -457,15 +473,16 @@ class TestNonpositiveRow:
 
 
 class TestGregoryRanges:
-    # without keep_terms, the rows outside the head, the critical window and
-    # the ends of each Gregory range are summed by Gregory's formula
+    # the rows outside the head, the critical window and the ends of each
+    # Gregory range are summed by Gregory's formula, in ln_mgf_exact and in
+    # each range of split_sums
 
     GEOMETRIES = [(1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)]
 
     @staticmethod
-    def _work(monkeypatch, params, n):
-        """Rows (integer j) and quadrature nodes that ln_mgf_exact(params, n)
-        passes to the kernel."""
+    def _work(monkeypatch, route, params, n):
+        """Rows (integer j) and quadrature nodes that route(params, n)
+        passes to the kernel, and the value it returns."""
         seen = {"rows": 0, "nodes": 0}
         real = exact_mgf._log_terms
 
@@ -475,47 +492,56 @@ class TestGregoryRanges:
 
         with monkeypatch.context() as m:
             m.setattr(exact_mgf, "_log_terms", counted)
-            ln_mgf_exact(params, n)
-        return seen
+            value = route(params, n)
+        return seen, value
 
     def test_work_grows_like_sqrt_n(self, monkeypatch):
         # b = 1, a = 1: W = 40 sqrt(j_c); the head, the window, eight rows
-        # at each end of the two ranges, and 42 panels of 15 nodes each
+        # at each end of the two ranges, and 42 panels of 15 nodes each.
+        # split_sums' ranges j_minus..j_plus lie inside the window, so it
+        # finds the same two Gregory ranges
         params = Params(1.0, 0.0, 0.5, 0.7, 1)
-        work = []
-        for n in (2**18, 2**20):
-            seen = self._work(monkeypatch, params, n)
-            j_c = n * params.r**2
-            width = 40.0 * math.sqrt(j_c)
-            window = math.floor(j_c + width) - math.ceil(j_c - width) + 1
-            assert seen["rows"] == 2000 + window + 2 * 2 * 8
-            assert seen["nodes"] == 2 * 42 * 15  # no panel bisected
-            work.append(seen["rows"] + seen["nodes"])
-        assert work[1] < 2.1 * work[0]  # x4 in n, about x2 in work
-        assert work[1] < 0.05 * 2**20
+        for route in ROUTES:
+            work = []
+            for n in (2**18, 2**20):
+                seen, _ = self._work(monkeypatch, route, params, n)
+                j_c = n * params.r**2
+                width = 40.0 * math.sqrt(j_c)
+                window = math.floor(j_c + width) - math.ceil(j_c - width) + 1
+                assert seen["rows"] == 2000 + window + 2 * 2 * 8
+                assert seen["nodes"] == 2 * 42 * 15  # no panel bisected
+                work.append(seen["rows"] + seen["nodes"])
+            assert work[1] < 2.1 * work[0]  # x4 in n, about x2 in work
+            assert work[1] < 0.05 * 2**20
 
     def test_peak_memory_independent_of_n(self):
-        # nothing of size n: 2**24 doubles alone would take 134 MB
-        tracemalloc.start()
-        try:
-            ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 1), 2**24)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        # nothing of size n: 2**24 doubles alone would take 134 MB, and the
+        # n j-terms of split_sums at 2**22 took 67 MB
+        params = Params(1.0, 0.0, 0.5, 0.7, 1)
+        for route, n in zip(ROUTES, (2**24, 2**22)):
+            tracemalloc.start()
+            try:
+                route(params, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6
 
     @pytest.mark.parametrize("a", [0, 1, 3, 4])
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_matches_the_row_sum_at_2_17(self, geometry, a):
+    def test_matches_the_row_sum_at_2_17(self, monkeypatch, geometry, a):
         params, n = Params(*geometry, 1.0, a), 2**17
-        assert _gregory_ranges(_TermContext(params, n))
-        rows = ln_mgf_exact(params, n, keep_terms=True).ln_mgf
+        assert _gregory_ranges(_TermContext(params, n), 1, n)
+        rows = _row_sum(params, n)[0]
         gate = 1e-12 if a >= 4 else 1e-13
-        assert abs(ln_mgf_exact(params, n).ln_mgf - rows) <= gate * abs(rows)
+        for route in ROUTES:
+            seen, value = self._work(monkeypatch, route, params, n)
+            assert seen["nodes"]  # summed by Gregory's formula
+            assert abs(value - rows) <= gate * abs(rows)
 
     def test_matches_the_row_sum_at_2_20(self):
         params, n = Params(0.5, 0.5, 1.0, 2.5, 3), 2**20
-        rows = ln_mgf_exact(params, n, keep_terms=True).ln_mgf
+        rows = _row_sum(params, n)[0]
         assert abs(ln_mgf_exact(params, n).ln_mgf - rows) <= 1e-13 * abs(rows)
 
     def test_formula_on_a_smooth_sum(self, monkeypatch):
@@ -523,7 +549,7 @@ class TestGregoryRanges:
         monkeypatch.setattr(exact_mgf, "_log_terms", lambda ctx, j: np.sqrt(j) + 1e4 / j)
         n = 10**6
         ctx = _TermContext(Params(1.0, 0.0, 0.5, 0.7, 1), n)
-        got = math.fsum(_summands(ctx, [(3000, 900_000)]))
+        got = math.fsum(_summands(ctx, 1, n, [(3000, 900_000)]))
         j = np.arange(1, n + 1, dtype=float)
         assert got == pytest.approx(math.fsum((np.sqrt(j) + 1e4 / j).tolist()), rel=1e-15)
 
@@ -531,38 +557,39 @@ class TestGregoryRanges:
     def test_nonpositive_row_as_on_the_row_path(self, params, n):
         # the rows that cancel lie in the critical window, summed one by one;
         # at n = 2**14 no range is long enough for Gregory's formula
-        assert bool(_gregory_ranges(_TermContext(params, n))) == (n == 2**17)
+        assert bool(_gregory_ranges(_TermContext(params, n), 1, n)) == (n == 2**17)
         with pytest.raises(AccuracyError) as rows:
-            ln_mgf_exact(params, n, keep_terms=True)
-        with pytest.raises(AccuracyError) as hybrid:
-            ln_mgf_exact(params, n)
-        assert str(hybrid.value) == str(rows.value)
+            _row_sum(params, n)
+        for route in ROUTES:
+            with pytest.raises(AccuracyError) as hybrid:
+                route(params, n)
+            assert str(hybrid.value) == str(rows.value)
 
     def test_overflowing_row_as_on_the_row_path(self):
         # e^708: the k-sum overflows from j = 8877 on, inside the lower
         # Gregory range; the first row the hybrid meets is later
         params, n = Params(0.5, 0.0, 1.4, 708.0, 4), 32771
-        assert _gregory_ranges(_TermContext(params, n))[0][0] < 8877
-        with pytest.raises(AccuracyError, match="not finite at j=8877:"):
-            ln_mgf_exact(params, n)
+        assert _gregory_ranges(_TermContext(params, n), 1, n)[0][0] < 8877
+        for route in ROUTES:
+            with pytest.raises(AccuracyError, match="not finite at j=8877:"):
+                route(params, n)
 
     def test_stalled_quadrature_sums_every_row(self, monkeypatch):
         def stalled(f, edges, tol):
             raise AccuracyError("adaptive quadrature stalled")
 
         params, n = Params(1.0, 0.0, 0.5, 0.7, 1), 2**17
-        rows = ln_mgf_exact(params, n, keep_terms=True).ln_mgf
+        rows = _row_sum(params, n)[0]
         monkeypatch.setattr(exact_mgf, "adaptive", stalled)
         assert ln_mgf_exact(params, n).ln_mgf == rows
 
     @pytest.mark.parametrize("n", [128, 256, 4096])
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_small_n_sums_every_row(self, geometry, n):
-        # no range long enough: the value is the row path's, bit for bit
+        # no range long enough: the value is the row sum, bit for bit
         params = Params(*geometry, 1.0, 3)
-        assert _gregory_ranges(_TermContext(params, n)) == []
-        res = ln_mgf_exact(params, n, keep_terms=True)
-        assert ln_mgf_exact(params, n).ln_mgf == res.ln_mgf == math.fsum(res.per_term)
+        assert _gregory_ranges(_TermContext(params, n), 1, n) == []
+        assert ln_mgf_exact(params, n).ln_mgf == _row_sum(params, n)[0]
 
 
 class TestOverflowingRow:
