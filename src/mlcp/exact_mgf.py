@@ -12,19 +12,21 @@ time.
 
 P can change a j-term only near the critical index.  The factor
 1 + cu*P, cu = (-1)^a e^u - 1, is the same double for P = 1 below and
-P = 0 above a window of shapes 2*sqrt(E^2/9 + 2*E*z) wide around z + E/3,
-E = 40 + log1p(|cu|) (``specfun.saturation_window``; the one rule, for
+P = 0 above a window of shapes around z (``specfun.saturation_window``,
+2*sqrt(E^2/9 + 2*E*z) wide around z + E/3 for exponent E), with E = 40 on
+the lower side and E = 40 + log1p(|cu|) on the upper (the one rule, for
 every shape, is derived on ``_TermContext``), which holds O(sqrt(n)) of
 the n rows of each shift.  The shapes grow with j, so the kernel finds
-the window in each chunk by binary search, calls ``reg_lower_gamma`` only
-on the rows inside it, and writes the constants 1 and 0 elsewhere; a
-chunk whose shapes of one shift all saturate gets a scalar factor and no
-P array.  With cu = 0 (u = 0, a even) it calls ``reg_lower_gamma`` on no
-row.  The shift k = 0 has a log-gamma ratio of 0 and needs no
-``lgamma_diff`` call; one call per chunk takes the shifts k >= 1 as a
-column, so that they share the powers of the shapes, and its Stirling
-series stops at the first term that cannot change a bit (see
-``specfun.lgamma_diff``).
+the window in each chunk by binary search and writes the constants 1 and
+0 outside it; a chunk whose shapes of one shift all saturate gets a
+scalar factor and no P array.  The shapes inside it repeat across rows
+and shifts (at b = 1 the shift k = 2 of row j is the shift 0 of row
+j + 1), so one ``reg_lower_gamma`` call per chunk takes the distinct ones.
+With cu = 0 (u = 0, a even) it calls ``reg_lower_gamma`` on no row.  The
+shift k = 0 has a log-gamma ratio of 0 and needs no ``lgamma_diff`` call;
+one call per chunk takes the shifts k >= 1 as a column, so that they
+share the powers of the shapes, and its Stirling series stops at the
+first term that cannot change a bit (see ``specfun.lgamma_diff``).
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
 near the critical index j ~ b n r^{2b}.  It is one compensated double sum
@@ -37,37 +39,40 @@ double (e^u near its limit) is an AccuracyError too.
 
 One summation routine, ``_span_sums``, serves ``ln_mgf_exact`` (the span
 1..n) and ``split_sums`` (its four spans).  In each span only three kinds
-of rows are evaluated one by one: j <= 2000; the critical window, the
-rows with |j - j_c| <= W around j_c = b n r^{2b} - alpha or with a shape
-inside the P window; and eight rows at each end of each remaining range
-[A, B] of the span at least 4096 rows long.  On those ranges P is 1 or 0
-on every shift, the j-term f is a smooth function of real j (the kernel
-takes real j as it is), and the range is summed by Gregory's
-end-corrected trapezoid rule (Gregory 1670; Hildebrand, Introduction to
-Numerical Analysis, 5.9):
+of rows are evaluated one by one: the head j <= 128; the critical window,
+the rows with |j - j_c| <= W around j_c = b n r^{2b} - alpha or with a
+shape inside the P window; and eight rows at each end of each remaining
+range [A, B] of the span at least 4096 rows long.  On those ranges P is 1
+or 0 on every shift, the j-term f is a smooth function of real j (the
+kernel takes real j as it is; the argument is on ``_gregory_ranges``),
+and the range is summed by Gregory's end-corrected trapezoid rule
+(Gregory 1670; Hildebrand, Introduction to Numerical Analysis, 5.9):
 
     sum_{j=A}^{B} f_j = int_A^B f + (f_A + f_B)/2
                         + sum_{k=1}^{7} c_k (nabla^k f_B + (-1)^k Delta^k f_A),
 
 c_k = 1/12, 1/24, 19/720, 3/160, 863/60480, 275/24192, 33953/3628800, with
 the integral from ``quadrature.adaptive`` on 42 panels graded toward both
-ends.  W = max(40 sqrt(j_c), 2b 1e4^(-1/a) j_c): the second term keeps out
-of the ranges the rows whose k-sum conditioning exceeds about 1e4, whose
-rounding noise stalls the quadrature (40 sqrt(j_c) alone stalled it at
-a = 4, n = 2^20).  The P window matters only at large u and b, where it
-reaches past W (b = 3, u = 300 stalled the quadrature on P's transition
-otherwise).  The rows evaluated grow like sqrt(n) while the first
-term is the larger (at b = 1, r = 0.5 up to n of about 1.6e7 at a = 2,
-7e5 at a = 3 and 1.6e5 at a = 4) and like n after it, and no array grows
-with n.  On the 84 compare geometries at n = 2^17 and 2^20 the hybrid is
-within 3.1e-16, 8.8e-16, 1.9e-15, 1.1e-14, 1.4e-13 and 6.4e-13 of |ln E_n|
-from the row sum at a = 0..5, and no panel was bisected.  The
-quadrature's error estimate is not a bound, and no error is stated with
-the value.  A span with no Gregory range (every span at n too small for
-one) is summed row by row.  A row that cancels or overflows, or a
-quadrature that stalls, sends every span back to summing its rows, so the
-routine returns the row sums or raises the row sum's AccuracyError,
-naming the same j.
+ends.  W = 2b 1e4^(-1/a) j_c keeps out of the ranges the rows whose k-sum
+conditioning exceeds about 2^a 1e4, whose rounding noise stalls the
+quadrature; at a >= 2 W is at least 40 sqrt(j_c), since without that floor
+the noise of the rows just outside W put the hybrid more than 1e-13 of
+|ln E_n| from the row sum on 4 of 900 random configs at a = 3 (n <= 2^17).
+At a <= 1 the P window alone is the critical window.  The rows evaluated
+grow like sqrt(n) while the P window or the floor is the wider (at b = 1,
+r = 0.5 up to n of about 1.6e7 at a = 2, 7e5 at a = 3 and 1.6e5 at
+a = 4) and like n after it, and no array grows with n.  On the 84
+compare geometries at n = 2^14, 2^17 and 2^20 the hybrid is within
+3.2e-16, 1.9e-15, 9.0e-16, 7.1e-14, 1.3e-13 and 4.0e-13 of |ln E_n| from
+the row sum at a = 0..5.  The quadrature's error estimate is not a
+bound, and no error is stated with the value: near W the rows carry a
+rounding error of their own (against 40 digits, rms 1.2e-12 to 2.9e-10
+per row in the 300 rows past W at b = 0.5, a = 3 and 4), which the
+quadrature integrates with them.  A span with no Gregory range (every
+span at n < 4224) is summed row by row.  A row that cancels or
+overflows, or a quadrature that stalls, sends every span back to summing
+its rows, so the routine returns the row sums or raises the row sum's
+AccuracyError, naming the same j.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -75,6 +80,7 @@ index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -87,18 +93,19 @@ from .specfun import lgamma_diff, reg_lower_gamma, saturation_window
 # peak memory, independently of n.
 _CHUNK = 4096
 
-# A shape outside the saturation window for E = _TERM_EXPONENT + log1p(|cu|)
-# cannot change the factor 1 + cu P of its j-term (see _TermContext).
+# A shape below the saturation window for E = _TERM_EXPONENT, or above it
+# for E = _TERM_EXPONENT + log1p(|cu|), cannot change the factor 1 + cu P
+# of its j-term (see _TermContext).
 _TERM_EXPONENT = 40.0
 
 # The hybrid sum (module docstring): the rows j <= _HEAD, the window
-# |j - j_c| <= W, W = max(_WINDOW_SQRT sqrt(j_c), 2b _KAPPA^(-1/a) j_c), and
-# the P window one by one; a remaining range of at least _MIN_GREGORY_ROWS
-# rows (the measured break-even against its 630 quadrature nodes) by
-# Gregory's formula, its integral to _QUAD_RTOL per row and per unit of
-# max(1, |f_A|, |f_B|) on panels halving toward both ends over
-# _GRADE_LEVELS levels.
-_HEAD = 2000
+# |j - j_c| <= W, W = 2b _KAPPA^(-1/a) j_c and at a >= 2 at least
+# _WINDOW_SQRT sqrt(j_c), and the P window one by one; a remaining range of
+# at least _MIN_GREGORY_ROWS rows (the measured break-even against its 630
+# quadrature nodes) by Gregory's formula, its integral to _QUAD_RTOL per
+# row and per unit of max(1, |f_A|, |f_B|) on panels halving toward both
+# ends over _GRADE_LEVELS levels.  _HEAD is derived on _gregory_ranges.
+_HEAD = 128
 _WINDOW_SQRT = 40.0
 _KAPPA = 1e4
 _MIN_GREGORY_ROWS = 4096
@@ -148,24 +155,27 @@ class _TermContext:
 
     ``shifts`` is the column of the nonzero shifts k/(2b), k = 1..a.
     ``window`` holds the shape bounds (a_lo, a_hi) of specfun's
-    saturation_window at z for the exponent
+    saturation_window at z: a_lo for the exponent _TERM_EXPONENT = 40,
+    a_hi for
 
         E = _TERM_EXPONENT + log1p(|cu|),
 
     at most about 749.8, since e^u must not overflow.  Outside the window
-    a*(lambda - 1 - ln lambda) > E with lambda = z/a, and for every shape
-    the factor 1 + cu*P of a j-term is the same double for P from
-    reg_lower_gamma as for the constant the kernel writes:
+    a*(lambda - 1 - ln lambda), lambda = z/a, exceeds the exponent of its
+    side, and for every shape the factor 1 + cu*P of a j-term is the same
+    double for P from reg_lower_gamma as for the constant the kernel
+    writes:
 
     * Above the window (lambda < 1) the Chernoff bound gives
       P <= lambda^a e^(a - z) < e^-E, so |cu P| < e^-40 < 2^-54 (also for
       reg_lower_gamma's P, within 1e-12 relative of it): 1 + cu*P rounds
       to 1, which is 1 + cu*0.
-    * Below it (lambda > 1) reg_lower_gamma returns exactly 1.0.  For
-      shapes >= 1e3 its uniform expansion's P is
+    * Below it (lambda > 1) reg_lower_gamma returns exactly 1.0, so
+      1 + cu*P is 1 + cu*1 whatever cu is, and an exponent of 40 suffices.
+      For shapes >= 1e3 its uniform expansion's P is
       1 - erfc(eta sqrt(a/2))/2 - e^(-a eta^2/2) series/sqrt(2 pi a) with
-      a eta^2/2 > E >= 40: erfc(sqrt(E))/2 and the correction are both
-      below 2^-54, and past about 745.13 both underflow to 0.
+      a eta^2/2 > 40: erfc(sqrt(40))/2 and the correction are both below
+      2^-54, and past about 745.13 both underflow to 0.
       For shapes below 1e3 scipy's gammainc rounds 1 - Q, Q <= e^-40 by
       the same bound, to exactly 1.0 (tests/test_specfun.py,
       TestSaturationWindow, checks this across z and E).
@@ -191,7 +201,10 @@ class _TermContext:
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
         self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
         exponent = _TERM_EXPONENT + math.log1p(abs(self.cu))
-        self.window = saturation_window(self.z, exponent)
+        self.window = (
+            saturation_window(self.z, _TERM_EXPONENT)[0],
+            saturation_window(self.z, exponent)[1],
+        )
 
 
 def _row_error(j, total):
@@ -207,31 +220,49 @@ def _row_error(j, total):
     )
 
 
-def _p_sorted(at0, d, ctx):
+def _p_shifts(at0, ctx):
     """P(a, z) where it can change a j-term, for the shapes a = at0 + d of
-    the ascending array at0: a float where one value serves the whole
-    chunk, else an array.
+    every shift d of ctx.k_over_2b, at0 ascending: one float or array per
+    shift, a float where one value serves the whole chunk.
 
-    reg_lower_gamma runs only on the rows inside ctx.window; the rows below
-    it get 1 and those above it 0, which leaves 1 + cu*P as
-    reg_lower_gamma's value would (the rule on _TermContext).  With cu = 0
-    no row runs it.
+    The rows below ctx.window get 1 and those above it 0, which leaves
+    1 + cu*P as reg_lower_gamma's value would (the rule on _TermContext).
+    The shapes inside it repeat across rows and shifts (at b = 1 the shift
+    k = 2 of row j is the shift 0 of row j + 1), so reg_lower_gamma runs
+    once on the distinct ones; P is elementwise, so each value is the one a
+    call per shift gives, bit for bit.  With cu = 0 no row runs it.
     """
     if not ctx.cu:  # 1 + 0*P is 1 whatever P is
-        return 0.0
+        return [0.0] * len(ctx.k_over_2b)
     a_lo, a_hi = ctx.window
-    if at0[0] + d > a_hi:
-        return 0.0
-    if at0[-1] + d < a_lo:
-        return 1.0
-    a = at0 + d
-    lo = int(np.searchsorted(a, a_lo))
-    hi = int(np.searchsorted(a, a_hi, side="right"))
-    out = np.zeros_like(a)  # the rows from hi on
-    out[:lo] = 1.0
-    if hi > lo:
-        out[lo:hi] = reg_lower_gamma(a[lo:hi], ctx.z)
-    return out
+    ps, live = [], []
+    for d in ctx.k_over_2b:
+        if at0[0] + d > a_hi:
+            ps.append(0.0)
+        elif at0[-1] + d < a_lo:
+            ps.append(1.0)
+        else:
+            a = at0 + d
+            lo = int(np.searchsorted(a, a_lo))
+            hi = int(np.searchsorted(a, a_hi, side="right"))
+            out = np.zeros_like(a)  # the rows from hi on
+            out[:lo] = 1.0
+            ps.append(out)
+            if hi > lo:
+                live.append((out[lo:hi], a[lo:hi]))
+    if len(live) == 1:
+        view, shapes = live[0]
+        view[:] = reg_lower_gamma(shapes, ctx.z)
+    elif live:
+        shapes, inverse = np.unique(
+            np.concatenate([shapes for _, shapes in live]), return_inverse=True
+        )
+        values = reg_lower_gamma(shapes, ctx.z)[inverse]
+        start = 0
+        for view, _ in live:
+            view[:] = values[start:start + view.size]
+            start += view.size
+    return ps
 
 
 def _log_terms(ctx, j):
@@ -255,11 +286,11 @@ def _log_terms(ctx, j):
     # its row; the log of a row that is not finite and positive is not
     # finite, which the check below reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, d in enumerate(ctx.k_over_2b):
+        for k, pk in enumerate(_p_shifts(at0, ctx)):
             term = ctx.binom[k] * ctx.r_pow[k]
             if k:
                 term = term * np.exp(gs[k - 1])
-            terms.append(term * (1.0 + ctx.cu * _p_sorted(at0, d, ctx)))
+            terms.append(term * (1.0 + ctx.cu * pk))
         total = terms[0]
         comp = 0.0
         for t in terms[1:]:
@@ -283,13 +314,32 @@ def _gregory_ranges(ctx, lo, hi):
     """The row ranges [A, B] inside the span lo..hi that are summed by
     Gregory's formula: past the head of _HEAD rows, below and above the
     critical window |j - j_c| <= W and the rows with a shape inside
-    ctx.window (P is 1 or 0 on every shift of a range's rows), each at
-    least _MIN_GREGORY_ROWS long."""
+    ctx.window, each at least _MIN_GREGORY_ROWS long.
+
+    On these rows P is exactly 1 or 0 on every shift, so
+    f(j) = ln(1 + cu P) + ln(sum_k C(a,k) (-r)^(a-k) n^(-k/2b)
+    Gamma(x + k/2b)/Gamma(x)), x = (j + alpha)/b, is smooth in real j.  Its
+    sum behaves like (t - r)^a, t = (x/n)^(1/2b) (1 + O(1/x)), which
+    vanishes at j_c, so f ~ a ln|j - j_c| there, and its k-th derivative
+    at distance d from j_c is about a (k-1)!/d^k.  Outside the P window
+    d >= b sqrt(80 z), about 9 sqrt(j_c) at b = 1, and Gregory's remainder,
+    about c_8 f^(8) = c_8 a 7!/d^8 with c_8 = 8183/1036800, is 9e-15 a at
+    j_c = 100 and below 1e-18 a from j_c = 1000 on.  Near the head the
+    shapes are small instead: the k-th derivative of the log-gamma ratios
+    is about (a/2b) (k-1)!/(j + alpha)^k, so the remainder at
+    A = _HEAD + 1 is about c_8 (a/2b) 7!/(128 + alpha)^8 <= 5.9e-16 a/2b
+    (alpha > -1), against a quadrature tolerance of 1e-13 per row; a head
+    of 64 would allow 1.6e-13 a/2b.  c_8 times the eighth differences of
+    40-digit j-terms at A = 129, alpha = -0.95 measured at most 7e-17 for
+    b from 0.25 to 5, a <= 6 and r up to 0.999 of the edge.
+    """
     p = ctx.params
     j_c = p.b * ctx.z - p.alpha
-    width = _WINDOW_SQRT * math.sqrt(max(j_c, 0.0))
+    width = 0.0
     if p.a:
-        width = max(width, 2.0 * p.b * _KAPPA ** (-1.0 / p.a) * j_c)
+        width = 2.0 * p.b * _KAPPA ** (-1.0 / p.a) * max(j_c, 0.0)
+    if p.a >= 2:
+        width = max(width, _WINDOW_SQRT * math.sqrt(max(j_c, 0.0)))
     a_lo, a_hi = ctx.window  # shapes (j + alpha)/b + k/(2b), k = 0..a
     below = min(j_c - width, p.b * a_lo - p.alpha - 0.5 * p.a)
     above = max(j_c + width, p.b * a_hi - p.alpha)
@@ -300,24 +350,19 @@ def _gregory_ranges(ctx, lo, hi):
     return [(A, B) for A, B in bounds if B - A + 1 >= _MIN_GREGORY_ROWS]
 
 
-def _row_chunks(ctx, lo, hi):
-    """The j-terms of the rows lo..hi in ascending j, one array per chunk
-    of at most _CHUNK rows."""
-    for start in range(lo, hi + 1, _CHUNK):
-        yield _log_terms(ctx, np.arange(start, min(start + _CHUNK - 1, hi) + 1, dtype=float))
-
-
 def _rows(ctx, lo, hi):
-    """The j-terms of the rows lo..hi as Python floats, which fsum reads
-    far faster than numpy scalars."""
-    for chunk in _row_chunks(ctx, lo, hi):
-        yield from chunk.tolist()
+    """The j-terms of the rows lo..hi in ascending j, one list of Python
+    floats (which fsum reads far faster than numpy scalars) per chunk of
+    at most _CHUNK rows."""
+    for start in range(lo, hi + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK - 1, hi) + 1, dtype=float)
+        yield _log_terms(ctx, j).tolist()
 
 
 def _summands(ctx, lo, hi, ranges):
-    """Floats whose sum is sum_{j=lo}^{hi} f_j: every row of lo..hi outside
-    the ranges one by one, in ascending j, then for each range [A, B] of
-    ``ranges``
+    """Lists of floats whose sum is sum_{j=lo}^{hi} f_j: every row of
+    lo..hi outside the ranges one by one, in ascending j, one list per
+    chunk, then one list for each range [A, B] of ``ranges``:
 
         sum_{j=A}^{B} f_j = int_A^B f + (f_A + f_B)/2
                             + sum_k c_k (nabla^k f_B + (-1)^k Delta^k f_A),
@@ -329,7 +374,10 @@ def _summands(ctx, lo, hi, ranges):
     row = lo
     for A, B in ranges:
         yield from _rows(ctx, row, A - 1)
-        ends.append((list(_rows(ctx, A, A + order)), list(_rows(ctx, B - order, B))))
+        ends.append(
+            (_log_terms(ctx, np.arange(A, A + order + 1, dtype=float)),
+             _log_terms(ctx, np.arange(B - order, B + 1, dtype=float)))
+        )
         row = B + 1
     yield from _rows(ctx, row, hi)
 
@@ -338,34 +386,32 @@ def _summands(ctx, lo, hi, ranges):
 
     # panels halve toward both ends of a range, over _GRADE_LEVELS levels
     grades = [0.5**k for k in range(_GRADE_LEVELS, 0, -1)]
-    for (A, B), (first, last) in zip(ranges, ends):
+    for (A, B), (forward, backward) in zip(ranges, ends):
         half = 0.5 * (B - A)
         edges = (
             [A] + [A + half * g for g in grades] + [A + half]
             + [B - half * g for g in reversed(grades)] + [B]
         )
-        f_A, f_B = first[0], last[-1]
+        f_A, f_B = float(forward[0]), float(backward[-1])
         tol = _QUAD_RTOL * (B - A) * max(1.0, abs(f_A), abs(f_B))
-        yield adaptive(f, edges, tol)[0]
-        yield 0.5 * f_A
-        yield 0.5 * f_B
-        forward, backward = np.array(first), np.array(last)
+        parts = [adaptive(f, edges, tol)[0], 0.5 * f_A, 0.5 * f_B]
         for k, c in enumerate(_GREGORY, start=1):
             forward, backward = np.diff(forward), np.diff(backward)
-            yield c * float(backward[-1])
-            yield c * (-1) ** k * float(forward[0])
+            parts += [c * float(backward[-1]), c * (-1) ** k * float(forward[0])]
+        yield parts
 
 
 def _span_sums(params, n, spans):
     """sum_{j=lo}^{hi} f_j for each span (lo, hi) of ``spans``, ascending
     and together within 1..n.
 
-    Each span is the math.fsum of its _summands, with Gregory's formula on
-    the ranges that _gregory_ranges finds inside it.  A row that cancels
-    or overflows, or a stalled quadrature, in any span sends every span
-    back to summing its rows one by one, in ascending j: that gives the
-    row sums, or the error of the first bad row, which a Gregory range may
-    have skipped.  Where no span has a range the rows were summed one by
+    Each span is one math.fsum over the lists of its _summands, with
+    Gregory's formula on the ranges that _gregory_ranges finds inside it.
+    fsum rounds the exact sum once, so feeding it a list at a time changes
+    no bit of the result.  A row that cancels or overflows, or a stalled
+    quadrature, in any span sends every span back to summing its rows one
+    by one, in ascending j: that gives the row sums, or the error of the
+    first bad row, which a Gregory range may have skipped.  Where no span has a range the rows were summed one by
     one already, and the error is raised as it is.
     """
     if params.a == 0 and params.u == 0.0:  # every factor is exactly 1
@@ -373,11 +419,14 @@ def _span_sums(params, n, spans):
     ctx = _TermContext(params, n)
     ranges = [_gregory_ranges(ctx, lo, hi) for lo, hi in spans]
     try:
-        return [math.fsum(_summands(ctx, lo, hi, r)) for (lo, hi), r in zip(spans, ranges)]
+        return [
+            math.fsum(chain.from_iterable(_summands(ctx, lo, hi, r)))
+            for (lo, hi), r in zip(spans, ranges)
+        ]
     except AccuracyError:
         if not any(ranges):
             raise
-    return [math.fsum(_rows(ctx, lo, hi)) for lo, hi in spans]
+    return [math.fsum(chain.from_iterable(_rows(ctx, lo, hi))) for lo, hi in spans]
 
 
 def ln_mgf_exact(params, n):
@@ -387,19 +436,20 @@ def ln_mgf_exact(params, n):
     large enough for a Gregory range (past _HEAD rows and the critical
     window, at least _MIN_GREGORY_ROWS long) the rows outside the window
     are summed by Gregory's formula (the module docstring); on the compare
-    geometries that value is within 1.1e-14 of |ln E_n| from the row sum
-    at a <= 3, 1.4e-13 at a = 4 and 6.4e-13 at a = 5.
+    geometries at n = 2^14, 2^17 and 2^20 that value is within 7.1e-14 of
+    |ln E_n| from the row sum at a <= 3, 1.3e-13 at a = 4 and 4.0e-13 at
+    a = 5.
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
     evaluated only in the window where it can change a term (the rule on
-    _TermContext); the per-term values are those of evaluating P on every
-    row, bit for bit.
-    The total is math.fsum of the summands, which rounds their exact sum
-    once, so the chunks change no bit of it.  A u with e^u beyond the
-    double range (u > 709.78) is a DomainError.  No accuracy is certified:
-    on 50-digit references the error is 1.66e-2 at a = 4, n = 2**17, and
-    below 1e-10 for a <= 3 (n <= 256; n = 2**14 at a = 1).  A j-term whose
-    inner sum comes out nonpositive or not finite raises AccuracyError
-    naming its j.
+    _TermContext), once per distinct shape of a chunk; the per-term values
+    are those of evaluating P on every row, bit for bit.
+    The total is one math.fsum over the summands, which rounds their exact
+    sum once, so neither the chunks nor the order change a bit of it.  A u
+    with e^u beyond the double range (u > 709.78) is a DomainError.  No
+    accuracy is certified: on 50-digit references the error is 1.66e-2 at
+    a = 4, n = 2**17, and below 1e-10 for a <= 3 (n <= 256; n = 2**14 at
+    a = 1).  A j-term whose inner sum comes out nonpositive or not finite
+    raises AccuracyError naming its j.
     """
     check_size(params, n)
     (total,) = _span_sums(params, n, [(1, n)])
@@ -436,7 +486,7 @@ def split_sums(params, n, eps, m_prime):
     Each of the four ranges is summed as ln_mgf_exact sums 1..n
     (_span_sums), with Gregory's formula on the saturated rows inside it,
     so work and memory grow like sqrt(n), as ln_mgf_exact's do.  Where no
-    Gregory range fits in any of the four (every n below 6096) the
+    Gregory range fits in any of the four (every n below 4224) the
     total is within a few ulps of ln_mgf_exact's row sum; elsewhere each
     S_i agrees with its row sum as ln_mgf_exact does.  A row that cancels
     or overflows raises ln_mgf_exact's AccuracyError.

@@ -3,13 +3,13 @@
 import math
 import time
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy.optimize import brentq
 
 from mlcp import exact_mgf, specfun
 from mlcp.errors import AccuracyError, DomainError, RangeError
@@ -17,7 +17,7 @@ from mlcp.exact_mgf import (
     _CHUNK,
     _gregory_ranges,
     _log_terms,
-    _row_chunks,
+    _rows,
     _summands,
     _TermContext,
     default_window_width,
@@ -50,8 +50,8 @@ def _row_sum(params, n):
     """ln E_n as the row sum, every j-term evaluated one by one in the
     kernel's chunks of _CHUNK rows, and the array of the n j-terms in
     ascending j (the summation order)."""
-    terms = np.concatenate(list(_row_chunks(_TermContext(params, n), 1, n)))
-    return math.fsum(terms.tolist()), terms
+    chunks = list(_rows(_TermContext(params, n), 1, n))
+    return math.fsum(chain.from_iterable(chunks)), np.concatenate(chunks)
 
 
 # ln E_n through each caller of the exact summation routine
@@ -259,6 +259,24 @@ def _counting(monkeypatch, *names):
     return seen
 
 
+def _distinct_live_shapes(params, n):
+    """The number of P values the kernel needs on the rows 1..n: per chunk
+    of _CHUNK rows, the distinct shapes (j + alpha)/b + k/(2b) of all
+    shifts inside the window, from saturation_window at E = 40 below and
+    E = 40 + log1p(|cu|) above."""
+    z = n * params.r ** (2.0 * params.b)
+    cu = (-1.0 if params.a % 2 else 1.0) * math.exp(params.u) - 1.0
+    a_lo = saturation_window(z, 40.0)[0]
+    a_hi = saturation_window(z, 40.0 + math.log1p(abs(cu)))[1]
+    shifts = np.arange(params.a + 1).reshape(-1, 1) / (2.0 * params.b)
+    count = 0
+    for start in range(1, n + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK - 1, n) + 1, dtype=float)
+        shapes = (j + params.alpha) / params.b + shifts
+        count += np.unique(shapes[(a_lo <= shapes) & (shapes <= a_hi)]).size
+    return count
+
+
 def _check_window_case(monkeypatch, b, alpha, a, n, u=0.7):
     params, boundary = _window_case(b, alpha, a, n, u)
     res = _outcome(params, n)
@@ -299,21 +317,13 @@ class TestLiveWindow:
         assert res == _outcome(params, n)
 
     def test_work_counts_at_2_20(self, monkeypatch):
-        # P only on the window where it can change a term, E = 40 +
-        # log1p(|cu|) wide in the exponent, and lgamma_diff on no row of
-        # the zero shift
+        # P once per distinct shape of a chunk inside the window, whose
+        # lower side is E = 40 and upper side E = 40 + log1p(|cu|) wide in
+        # the exponent, and lgamma_diff on no row of the zero shift
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
         seen = _counting(monkeypatch, "reg_lower_gamma", "lgamma_diff")
         _row_sum(params, n)
-        z = n * params.r**2
-        limit = 40.0 + math.log1p(math.exp(params.u) - 1.0)
-
-        def excess(a):
-            return z - a + a * math.log(a / z) - limit
-
-        width = brentq(excess, z + 1.0, 2.0 * z) - brentq(excess, 1.0, z - 1.0)
-        shifts = params.a + 1
-        assert seen["reg_lower_gamma"] <= 1.01 * shifts * width
+        assert seen["reg_lower_gamma"] == _distinct_live_shapes(params, n)
         assert seen["lgamma_diff"] == params.a * n
 
     def test_stirling_terms_at_2_20(self, monkeypatch, stirling_terms):
@@ -339,18 +349,18 @@ class TestLiveWindow:
         assert runs[:4] == [5, 3, 3, 3] and set(runs[4:]) == {2}
 
     def test_no_p_above_the_window_below_1e3(self, monkeypatch):
-        # z = 64: only the shapes inside the window, about 4.1 to 151, run
-        # scipy; those below it get P = 1 and those above it P = 0,
-        # though all are below 1e3
+        # z = 64: only the shapes inside the window, about 4.5 to 151, run
+        # scipy, each distinct one once (the half-integers 5..151); those
+        # below it get P = 1 and those above it P = 0, though all are below
+        # 1e3
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 256
         a_lo, a_hi = _TermContext(params, n).window
         assert 0.0 < a_lo and a_hi < 160.0
         seen = _counting(monkeypatch, "reg_lower_gamma")
         res = _outcome(params, n)
         shapes = np.arange(1, n + 1) + np.array([[0.0], [0.5], [1.0], [1.5], [2.0]])
-        assert seen["reg_lower_gamma"] == np.count_nonzero(
-            (a_lo <= shapes) & (shapes <= a_hi)
-        )
+        live = shapes[(a_lo <= shapes) & (shapes <= a_hi)]
+        assert seen["reg_lower_gamma"] == np.unique(live).size == 293
         _reference_kernel(monkeypatch)
         assert res == _outcome(params, n)
 
@@ -362,13 +372,57 @@ class TestLiveWindow:
         params, n = Params(1.0, 0.0, 0.05, u, 1), 4096
         ctx = _TermContext(params, n)
         exponent = 40.0 + math.log1p(abs(ctx.cu))
-        assert ctx.window == saturation_window(ctx.z, exponent)
+        assert ctx.window[1] == saturation_window(ctx.z, exponent)[1]
         assert ctx.window[1] < LARGE_A_THRESHOLD
         seen = _counting(monkeypatch, "reg_lower_gamma")
         res = _outcome(params, n)
         assert 0 < seen["reg_lower_gamma"] < n
         _reference_kernel(monkeypatch)
         assert res == _outcome(params, n)
+
+    def test_lower_side_at_40_at_u_708(self, monkeypatch):
+        # P = 1 needs only reg_lower_gamma's exact 1.0, which holds from
+        # E = 40 whatever cu is: at z = 32768 the window reaches 1,606 below
+        # z, not the 6,757 of E = 40 + log1p(|cu|) = 748
+        params, n = Params(1.0, 0.0, 0.5, 708.0, 1), 2**17
+        ctx = _TermContext(params, n)
+        a_lo, a_hi = ctx.window
+        assert a_lo == saturation_window(ctx.z, 40.0)[0]
+        assert 1605 < ctx.z - a_lo < 1606 < 6756
+        assert ctx.z - saturation_window(ctx.z, 748.0)[0] > 6756
+        seen = _counting(monkeypatch, "reg_lower_gamma")
+        res = _outcome(params, n)
+        assert seen["reg_lower_gamma"] == _distinct_live_shapes(params, n)
+        _reference_kernel(monkeypatch)
+        assert res == _outcome(params, n)
+
+    @pytest.mark.parametrize("b", [1.0, 1.5, 2.0, 3.0])
+    def test_one_p_per_distinct_shape(self, monkeypatch, b):
+        # one reg_lower_gamma call per chunk, on the distinct shapes of all
+        # shifts inside the window; each shift gets the values of P on its
+        # own shapes, bit for bit.  At b = 1 and 2 the shift k = 2b of row
+        # j is the shift 0 of row j + 1 in doubles too
+        params, _ = _window_case(b, 0.0, 4, 4097)
+        ctx = _TermContext(params, 4097)
+        at0 = (np.arange(1.0, _CHUNK + 1) + params.alpha) / params.b
+        sizes = []
+        real = exact_mgf.reg_lower_gamma
+
+        def counted(a, z):
+            sizes.append(a.size)
+            return real(a, z)
+
+        monkeypatch.setattr(exact_mgf, "reg_lower_gamma", counted)
+        ps = exact_mgf._p_shifts(at0, ctx)
+        a_lo, a_hi = ctx.window
+        shapes = [at0 + d for d in ctx.k_over_2b]
+        live = np.concatenate([a[(a_lo <= a) & (a <= a_hi)] for a in shapes])
+        assert sizes == [np.unique(live).size]
+        if b in (1.0, 2.0):
+            assert 2 * sizes[0] < live.size
+        for a, p in zip(shapes, ps):
+            expected = np.where(a < a_lo, 1.0, np.where(a > a_hi, 0.0, real(a, ctx.z)))
+            assert np.broadcast_to(p, a.shape).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("a, n", [(2, 300), (2, 4097), (4, 2**17)])
     def test_no_p_when_cu_is_zero(self, monkeypatch, a, n):
@@ -495,21 +549,54 @@ class TestGregoryRanges:
             value = route(params, n)
         return seen, value
 
+    @staticmethod
+    def _expected_rows(params, n, spans):
+        """The rows summed one by one in the spans: the head j <= 128, the
+        window around j_c, and eight rows at each end of each remaining
+        range of at least 4096 rows.  At a = 1 the window is the larger of
+        |j - j_c| <= 2b 1e-4 j_c and the rows with a shape inside the P
+        window (E = 40 below, 40 + log1p(|cu|) above)."""
+        z = n * params.r ** (2.0 * params.b)
+        j_c = params.b * z - params.alpha
+        width = 2.0 * params.b * 1e-4 * j_c
+        cu = -math.exp(params.u) - 1.0
+        a_lo = saturation_window(z, 40.0)[0]
+        a_hi = saturation_window(z, 40.0 + math.log1p(abs(cu)))[1]
+        below = min(j_c - width, params.b * a_lo - params.alpha - 0.5)
+        above = max(j_c + width, params.b * a_hi - params.alpha)
+        rows = 0
+        for lo, hi in spans:
+            rows += hi - lo + 1
+            for A, B in (
+                (max(lo, 129), min(hi, math.ceil(below) - 1)),
+                (max(lo, 129, math.floor(above) + 1), hi),
+            ):
+                if B - A + 1 >= 4096:
+                    rows -= B - A + 1 - 16
+        return rows
+
     def test_work_grows_like_sqrt_n(self, monkeypatch):
-        # b = 1, a = 1: W = 40 sqrt(j_c); the head, the window, eight rows
-        # at each end of the two ranges, and 42 panels of 15 nodes each.
-        # split_sums' ranges j_minus..j_plus lie inside the window, so it
-        # finds the same two Gregory ranges
+        # b = 1, a = 1: the window is the P window, about 9 sqrt(j_c) to
+        # each side; the head, the window, eight rows at each end of each
+        # range, and 42 panels of 15 nodes per range.  split_sums' window
+        # span j_minus..j_plus reaches past the P window, so its rows there
+        # are summed one by one, and at 2**20 it holds two ranges more
         params = Params(1.0, 0.0, 0.5, 0.7, 1)
         for route in ROUTES:
             work = []
             for n in (2**18, 2**20):
                 seen, _ = self._work(monkeypatch, route, params, n)
-                j_c = n * params.r**2
-                width = 40.0 * math.sqrt(j_c)
-                window = math.floor(j_c + width) - math.ceil(j_c - width) + 1
-                assert seen["rows"] == 2000 + window + 2 * 2 * 8
-                assert seen["nodes"] == 2 * 42 * 15  # no panel bisected
+                if route is ROUTES[0]:
+                    spans, ranges = [(1, n)], 2
+                else:
+                    split = split_sums(params, n, 0.05, 10)
+                    spans = [
+                        (1, 10), (11, split.j_minus - 1), (split.j_minus, split.j_plus),
+                        (split.j_plus + 1, n),
+                    ]
+                    ranges = 2 if n == 2**18 else 4
+                assert seen["rows"] == self._expected_rows(params, n, spans)
+                assert seen["nodes"] == ranges * 42 * 15  # no panel bisected
                 work.append(seen["rows"] + seen["nodes"])
             assert work[1] < 2.1 * work[0]  # x4 in n, about x2 in work
             assert work[1] < 0.05 * 2**20
@@ -549,9 +636,56 @@ class TestGregoryRanges:
         monkeypatch.setattr(exact_mgf, "_log_terms", lambda ctx, j: np.sqrt(j) + 1e4 / j)
         n = 10**6
         ctx = _TermContext(Params(1.0, 0.0, 0.5, 0.7, 1), n)
-        got = math.fsum(_summands(ctx, 1, n, [(3000, 900_000)]))
+        got = math.fsum(chain.from_iterable(_summands(ctx, 1, n, [(3000, 900_000)])))
         j = np.arange(1, n + 1, dtype=float)
         assert got == pytest.approx(math.fsum((np.sqrt(j) + 1e4 / j).tolist()), rel=1e-15)
+
+    def test_chunk_feed_is_the_per_float_feed(self):
+        # one fsum over the chained lists of _summands is the fsum of the
+        # same floats handed over one at a time, in any order
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 1), 2**17
+        ctx = _TermContext(params, n)
+        floats = [x for part in _summands(ctx, 1, n, _gregory_ranges(ctx, 1, n)) for x in part]
+        total = ln_mgf_exact(params, n).ln_mgf
+        assert total == math.fsum(iter(floats)) == math.fsum(reversed(floats))
+
+    def test_head_boundary_at_b_5(self):
+        # the lower range starts right after the head, at the shape
+        # (129 - 0.95)/5 = 25.6; Gregory's remainder there is about
+        # c_8 (a/2b) 7!/(128 + alpha)^8 = 1.8e-16 for a = 3
+        params, n = Params(5.0, -0.95, 0.95 * 5.0**-0.1, 0.7, 3), 2**14
+        assert _gregory_ranges(_TermContext(params, n), 1, n)[0][0] == exact_mgf._HEAD + 1
+        rows = _row_sum(params, n)[0]
+        assert abs(ln_mgf_exact(params, n).ln_mgf - rows) <= 1e-13 * abs(rows)
+
+    @pytest.mark.parametrize("a", [3, 4])
+    def test_window_edge_range_against_40_digits(self, monkeypatch, a):
+        # the 300 rows from the window edge up, where P is 0 on every
+        # shift: Gregory's sum of them differs from their row sum by under
+        # a quarter of the row sum's own error against 40 digits.  The
+        # rows' rounding noise here is above 1e-13 per row, so the
+        # quadrature gets 1e-10 per row on this short range
+        params, n = Params(0.5, 0.5, 1.0, 2.5, a), 2**17
+        ctx = _TermContext(params, n)
+        lo = _gregory_ranges(ctx, 1, n)[1][0]
+        hi = lo + 299
+        assert (lo + params.alpha) / params.b > ctx.window[1]
+        monkeypatch.setattr(exact_mgf, "_QUAD_RTOL", 1e-10)
+        gregory = math.fsum(chain.from_iterable(_summands(ctx, lo, hi, [(lo, hi)])))
+        rows = math.fsum(chain.from_iterable(_rows(ctx, lo, hi)))
+        with mp.workdps(40):
+            n_mp, b, r = mp.mpf(n), mp.mpf(params.b), mp.mpf(params.r)
+            exact = mp.mpf(0)
+            for j in range(lo, hi + 1):
+                at0 = (j + mp.mpf(params.alpha)) / b
+                exact += mp.log(sum(
+                    mp.binomial(a, k) * (-r) ** (a - k)
+                    * mp.exp(mp.loggamma(at0 + k / (2 * b)) - mp.loggamma(at0)
+                             - k / (2 * b) * mp.log(n_mp))
+                    for k in range(a + 1)
+                ))
+            row_error = abs(float(rows - exact))
+        assert abs(gregory - rows) < 0.25 * row_error < 1e-8
 
     @pytest.mark.parametrize("params, n", NONPOSITIVE_CASES)
     def test_nonpositive_row_as_on_the_row_path(self, params, n):
