@@ -207,6 +207,9 @@ def _c3_integrand(y, prof):
     a, b = prof.a, prof.b
     parts = _parts(y, prof)
     g0 = _mix(prof.p0, prof.q0, parts)
+    bad = ~(g0 > 0.0)
+    if np.any(bad):
+        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
     combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
     linear = np.zeros_like(y)
     nonzero = y != 0.0

@@ -8,16 +8,17 @@ across j = 1..n.  Sampling those gamma variates gives unbiased estimates of
 
 accumulated in log space with a max shift so no weight overflows.
 
-Streams are derived per modulus index j from a counter-based Philox
-generator (seed spawn key (j,)), so the estimate is a pure function of
-(seed, samples, params, n).  The draws run on every usable core as a
-pipeline: each worker thread builds and owns the streams of one contiguous
-group of indices j and walks the samples in rounds of 8192.  It adds its
-terms into a round's log weights once the group before it has added
-theirs, while that group goes on to the next round.  Every sample thus
-receives the same additions in the same order as in a serial loop over j,
-and a stream drawn in pieces yields the same variates as one draw, so the
-result is bit-identical for any core count.
+Streams are SFC64 substreams, one per modulus index j, all from the same
+SeedSequence spawn keys (entropy seed, spawn key (j,)), so the estimate is
+a pure function of (seed, samples, params, n).  Versions that drew Philox
+substreams give other values for the same seed.  The draws run on every
+usable core as a pipeline: each worker thread builds and owns the streams
+of one contiguous group of indices j and walks the samples in rounds of
+8192.  It adds its terms into a round's log weights once the group before
+it has added theirs, while that group goes on to the next round.  Every
+sample thus receives the same additions in the same order as in a serial
+loop over j, and a stream drawn in pieces yields the same variates as one
+draw, so the result is bit-identical for any core count.
 """
 
 import math
@@ -55,9 +56,11 @@ class MCResult:
 
 
 def _generator(seed, j=None):
+    """The SFC64 substream of index j (spawn key (j,)), or the unsplit
+    seed stream for j = None, from SeedSequence(entropy=seed)."""
     key = (j,) if j is not None else ()
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _shapes(params, n):
@@ -97,9 +100,10 @@ def sample_moduli(params, n, seed):
     R_j = (G_j / n)^{1/(2b)} with G_j ~ Gamma((j+alpha)/b).  numpy's
     standard_gamma supplies the variates (squeeze/accept for shape >= 1,
     with the U^{1/s} boost below shape 1), which covers every alpha > -1.
-    The draw comes from the unsplit seed stream, not from the per-j
-    substreams of ``mc_ln_mgf``, so its moduli are unrelated to any sample
-    of ``mc_ln_mgf`` with the same seed.
+    The draw comes from the unsplit SFC64 seed stream (same SeedSequence,
+    no spawn key), not from the per-j SFC64 substreams of ``mc_ln_mgf``,
+    so its moduli are unrelated to any sample of ``mc_ln_mgf`` with the
+    same seed.
     """
     _check_args(params, n, seed)
     rng = _generator(seed)
@@ -145,10 +149,11 @@ def _stage(seed, shapes, lo, hi, params, n, log_w, ready, done):
                         radii -= r
                         np.abs(radii, out=radii)
                         np.log(radii, out=radii)
-                        radii *= a
+                        if a != 1:  # x * 1.0 is x, bit for bit
+                            radii *= a
                         chunk += radii
                     if u:
-                        chunk += u * inside
+                        np.add(chunk, u, out=chunk, where=inside)
                 if done is not None:
                     done.put(True)
         finished = True

@@ -227,6 +227,22 @@ class TestCompare:
         res = [abs(r["residual"]) for r in payload["rows"]]
         assert res[-1] < res[0]
 
+    @pytest.mark.parametrize("u", [-40.0, -100.0])
+    def test_vanishing_g0_exit_3_without_warning(self, tmp_path, capsys, u):
+        # g0 underflows to 0 in C3's core: one record naming y, no division
+        # by zero and no NaN error estimate
+        cfg = write_config(tmp_path, n_list=[64], params={"u": u, "a": 0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", "--config", cfg]) == 3
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == "AccuracyError"
+        assert record["message"].startswith("g0 nonpositive at y=-7.98")
+
     def test_csv_columns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[16, 32, 64], params={"u": 0.5, "a": 1})
         assert main(["compare", "--config", cfg]) == 0

@@ -63,6 +63,36 @@ class TestModuliLaw:
         assert hits >= 99
 
 
+class TestGenerator:
+    """The substream contract: SFC64 bit generators whose standard_gamma
+    follows Gamma(s), one uncorrelated stream per spawn key.  The gamma CDF
+    is scipy.special.gammainc, which scipy.stats.gamma(s).cdf evaluates, and
+    the KS p-value is the limiting Kolmogorov law; importing scipy.stats
+    alone would take longer than these tests."""
+
+    N = 20000
+
+    def test_bit_generator_is_sfc64(self):
+        for j in (None, 1, 7):
+            assert isinstance(sampler._generator(3, j).bit_generator, np.random.SFC64)
+
+    @pytest.mark.parametrize("shape", [0.1, 1.0, 7.5, 100.0, 1e4])
+    def test_gamma_law(self, shape):
+        from scipy.special import gammainc, kolmogorov
+
+        g = np.sort(sampler._generator(41, 3).standard_gamma(shape, self.N))
+        cdf = gammainc(shape, g)
+        k = np.arange(1, self.N + 1) / self.N
+        d = max(float(np.max(k - cdf)), float(np.max(cdf - (k - 1.0 / self.N))))
+        assert kolmogorov(math.sqrt(self.N) * d) > 1e-3
+
+    def test_spawn_keys_uncorrelated(self):
+        x = sampler._generator(41, 1).standard_gamma(1.0, self.N)
+        y = sampler._generator(41, 2).standard_gamma(1.0, self.N)
+        rho = float(np.corrcoef(x, y)[0, 1])
+        assert abs(rho) < 5.0 / math.sqrt(self.N)
+
+
 class TestMcLnMgf:
     def test_null_weight(self):
         res = mc_ln_mgf(GINIBRE, 10, 1000, seed=3)
@@ -164,6 +194,11 @@ class TestThreadedRounds:
             (Params(2.0, -0.5, 0.6, -0.7, 2), 1, 3000),
             (Params(2.0, -0.5, 0.6, -0.7, 2), 2, 3000),
             (Params(0.5, 0.5, 1.0, 0.3, 1), 300, 7000),
+            # a = 1 skips the multiply by a; u < 0 adds u only inside r
+            (Params(1.0, 0.0, 0.5, -0.8, 1), 10, 9000),
+            (Params(1.0, 0.0, 0.5, -1.2, 0), 12, 5000),
+            # a = 3 keeps the multiply
+            (Params(1.0, 0.0, 0.6, 0.0, 3), 12, 5000),
         ],
     )
     def test_bit_identical_to_serial_loop(self, monkeypatch, cores, params, n, samples):
