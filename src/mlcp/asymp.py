@@ -172,21 +172,18 @@ def eval_G(y, params):
     )
 
 
-def _psi2(y, prof, parts=None):
-    """C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y != 0, by one
-    formula on the whole line.  With t = sqrt2 |y| and w = 1/t^2,
+def _finite(name, y, values):
+    """values, or AccuracyError naming the first y where they are not
+    finite: an integrand that overflowed a double."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise AccuracyError(f"{name} integrand not finite at y={y[bad][0]}")
+    return values
 
-      psi2 = log1p(p0(t)/t^a - 1) + log1p(side (e^u - (-1)^a) small),
-      small = erfc(|y|)/2 - exp(-y^2) q0(t) / (sqrt(2 pi) p0(t)),
 
-    side = (-1)^a for y > 0 and -e^-u for y < 0.  p0(t)/t^a - 1 is the
-    polynomial tail_ratio in w, so ln p0(t) - a ln t, which cancels at
-    large t (and the tail map multiplies that error by y^2), is never
-    formed by subtraction.  The second argument is at most -1 exactly where
-    g0 <= 0, which raises AccuracyError.  A caller that holds _parts(y)
-    passes them.
-    """
-    _, _, gauss, half = _parts(y, prof) if parts is None else parts
+def _psi2_terms(y, prof, parts):
+    # _psi2's formula, with no check that its values are finite
+    _, _, gauss, half = parts
     t = _SQRT2 * np.abs(y)
     ratio = horner(prof.tail_ratio, 1.0 / (t * t))
     small = prof.cu_e * half - gauss * (horner(prof.q0, t) / horner(prof.p0, t))
@@ -197,25 +194,47 @@ def _psi2(y, prof, parts=None):
     return np.log1p(ratio) + np.log1p(corr)
 
 
+def _psi2(y, prof):
+    """C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y != 0, by one
+    formula on the whole line.  With t = sqrt2 |y| and w = 1/t^2,
+
+      psi2 = log1p(p0(t)/t^a - 1) + log1p(side (e^u - (-1)^a) small),
+      small = erfc(|y|)/2 - exp(-y^2) q0(t) / (sqrt(2 pi) p0(t)),
+
+    side = (-1)^a for y > 0 and -e^-u for y < 0.  p0(t)/t^a - 1 is the
+    polynomial tail_ratio in w, so ln p0(t) - a ln t, which cancels at
+    large t (and the tail map multiplies that error by y^2), is never
+    formed by subtraction.  The second argument is at most -1 exactly where
+    g0 <= 0, which raises AccuracyError, and so does a value that is not
+    finite (a term overflowed a double), naming the first such y.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _finite("C2", y, _psi2_terms(y, prof, _parts(y, prof)))
+
+
 def _c3_integrand(y, prof):
     """C3 integrand with the linear counterterm folded into exact algebra:
 
         combined + 4 b y psi2(y) + (2ab - a^2) y / (4 (1 + y^2)),
 
     combined = [p_comb(s) amp + q_comb(s) gauss] / (sqrt2 g0(y)), s = -sqrt2 y.
+    A g0 that is not positive, or a value that is not finite, raises
+    AccuracyError naming the first such y.
     """
     a, b = prof.a, prof.b
-    parts = _parts(y, prof)
-    g0 = _mix(prof.p0, prof.q0, parts)
-    bad = ~(g0 > 0.0)
-    if np.any(bad):
-        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
-    combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
-    linear = np.zeros_like(y)
-    nonzero = y != 0.0
-    psi2 = _psi2(y[nonzero], prof, [part[nonzero] for part in parts])
-    linear[nonzero] = 4.0 * b * y[nonzero] * psi2
-    return combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + linear
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = _parts(y, prof)
+        g0 = _mix(prof.p0, prof.q0, parts)
+        bad = ~(g0 > 0.0)
+        if np.any(bad):
+            raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
+        combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
+        linear = np.zeros_like(y)
+        nonzero = y != 0.0
+        psi2 = _psi2_terms(y[nonzero], prof, [part[nonzero] for part in parts])
+        linear[nonzero] = 4.0 * b * y[nonzero] * psi2
+        out = combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + linear
+    return _finite("C3", y, out)
 
 
 def c2_integrand(y, params):

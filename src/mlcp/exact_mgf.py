@@ -16,17 +16,21 @@ P = 0 above a window of shapes around z (``specfun.saturation_window``,
 2*sqrt(E^2/9 + 2*E*z) wide around z + E/3 for exponent E), with E = 40 on
 the lower side and E = 40 + log1p(|cu|) on the upper (the one rule, for
 every shape, is derived on ``_TermContext``), which holds O(sqrt(n)) of
-the n rows of each shift.  The shapes grow with j, so the kernel finds
-the window in each chunk by binary search and writes the constants 1 and
-0 outside it; a chunk whose shapes of one shift all saturate gets a
-scalar factor and no P array.  The shapes inside it repeat across rows
-and shifts (at b = 1 the shift k = 2 of row j is the shift 0 of row
-j + 1), so one ``reg_lower_gamma`` call per chunk takes the distinct ones.
-With cu = 0 (u = 0, a even) it calls ``reg_lower_gamma`` on no row.  The
-shift k = 0 has a log-gamma ratio of 0 and needs no ``lgamma_diff`` call;
-one call per chunk takes the shifts k >= 1 as a column, so that they
-share the powers of the shapes, and its Stirling series stops at the
-first term that cannot change a bit (see ``specfun.lgamma_diff``).
+the n rows of each shift.  Every shape is a point s_m = (m + 2 alpha)/(2b)
+of one lattice, m = 2j + k, so the shapes of a chunk's rows over all
+shifts are one ascending slice of it without repeats (the shift k = 2 of
+row j is the shift 0 of row j + 1).  The kernel builds that slice once per
+chunk (only its even points at a = 0), finds the window in it by binary
+search, writes the constants 1 and 0 outside it and calls
+``reg_lower_gamma`` once on the points inside; shift k reads the slice
+with stride 2 from m = 2j + k.  A chunk whose shapes of one shift all
+saturate gets a scalar factor for that shift, and one whose shifts all
+saturate builds no slice.  With cu = 0 (u = 0, a even) it calls
+``reg_lower_gamma`` on no row.  The shift k = 0 has a log-gamma ratio of
+0 and needs no ``lgamma_diff`` call; one call per chunk takes the shifts
+k >= 1 as a column, so that they share the powers of the shapes, and its
+Stirling series stops at the first term that cannot change a bit (see
+``specfun.lgamma_diff``).
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
 near the critical index j ~ b n r^{2b}.  It is one compensated double sum
@@ -182,11 +186,15 @@ class _TermContext:
 
     cu = 0 (u = 0 and a even) makes 1 + cu*P = 1 for every P, so then no
     row needs P at all.  A u whose e^u overflows is a DomainError.
+
+    P's shapes are the points s_m = (m + 2 alpha)/(2b) of one lattice,
+    m = 2j + k for row j and shift k, which ``shape`` gives for an m or an
+    array of them.
     """
 
     __slots__ = (
         "params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b", "shifts",
-        "window",
+        "window", "two_alpha", "two_b",
     )
 
     def __init__(self, params, n):
@@ -205,6 +213,12 @@ class _TermContext:
             saturation_window(self.z, _TERM_EXPONENT)[0],
             saturation_window(self.z, exponent)[1],
         )
+        self.two_alpha = 2.0 * params.alpha
+        self.two_b = 2.0 * params.b
+
+    def shape(self, m):
+        """The lattice shape s_m = (m + 2 alpha)/(2b)."""
+        return (m + self.two_alpha) / self.two_b
 
 
 def _row_error(j, total):
@@ -220,49 +234,51 @@ def _row_error(j, total):
     )
 
 
-def _p_shifts(at0, ctx):
-    """P(a, z) where it can change a j-term, for the shapes a = at0 + d of
-    every shift d of ctx.k_over_2b, at0 ascending: one float or array per
-    shift, a float where one value serves the whole chunk.
+def _p_shifts(ctx, j):
+    """P(a, z) where it can change a j-term, at the shapes s_(2j+k) of
+    every shift k for the ascending j: one float or array per shift, a
+    float where one value serves the whole chunk.
 
-    The rows below ctx.window get 1 and those above it 0, which leaves
+    The shapes below ctx.window get 1 and those above it 0, which leaves
     1 + cu*P as reg_lower_gamma's value would (the rule on _TermContext).
-    The shapes inside it repeat across rows and shifts (at b = 1 the shift
-    k = 2 of row j is the shift 0 of row j + 1), so reg_lower_gamma runs
-    once on the distinct ones; P is elementwise, so each value is the one a
-    call per shift gives, bit for bit.  With cu = 0 no row runs it.
+    A chunk with a shape inside it must be rows, consecutive integers j:
+    their shapes are then the lattice slice m = 2j[0]..2j[-1] + a (even m
+    only at a = 0), ascending and without repeats, which takes P once per
+    point inside the window, and shift k reads it from m = 2j[0] + k with
+    stride 2.  Gregory's quadrature nodes lie outside the window (see
+    _gregory_ranges); a chunk of them that reaches it raises AccuracyError,
+    which sends the sum back to its rows.  With cu = 0 no row runs P.
     """
+    a = ctx.params.a
     if not ctx.cu:  # 1 + 0*P is 1 whatever P is
-        return [0.0] * len(ctx.k_over_2b)
+        return [0.0] * (a + 1)
     a_lo, a_hi = ctx.window
-    ps, live = [], []
-    for d in ctx.k_over_2b:
-        if at0[0] + d > a_hi:
+    first, last = 2.0 * j[0], 2.0 * j[-1]
+    ps = []
+    for k in range(a + 1):
+        if ctx.shape(first + k) > a_hi:
             ps.append(0.0)
-        elif at0[-1] + d < a_lo:
+        elif ctx.shape(last + k) < a_lo:
             ps.append(1.0)
         else:
-            a = at0 + d
-            lo = int(np.searchsorted(a, a_lo))
-            hi = int(np.searchsorted(a, a_hi, side="right"))
-            out = np.zeros_like(a)  # the rows from hi on
-            out[:lo] = 1.0
-            ps.append(out)
-            if hi > lo:
-                live.append((out[lo:hi], a[lo:hi]))
-    if len(live) == 1:
-        view, shapes = live[0]
-        view[:] = reg_lower_gamma(shapes, ctx.z)
-    elif live:
-        shapes, inverse = np.unique(
-            np.concatenate([shapes for _, shapes in live]), return_inverse=True
+            ps.append(None)  # read from the lattice slice
+    if None not in ps:
+        return ps
+    if not (first.is_integer() and (np.diff(j) == 1.0).all()):
+        raise AccuracyError(
+            f"quadrature node inside the P window at j={float(j[0])!r}"
         )
-        values = reg_lower_gamma(shapes, ctx.z)[inverse]
-        start = 0
-        for view, _ in live:
-            view[:] = values[start:start + view.size]
-            start += view.size
-    return ps
+    step = 1 if a else 2
+    shapes = ctx.shape(np.arange(first, last + a + 1, step))
+    lo = int(np.searchsorted(shapes, a_lo))
+    hi = int(np.searchsorted(shapes, a_hi, side="right"))
+    lattice = np.zeros_like(shapes)  # the points from hi on
+    lattice[:lo] = 1.0
+    lattice[lo:hi] = reg_lower_gamma(shapes[lo:hi], ctx.z)
+    return [
+        lattice[k // step::2 // step][:j.size] if pk is None else pk
+        for k, pk in enumerate(ps)
+    ]
 
 
 def _log_terms(ctx, j):
@@ -286,7 +302,7 @@ def _log_terms(ctx, j):
     # its row; the log of a row that is not finite and positive is not
     # finite, which the check below reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, pk in enumerate(_p_shifts(at0, ctx)):
+        for k, pk in enumerate(_p_shifts(ctx, j)):
             term = ctx.binom[k] * ctx.r_pow[k]
             if k:
                 term = term * np.exp(gs[k - 1])
@@ -411,8 +427,9 @@ def _span_sums(params, n, spans):
     no bit of the result.  A row that cancels or overflows, or a stalled
     quadrature, in any span sends every span back to summing its rows one
     by one, in ascending j: that gives the row sums, or the error of the
-    first bad row, which a Gregory range may have skipped.  Where no span has a range the rows were summed one by
-    one already, and the error is raised as it is.
+    first bad row, which a Gregory range may have skipped.  Where no span
+    has a range the rows were summed one by one already, and the error is
+    raised as it is.
     """
     if params.a == 0 and params.u == 0.0:  # every factor is exactly 1
         return [0.0] * len(spans)
@@ -441,8 +458,10 @@ def ln_mgf_exact(params, n):
     a = 5.
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
     evaluated only in the window where it can change a term (the rule on
-    _TermContext), once per distinct shape of a chunk; the per-term values
-    are those of evaluating P on every row, bit for bit.
+    _TermContext), once per point of the chunk's slice of the shape
+    lattice (m + 2 alpha)/(2b), m = 2j + k; the per-term values are those
+    of evaluating P on every row and shift at its lattice shape, bit for
+    bit.
     The total is one math.fsum over the summands, which rounds their exact
     sum once, so neither the chunks nor the order change a bit of it.  A u
     with e^u beyond the double range (u > 709.78) is a DomainError.  No

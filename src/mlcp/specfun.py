@@ -122,7 +122,11 @@ def horner(coeffs, x):
     x, a float or an array."""
     acc = 0.0
     for c in reversed(coeffs):
-        acc = acc * x + c
+        if isinstance(acc, np.ndarray):  # the same two roundings, in place
+            acc *= x
+            acc += c
+        else:
+            acc = acc * x + c
     return acc
 
 
@@ -138,33 +142,52 @@ def _flat(*args):
     return [x.ravel() for x in arrays], restore
 
 
-def _eta(h):
-    # temme_eta on a 1-d array of h = lambda - 1 > -1
-    out = np.empty_like(h)
-    near = np.abs(h) < NEAR_ONE_SWITCH
-    far = ~near
-    out[near] = horner(_ETA_SERIES, h[near])
-    hf = h[far]
-    # h = -1 (lambda below 2^-53) gives eta = -inf, and P = 0, exactly
-    with np.errstate(divide="ignore"):
-        out[far] = np.copysign(np.sqrt(2.0 * (hf - np.log1p(hf))), hf)
+def _piecewise(mask, on_true, on_false, *args):
+    """on_true on the entries where the 1-d bool mask holds, on_false on the
+    rest: each gets those entries of every 1-d array in args and a float
+    arg whole, and returns their values as a 1-d array.  The functions are
+    elementwise, so each value is the one a call on that entry alone gives,
+    bit for bit; a mask that is all one way indexes nothing."""
+    if mask.all():
+        return on_true(*args)
+    if not mask.any():
+        return on_false(*args)
+    out = np.empty(mask.shape)
+    for part, fn in ((mask, on_true), (~mask, on_false)):
+        out[part] = fn(*(x[part] if np.ndim(x) else x for x in args))
     return out
 
 
-def _temme_cs(h, eta):
-    """c_0..c_3 as a (4, m) array, from 1-d arrays of h = lambda - 1 and eta."""
-    cs = np.empty((4, h.size))
-    near = np.abs(h) < NEAR_ONE_SWITCH
-    far = ~near
-    hn = h[near]
-    inv_h = 1.0 / h[far]
-    inv_eta = 1.0 / eta[far]
+# eta and c_0..c_3 of the uniform expansion at 1-d h = lambda - 1 > -1: the
+# Taylor polynomials near lambda = 1 (|h| < NEAR_ONE_SWITCH), the closed
+# forms away from it.
+def _eta_near(h):
+    return horner(_ETA_SERIES, h)
+
+
+def _eta_far(h):
+    # h = -1 (lambda below 2^-53) gives eta = -inf, and P = 0, exactly
+    with np.errstate(divide="ignore"):
+        return np.copysign(np.sqrt(2.0 * (h - np.log1p(h))), h)
+
+
+def _cs_near(h, eta):
+    return [horner(c, h) for c in _C_SERIES]
+
+
+def _cs_far(h, eta):
+    inv_h = 1.0 / h
+    inv_eta = 1.0 / eta
     inv_eta2 = inv_eta * inv_eta
+    cs = []
     for j in range(4):
-        cs[j, near] = horner(_C_SERIES[j], hn)
-        cs[j, far] = _C_ETA[j] * inv_eta + horner(_C_INV_H[j], inv_h)
+        cs.append(_C_ETA[j] * inv_eta + horner(_C_INV_H[j], inv_h))
         inv_eta = inv_eta * inv_eta2
     return cs
+
+
+def _near(h):
+    return np.abs(h) < NEAR_ONE_SWITCH
 
 
 def temme_eta(lam):
@@ -172,7 +195,8 @@ def temme_eta(lam):
     (lam,), restore = _flat(lam)
     if not np.all(lam > 0):
         raise DomainError("temme_eta requires lambda > 0", constraint="lambda")
-    return restore(_eta(lam - 1.0))
+    h = lam - 1.0
+    return restore(_piecewise(_near(h), _eta_near, _eta_far, h))
 
 
 def temme_c(j, lam):
@@ -188,20 +212,50 @@ def temme_c(j, lam):
     if not np.all(lam > 0):
         raise DomainError("temme_c requires lambda > 0", constraint="lambda")
     h = lam - 1.0
-    return restore(_temme_cs(h, _eta(h))[j])
+    return restore(_piecewise(
+        _near(h),
+        lambda h: _cs_near(h, None)[j],
+        lambda h: _cs_far(h, _eta_far(h))[j],
+        h,
+    ))
 
 
-def _p_uniform(a, z):
-    # The uniform expansion on 1-d arrays with a >= LARGE_A_THRESHOLD, z > 0;
-    # saturated (exactly 1 or 0) by underflow past expo ~ 745.13.
-    h = z / a - 1.0
-    eta = _eta(h)
+def _p_temme(a, h, eta_of, cs_of):
+    # The uniform expansion on 1-d arrays of a and h = z/a - 1, all on the
+    # side of lambda = 1 that eta_of and cs_of serve
+    eta = eta_of(h)
     expo = 0.5 * a * eta * eta
     half = 0.5 * special.erfc(-eta * np.sqrt(0.5 * a))
-    cs = _temme_cs(h, eta)
+    cs = cs_of(h, eta)
     inv_a = 1.0 / a
     series = cs[0] + inv_a * (cs[1] + inv_a * (cs[2] + inv_a * cs[3]))
     return half - np.exp(-expo) / _SQRT_2PI / np.sqrt(a) * series
+
+
+def _p_uniform(a, z):
+    # The uniform expansion on a 1-d array a >= LARGE_A_THRESHOLD and z > 0,
+    # a float or an array like a; saturated (exactly 1 or 0) by underflow
+    # past expo ~ 745.13.
+    h = z / a - 1.0
+    return _piecewise(
+        _near(h),
+        lambda a, h: _p_temme(a, h, _eta_near, _cs_near),
+        lambda a, h: _p_temme(a, h, _eta_far, _cs_far),
+        a,
+        h,
+    )
+
+
+def _p_large(a, z):
+    # P on a 1-d array a >= LARGE_A_THRESHOLD: 0 at z = 0, else the
+    # uniform expansion
+    return _piecewise(
+        np.greater(z, 0.0),
+        _p_uniform,
+        lambda a, z: np.zeros_like(a),
+        a,
+        z,
+    )
 
 
 def saturation_window(z, exponent):
@@ -231,20 +285,23 @@ def reg_lower_gamma(a_tilde, z):
     error <= ~1e-12 wherever P >= 1e-300: scipy's gammainc for a < 1e3, the
     uniform expansion with four correction coefficients for a >= 1e3, which
     is exactly 0 or 1 once its erfc and exp underflow (a*eta^2/2 > ~745.13).
+    The shapes split once between the two routes, and the expansion's
+    entries once between near and far from lambda = 1 (NEAR_ONE_SWITCH); a
+    float z is not broadcast.  Each value is the one a call on that entry
+    alone gives, bit for bit.
     """
-    (a, z), restore = _flat(a_tilde, z)
+    a = np.asarray(a_tilde, dtype=float)
+    z = np.asarray(z, dtype=float)
     if not np.all((a > 0) & np.isfinite(a)):
         raise DomainError("a_tilde must be positive", constraint="a_tilde")
     if not np.all((z >= 0) & np.isfinite(z)):
         raise DomainError("z must be nonnegative", constraint="z")
-    out = np.empty_like(a)
-    small = a < LARGE_A_THRESHOLD
-    out[small] = special.gammainc(a[small], z[small])
-    large = ~small & (z > 0.0)
-    if np.any(large):
-        out[large] = _p_uniform(a[large], z[large])
-    out[~small & (z == 0.0)] = 0.0
-    return restore(np.clip(out, 0.0, 1.0))
+    shape = np.broadcast_shapes(a.shape, z.shape)
+    a = np.broadcast_to(a, shape).ravel()
+    z = float(z) if z.ndim == 0 else np.broadcast_to(z, shape).ravel()
+    out = _piecewise(a < LARGE_A_THRESHOLD, special.gammainc, _p_large, a, z)
+    out = np.clip(out, 0.0, 1.0, out=out)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # Stirling-series coefficients B_{2m}/(2m(2m-1)) for the log-gamma tail.

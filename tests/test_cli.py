@@ -243,6 +243,22 @@ class TestCompare:
         assert record["type"] == "AccuracyError"
         assert record["message"].startswith("g0 nonpositive at y=-7.98")
 
+    @pytest.mark.parametrize("u, a", [(708.0, 1), (-700.0, 1), (0.5, 30)])
+    def test_overflowing_integrand_exit_3_without_warning(self, tmp_path, capsys, u, a):
+        # e^u near the double limit, or a = 30: a term of the C2 integrand
+        # overflows a double; one record naming y, with every warning an
+        # error, and no NaN error estimate
+        cfg = write_config(tmp_path, n_list=[64], params={"u": u, "a": a})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == "AccuracyError"
+        assert record["message"].startswith("C2 integrand not finite at y=")
+
     def test_csv_columns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[16, 32, 64], params={"u": 0.5, "a": 1})
         assert main(["compare", "--config", cfg]) == 0

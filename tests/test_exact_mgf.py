@@ -1,9 +1,10 @@
 """Exact finite-n evaluator tests: oracles, identities, diagnostics."""
 
+import hashlib
 import math
 import time
 import tracemalloc
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -213,12 +214,16 @@ def _outcome(params, n):
 
 def _reference_log_terms(ctx, j):
     """The j-terms as the kernel would give them without its skips: P on
-    every row, all five Stirling terms in lgamma_diff (with
-    _reference_kernel) and Neumaier's branchy compensated sum."""
+    every row and shift k at its shape (2j + k + 2 alpha)/(2b), all five
+    Stirling terms in lgamma_diff (with _reference_kernel) and Neumaier's
+    branchy compensated sum."""
     p = ctx.params
     at0 = (j + p.alpha) / p.b
     gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
-    ps = [reg_lower_gamma(at0 + d, ctx.z) for d in ctx.k_over_2b]
+    ps = [
+        reg_lower_gamma((2.0 * j + k + 2.0 * p.alpha) / (2.0 * p.b), ctx.z)
+        for k in range(p.a + 1)
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
         terms = [ctx.binom[0] * ctx.r_pow[0] * (1.0 + ctx.cu * ps[0])] + [
             ctx.binom[k] * ctx.r_pow[k] * np.exp(gs[k - 1]) * (1.0 + ctx.cu * ps[k])
@@ -259,21 +264,22 @@ def _counting(monkeypatch, *names):
     return seen
 
 
-def _distinct_live_shapes(params, n):
+def _lattice_points(params, n):
     """The number of P values the kernel needs on the rows 1..n: per chunk
-    of _CHUNK rows, the distinct shapes (j + alpha)/b + k/(2b) of all
-    shifts inside the window, from saturation_window at E = 40 below and
-    E = 40 + log1p(|cu|) above."""
+    of _CHUNK rows, the distinct integers m = 2j + k over its rows j and
+    the shifts k = 0..a whose shape (m + 2 alpha)/(2b) lies inside the
+    window, from saturation_window at E = 40 below and E = 40 + log1p(|cu|)
+    above."""
     z = n * params.r ** (2.0 * params.b)
     cu = (-1.0 if params.a % 2 else 1.0) * math.exp(params.u) - 1.0
     a_lo = saturation_window(z, 40.0)[0]
     a_hi = saturation_window(z, 40.0 + math.log1p(abs(cu)))[1]
-    shifts = np.arange(params.a + 1).reshape(-1, 1) / (2.0 * params.b)
     count = 0
     for start in range(1, n + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK - 1, n) + 1, dtype=float)
-        shapes = (j + params.alpha) / params.b + shifts
-        count += np.unique(shapes[(a_lo <= shapes) & (shapes <= a_hi)]).size
+        j = np.arange(start, min(start + _CHUNK - 1, n) + 1)
+        m = np.unique(2 * j + np.arange(params.a + 1).reshape(-1, 1))
+        shapes = (m + 2.0 * params.alpha) / (2.0 * params.b)
+        count += int(np.count_nonzero((a_lo <= shapes) & (shapes <= a_hi)))
     return count
 
 
@@ -317,14 +323,23 @@ class TestLiveWindow:
         assert res == _outcome(params, n)
 
     def test_work_counts_at_2_20(self, monkeypatch):
-        # P once per distinct shape of a chunk inside the window, whose
+        # P once per lattice point of a chunk inside the window, whose
         # lower side is E = 40 and upper side E = 40 + log1p(|cu|) wide in
         # the exponent, and lgamma_diff on no row of the zero shift
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**20
         seen = _counting(monkeypatch, "reg_lower_gamma", "lgamma_diff")
         _row_sum(params, n)
-        assert seen["reg_lower_gamma"] == _distinct_live_shapes(params, n)
+        assert seen["reg_lower_gamma"] == _lattice_points(params, n)
         assert seen["lgamma_diff"] == params.a * n
+
+    @pytest.mark.parametrize("b, alpha, a", [(1.5, 0.3, 3), (0.75, -0.2, 0)])
+    def test_work_counts_off_the_dyadic_grid(self, monkeypatch, b, alpha, a):
+        # the same count where (j + alpha)/b + k/(2b) is not exact in
+        # doubles; at a = 0 only the even points m = 2j
+        params, n = Params(b, alpha, 0.5 * b ** (-1.0 / (2.0 * b)), 0.7, a), 2**17
+        seen = _counting(monkeypatch, "reg_lower_gamma")
+        _row_sum(params, n)
+        assert seen["reg_lower_gamma"] == _lattice_points(params, n) > 0
 
     def test_stirling_terms_at_2_20(self, monkeypatch, stirling_terms):
         # Stirling terms 3-5 only on the chunks whose smallest shape lies
@@ -392,19 +407,19 @@ class TestLiveWindow:
         assert ctx.z - saturation_window(ctx.z, 748.0)[0] > 6756
         seen = _counting(monkeypatch, "reg_lower_gamma")
         res = _outcome(params, n)
-        assert seen["reg_lower_gamma"] == _distinct_live_shapes(params, n)
+        assert seen["reg_lower_gamma"] == _lattice_points(params, n)
         _reference_kernel(monkeypatch)
         assert res == _outcome(params, n)
 
     @pytest.mark.parametrize("b", [1.0, 1.5, 2.0, 3.0])
     def test_one_p_per_distinct_shape(self, monkeypatch, b):
-        # one reg_lower_gamma call per chunk, on the distinct shapes of all
-        # shifts inside the window; each shift gets the values of P on its
-        # own shapes, bit for bit.  At b = 1 and 2 the shift k = 2b of row
-        # j is the shift 0 of row j + 1 in doubles too
+        # one reg_lower_gamma call per chunk, on the lattice points
+        # m = 2j + k of the chunk inside the window, each once; each shift
+        # gets the values of P on its own shapes, bit for bit.  The shift
+        # k = 2 of row j is the shift 0 of row j + 1
         params, _ = _window_case(b, 0.0, 4, 4097)
         ctx = _TermContext(params, 4097)
-        at0 = (np.arange(1.0, _CHUNK + 1) + params.alpha) / params.b
+        j = np.arange(1.0, _CHUNK + 1)
         sizes = []
         real = exact_mgf.reg_lower_gamma
 
@@ -413,16 +428,51 @@ class TestLiveWindow:
             return real(a, z)
 
         monkeypatch.setattr(exact_mgf, "reg_lower_gamma", counted)
-        ps = exact_mgf._p_shifts(at0, ctx)
+        ps = exact_mgf._p_shifts(ctx, j)
         a_lo, a_hi = ctx.window
-        shapes = [at0 + d for d in ctx.k_over_2b]
+        shapes = [(2.0 * j + k + 2.0 * params.alpha) / (2.0 * params.b) for k in range(5)]
         live = np.concatenate([a[(a_lo <= a) & (a <= a_hi)] for a in shapes])
         assert sizes == [np.unique(live).size]
-        if b in (1.0, 2.0):
-            assert 2 * sizes[0] < live.size
+        assert 2 * sizes[0] < live.size
         for a, p in zip(shapes, ps):
             expected = np.where(a < a_lo, 1.0, np.where(a > a_hi, 0.0, real(a, ctx.z)))
             assert np.broadcast_to(p, a.shape).tobytes() == expected.tobytes()
+
+    def test_nodes_never_index_the_lattice(self, monkeypatch):
+        # Gregory's quadrature nodes lie outside the window, so P is one
+        # constant per shift on each batch of them and no node reaches
+        # reg_lower_gamma; a batch of nodes inside the window raises, which
+        # sends the sum back to its rows, bit for bit
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**17
+        in_nodes = []
+        real_adaptive, real_p = exact_mgf.adaptive, exact_mgf.reg_lower_gamma
+
+        def adaptive(f, edges, tol):
+            def nodes(x):
+                in_nodes.append(True)
+                try:
+                    return f(x)
+                finally:
+                    in_nodes.pop()
+
+            return real_adaptive(nodes, edges, tol)
+
+        def p(a, z):
+            assert not in_nodes
+            return real_p(a, z)
+
+        with monkeypatch.context() as m:
+            m.setattr(exact_mgf, "adaptive", adaptive)
+            m.setattr(exact_mgf, "reg_lower_gamma", p)
+            seen, value = TestGregoryRanges._work(m, ROUTES[0], params, n)
+        assert seen["nodes"]
+        ctx = _TermContext(params, n)
+        j_c = params.b * ctx.z - params.alpha
+        with pytest.raises(AccuracyError, match="quadrature node inside the P window"):
+            _log_terms(ctx, np.array([j_c - 0.25, j_c + 0.5]))
+        rows = _row_sum(params, n)[0]
+        monkeypatch.setattr(exact_mgf, "_gregory_ranges", lambda ctx, lo, hi: [(200, hi)])
+        assert value != rows == ln_mgf_exact(params, n).ln_mgf
 
     @pytest.mark.parametrize("a, n", [(2, 300), (2, 4097), (4, 2**17)])
     def test_no_p_when_cu_is_zero(self, monkeypatch, a, n):
@@ -810,6 +860,38 @@ class TestSplitSums:
             default_window_width(1)
 
 
+class TestPinnedBits:
+    # The values of the benchmark's configs, as doubles in hex: changes of
+    # the kernel that claim to keep every bit must keep these
+
+    @pytest.mark.parametrize("params, n, expected", [
+        (Params(1.0, 0.0, 0.5, 0.7, 4), 2**17, "-0x1.a48903fb5103cp+19"),
+        (Params(2.0, -0.5, 0.6, -0.7, 1), 2**14, "-0x1.3b340896b6bbep+15"),
+        (Params(1.0, 0.0, 0.5, 1.0, 0), 2**18, "0x1.0047eae63022ap+16"),
+    ])
+    def test_exact_large(self, params, n, expected):
+        assert ln_mgf_exact(params, n).ln_mgf.hex() == expected
+
+    def test_diagnostic_split(self):
+        split = split_sums(Params(2.0, -0.5, 0.6, -0.7, 1), 2**14, 0.05, 10)
+        assert [s.hex() for s in (split.S0, split.S1, split.S2, split.S3)] == [
+            "-0x1.be1ce7a487fd3p+3", "-0x1.8acc79c8be034p+13",
+            "-0x1.3356274385097p+11", "-0x1.8a5f4bc3a943fp+14",
+        ]
+
+    def test_compare_grid(self):
+        # the 84 configs of `mlcp compare` in the benchmark, at n = 128, 256
+        grid = product(
+            ((1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)),
+            (-0.7, 0.0, 1.0, 2.5),
+            range(7),
+        )
+        configs = [Params(*geometry, u, a) for geometry, u, a in grid]
+        values = [ln_mgf_exact(p, n).ln_mgf.hex() for n in (128, 256) for p in configs]
+        digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
+        assert digest == "5b988844e90696f5a7f41870f8b842ab5e524a542182eb00246ee3b4f924ec69"
+
+
 class TestPartitionFunctions:
     def test_z1_is_log_pi(self):
         res = ln_partition(Params(1.0, 0.0, 0.5, 0.0, 0), 1)
@@ -836,6 +918,25 @@ class TestPartitionFunctions:
         assert res["ln_D"] - res["ln_Z"] == pytest.approx(
             ln_mgf_exact(p, 50).ln_mgf, abs=1e-9
         )
+
+    @pytest.mark.parametrize("a, n", [(0, 1000), (1, 1000), (2, 300), (3, 100), (4, 60), (5, 30)])
+    def test_documented_reach(self, a, n):
+        # ln_D - ln_Z within 1e-9 of ln_mgf_exact up to the n the docstring
+        # gives for each a, on the compare geometries
+        for geometry in ((1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)):
+            for u in (-0.7, 0.0, 1.0, 2.5):
+                p = Params(*geometry, u, a)
+                res = ln_partition(p, n)
+                assert res["ln_D"] - res["ln_Z"] == pytest.approx(
+                    ln_mgf_exact(p, n).ln_mgf, abs=1e-9
+                )
+
+    def test_raises_at_a_6(self):
+        # where ln_mgf_exact still returns a value
+        p = Params(1.0, 0.0, 0.5, 0.7, 6)
+        with pytest.raises(AccuracyError, match="nonpositive at j=2457:"):
+            ln_partition(p, 10**4)
+        assert math.isfinite(ln_mgf_exact(p, 10**4).ln_mgf)
 
 
 class TestPerformance:
