@@ -104,7 +104,7 @@ class _Profile:
         self.sign_a = -1.0 if a % 2 else 1.0
         self.cu_e = exp_u(u) - self.sign_a  # e^u - (-1)^a
         self.exp_neg_u = exp_u(-u)  # e^-u, for y < 0 in _psi2
-        bfrac = Fraction(b) if float(b).is_integer() else Fraction(b).limit_denominator(10**12)
+        bfrac = Fraction(b)
         p0 = combo_poly.p0(a)
         q0 = combo_poly.q0(a)
         p1 = combo_poly.p1(a, bfrac)

@@ -216,9 +216,7 @@ def cmd_exact(config, out_path):
         else:
             split = split_sums(config.params, n, diag["eps"], diag["m_prime"])
             value = split.total
-            fields = asdict(split).items()
-            drop = ("eps", "m_prime")
-            diagnostics.append({"n": n, **{k: v for k, v in fields if k not in drop}})
+            diagnostics.append({"n": n, **asdict(split)})
         rows.append(dict(zip(columns, (n, value, time.perf_counter() - t0))))
     extra = None if diag is None else {"diagnostics": diagnostics}
     _write(config.output, out_path, columns, rows, extra)

@@ -33,13 +33,16 @@ Stirling series stops at the first term that cannot change a bit (see
 ``specfun.lgamma_diff``).
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
-near the critical index j ~ b n r^{2b}.  It is one compensated double sum
-on every platform: Knuth's TwoSum gives the exact rounding error of each
-addition, and the errors are added back at the end.  A row that comes out
-nonpositive is an AccuracyError naming its j: by then the other rows near
-it have lost tens of nats, and a wider re-sum of the same double-rounded
-inputs cannot recover the digits they lost.  A row whose terms overflow a
-double (e^u near its limit) is an AccuracyError too.
+near the critical index j ~ b n r^{2b}.  It is one plain double sum on
+every platform, from k = 0 on.  Each term is rounded by exp of its
+log-gamma ratio and by P before it is added, and those roundings, not the
+a additions, set the row's error (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 4): a compensated sum of the same terms measured
+as far from 40 digits.  A row that comes out nonpositive is an
+AccuracyError naming its j: by then the other rows near it have lost tens
+of nats, and a wider re-sum of the same double-rounded inputs cannot
+recover the digits they lost.  A row whose terms overflow a double (e^u
+near its limit) is an AccuracyError too.
 
 One summation routine, ``_span_sums``, serves ``ln_mgf_exact`` (the span
 1..n) and ``split_sums`` (its four spans).  In each span only three kinds
@@ -67,7 +70,7 @@ grow like sqrt(n) while the P window or the floor is the wider (at b = 1,
 r = 0.5 up to n of about 1.6e7 at a = 2, 7e5 at a = 3 and 1.6e5 at
 a = 4) and like n after it, and no array grows with n.  On the 84
 compare geometries at n = 2^14, 2^17 and 2^20 the hybrid is within
-3.2e-16, 1.9e-15, 9.0e-16, 7.1e-14, 1.3e-13 and 4.0e-13 of |ln E_n| from
+3.2e-16, 1.9e-15, 9.0e-16, 7.2e-14, 1.3e-13 and 4.1e-13 of |ln E_n| from
 the row sum at a = 0..5.  The quadrature's error estimate is not a
 bound, and no error is stated with the value: near W the rows carry a
 rounding error of their own (against 40 digits, rms 1.2e-12 to 2.9e-10
@@ -132,8 +135,6 @@ class SplitDiagnostics:
     S1: float
     S2: float
     S3: float
-    eps: float
-    m_prime: int
     M: float
     j_minus: int
     j_plus: int
@@ -193,8 +194,8 @@ class _TermContext:
     """
 
     __slots__ = (
-        "params", "n", "ln_n", "z", "cu", "binom", "r_pow", "k_over_2b", "shifts",
-        "window", "two_alpha", "two_b",
+        "params", "n", "ln_n", "z", "cu", "coeffs", "k_over_2b", "shifts", "window",
+        "two_alpha", "two_b",
     )
 
     def __init__(self, params, n):
@@ -204,8 +205,10 @@ class _TermContext:
         self.z = n * params.r ** (2.0 * params.b)
         sign = -1.0 if params.a % 2 else 1.0
         self.cu = sign * exp_u(params.u) - 1.0
-        self.binom = [math.comb(params.a, k) for k in range(params.a + 1)]
-        self.r_pow = [(-params.r) ** (params.a - k) for k in range(params.a + 1)]
+        self.coeffs = [
+            math.comb(params.a, k) * (-params.r) ** (params.a - k)
+            for k in range(params.a + 1)
+        ]
         self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
         self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
         exponent = _TERM_EXPONENT + math.log1p(abs(self.cu))
@@ -223,14 +226,15 @@ class _TermContext:
 
 def _row_error(j, total):
     """The AccuracyError for row j, whose inner k-sum came out as total:
-    nonpositive, or not finite (a term overflowed a double)."""
-    if total <= 0.0:
+    not finite (a term overflowed a double, which leaves +-inf or NaN), or
+    nonpositive."""
+    if not math.isfinite(total):
         return AccuracyError(
-            f"inner sum nonpositive at j={j}: the alternating k-sum cancelled "
-            "below double-precision rounding"
+            f"inner sum not finite at j={j}: a term of the k-sum overflowed a double"
         )
     return AccuracyError(
-        f"inner sum not finite at j={j}: a term of the k-sum overflowed a double"
+        f"inner sum nonpositive at j={j}: the alternating k-sum cancelled "
+        "below double-precision rounding"
     )
 
 
@@ -285,11 +289,9 @@ def _log_terms(ctx, j):
     """ln of the inner k-sum for every index in the ascending array j:
     the rows' integers, or the real nodes of a Gregory range's quadrature.
 
-    The k-sum is accumulated in double precision with compensation: each
-    step adds the exact rounding error of fl(total + t), found by Knuth's
-    branch-free TwoSum, to a running correction.  Every row gets its log; a
-    row that comes out nonpositive or not finite raises AccuracyError
-    naming the first such j.
+    The k-sum adds its a + 1 terms from k = 0 on in plain double
+    precision.  Every row gets its log; a row that comes out not finite or
+    nonpositive raises AccuracyError naming the first such j.
     """
     p = ctx.params
     at0 = (j + p.alpha) / p.b
@@ -303,18 +305,13 @@ def _log_terms(ctx, j):
     # finite, which the check below reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, pk in enumerate(_p_shifts(ctx, j)):
-            term = ctx.binom[k] * ctx.r_pow[k]
+            term = ctx.coeffs[k]
             if k:
                 term = term * np.exp(gs[k - 1])
             terms.append(term * (1.0 + ctx.cu * pk))
         total = terms[0]
-        comp = 0.0
         for t in terms[1:]:
-            s = total + t
-            t_part = s - total
-            comp = comp + ((total - (s - t_part)) + (t - t_part))
-            total = s
-        total = total + comp
+            total = total + t
         if np.ndim(total) == 0:  # a = 0 on a chunk where P is one constant
             total = np.full_like(j, total)
         logs = np.log(total)
@@ -453,8 +450,8 @@ def ln_mgf_exact(params, n):
     large enough for a Gregory range (past _HEAD rows and the critical
     window, at least _MIN_GREGORY_ROWS long) the rows outside the window
     are summed by Gregory's formula (the module docstring); on the compare
-    geometries at n = 2^14, 2^17 and 2^20 that value is within 7.1e-14 of
-    |ln E_n| from the row sum at a <= 3, 1.3e-13 at a = 4 and 4.0e-13 at
+    geometries at n = 2^14, 2^17 and 2^20 that value is within 7.2e-14 of
+    |ln E_n| from the row sum at a <= 3, 1.3e-13 at a = 4 and 4.1e-13 at
     a = 5.
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
     evaluated only in the window where it can change a term (the rule on
@@ -542,8 +539,6 @@ def split_sums(params, n, eps, m_prime):
         S1=s1,
         S2=s2,
         S3=s3,
-        eps=eps,
-        m_prime=m_prime,
         M=M,
         j_minus=j_minus,
         j_plus=j_plus,
@@ -592,8 +587,7 @@ def ln_partition(params, n):
         shift = max(lgs)
         try:
             inner = math.fsum(
-                ctx.binom[k]
-                * ctx.r_pow[k]
+                ctx.coeffs[k]
                 * math.exp(lgs[k] - shift - ctx.k_over_2b[k] * ln_n)
                 * (1.0 + ctx.cu * ps[k][j - 1])
                 for k in range(params.a + 1)

@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError
 
 # Below this a, scipy's gammainc; at and above it, the uniform expansion.
 LARGE_A_THRESHOLD = 1.0e3
@@ -130,18 +130,6 @@ def horner(coeffs, x):
     return acc
 
 
-def _flat(*args):
-    """The arguments broadcast together as 1-d float arrays, and a function
-    giving a 1-d result their broadcast shape (a float for scalars)."""
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
-    shape = arrays[0].shape
-    if shape == ():
-        restore = lambda out: float(out[0])
-    else:
-        restore = lambda out: out.reshape(shape)
-    return [x.ravel() for x in arrays], restore
-
-
 def _piecewise(mask, on_true, on_false, *args):
     """on_true on the entries where the 1-d bool mask holds, on_false on the
     rest: each gets those entries of every 1-d array in args and a float
@@ -191,33 +179,15 @@ def _near(h):
 
 
 def temme_eta(lam):
-    """Signed eta with eta^2/2 = lambda - 1 - ln(lambda); sign(eta) = sign(lambda-1)."""
-    (lam,), restore = _flat(lam)
+    """Signed eta with eta^2/2 = lambda - 1 - ln(lambda); sign(eta) = sign(lambda-1).
+
+    A scalar or an array; returns a float for scalar input."""
+    lam = np.asarray(lam, dtype=float)
     if not np.all(lam > 0):
         raise DomainError("temme_eta requires lambda > 0", constraint="lambda")
-    h = lam - 1.0
-    return restore(_piecewise(_near(h), _eta_near, _eta_far, h))
-
-
-def temme_c(j, lam):
-    """Coefficient c_j(eta) of the uniform expansion, j in 0..3.
-
-    c_0 = 1/(lambda-1) - 1/eta and each later c_j adds one more pair of
-    odd reciprocal powers; near lambda = 1 the pairs cancel and frozen
-    Taylor polynomials take over.
-    """
-    if j not in (0, 1, 2, 3):
-        raise UnsupportedOrderError("only c_0..c_3 are implemented")
-    (lam,), restore = _flat(lam)
-    if not np.all(lam > 0):
-        raise DomainError("temme_c requires lambda > 0", constraint="lambda")
-    h = lam - 1.0
-    return restore(_piecewise(
-        _near(h),
-        lambda h: _cs_near(h, None)[j],
-        lambda h: _cs_far(h, _eta_far(h))[j],
-        h,
-    ))
+    h = lam.ravel() - 1.0
+    out = _piecewise(_near(h), _eta_near, _eta_far, h)
+    return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
 
 def _p_temme(a, h, eta_of, cs_of):
@@ -233,9 +203,9 @@ def _p_temme(a, h, eta_of, cs_of):
 
 
 def _p_uniform(a, z):
-    # The uniform expansion on a 1-d array a >= LARGE_A_THRESHOLD and z > 0,
+    # The uniform expansion on a 1-d array a >= LARGE_A_THRESHOLD and z >= 0,
     # a float or an array like a; saturated (exactly 1 or 0) by underflow
-    # past expo ~ 745.13.
+    # past expo ~ 745.13 (and at z = 0, see _eta_far).
     h = z / a - 1.0
     return _piecewise(
         _near(h),
@@ -243,18 +213,6 @@ def _p_uniform(a, z):
         lambda a, h: _p_temme(a, h, _eta_far, _cs_far),
         a,
         h,
-    )
-
-
-def _p_large(a, z):
-    # P on a 1-d array a >= LARGE_A_THRESHOLD: 0 at z = 0, else the
-    # uniform expansion
-    return _piecewise(
-        np.greater(z, 0.0),
-        _p_uniform,
-        lambda a, z: np.zeros_like(a),
-        a,
-        z,
     )
 
 
@@ -299,7 +257,7 @@ def reg_lower_gamma(a_tilde, z):
     shape = np.broadcast_shapes(a.shape, z.shape)
     a = np.broadcast_to(a, shape).ravel()
     z = float(z) if z.ndim == 0 else np.broadcast_to(z, shape).ravel()
-    out = _piecewise(a < LARGE_A_THRESHOLD, special.gammainc, _p_large, a, z)
+    out = _piecewise(a < LARGE_A_THRESHOLD, special.gammainc, _p_uniform, a, z)
     out = np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if shape == () else out.reshape(shape)
 

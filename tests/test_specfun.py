@@ -11,13 +11,13 @@ from mpmath import mp, mpf
 from scipy.special import erfi, gammainc
 
 from mlcp import specfun
-from mlcp.errors import DomainError, UnsupportedOrderError
+from mlcp.errors import DomainError
 from mlcp.specfun import (
     LARGE_A_THRESHOLD,
+    NEAR_ONE_SWITCH,
     lgamma_diff,
     reg_lower_gamma,
     saturation_window,
-    temme_c,
     temme_eta,
 )
 
@@ -70,12 +70,25 @@ class TestTemmeEta:
 
 
 class TestTemmeC:
+    # the c_j tables of the uniform expansion at h = lambda - 1: Taylor
+    # polynomials near lambda = 1 (_cs_near), closed forms away from it
+    # (_cs_far), each giving c_0..c_3
+
+    @staticmethod
+    def _near(lam):
+        return specfun._cs_near(lam - 1.0, None)
+
+    @staticmethod
+    def _far(lam):
+        h = lam - 1.0
+        return specfun._cs_far(h, specfun._eta_far(h))
+
     def test_c0_limit(self):
-        assert temme_c(0, 1.0) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+        assert self._near(1.0)[0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
     def test_c0_is_its_definition(self):
         lam = 2.0
-        assert temme_c(0, lam) == pytest.approx(
+        assert self._far(lam)[0] == pytest.approx(
             1.0 / (lam - 1.0) - 1.0 / temme_eta(lam), rel=1e-14
         )
 
@@ -84,26 +97,24 @@ class TestTemmeC:
         with mp.workdps(40):
             eta = mp.sqrt(2 * (1 - mp.log(2)))
             ref = 1 / eta**3 - 1 - 1 - mpf(1) / 12
-            assert temme_c(1, 2.0) == pytest.approx(float(ref), rel=1e-13)
+            assert self._far(2.0)[1] == pytest.approx(float(ref), rel=1e-13)
 
     def test_series_matches_closed_form_at_boundary(self):
         # Taylor window and closed forms must agree where they hand over
         for lam in (1.0 + 0.0501, 1.0 - 0.0501):
-            for j in range(4):
-                inside = temme_c(j, lam + math.copysign(0.002, 1.0 - lam))
-                outside = temme_c(j, lam)
+            assert abs(lam - 1.0) > NEAR_ONE_SWITCH
+            inside_lam = lam + math.copysign(0.002, 1.0 - lam)
+            assert abs(inside_lam - 1.0) < NEAR_ONE_SWITCH
+            for inside, outside in zip(self._near(inside_lam), self._far(lam)):
                 # smoothness: small step, small change
                 assert abs(inside - outside) < 0.05 * max(1.0, abs(outside))
 
     def test_known_limits(self):
         # c_1(1) = -1/540, c_2(1) = 25/6048, c_3(1) = 101/155520
-        assert temme_c(1, 1.0) == pytest.approx(-1.0 / 540.0, abs=1e-16)
-        assert temme_c(2, 1.0) == pytest.approx(25.0 / 6048.0, abs=1e-16)
-        assert temme_c(3, 1.0) == pytest.approx(101.0 / 155520.0, abs=1e-16)
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrderError):
-            temme_c(4, 1.5)
+        cs = self._near(1.0)
+        assert cs[1] == pytest.approx(-1.0 / 540.0, abs=1e-16)
+        assert cs[2] == pytest.approx(25.0 / 6048.0, abs=1e-16)
+        assert cs[3] == pytest.approx(101.0 / 155520.0, abs=1e-16)
 
 
 class TestTemmePoint:
@@ -248,11 +259,17 @@ class TestRegLowerGamma:
         assert reg_lower_gamma(at, z).tolist() == gammainc(at, z).tolist()
         assert reg_lower_gamma(3.0, 2.5) == gammainc(3.0, 2.5)
         assert calls == []
-        # z = 0 needs no expansion either; one large shape runs it once
-        reg_lower_gamma(np.array([5e3, 3.0]), np.array([0.0, 1.0]))
-        assert calls == []
+        # the large shapes of a call run it once, z = 0 among them
         reg_lower_gamma(np.array([5e3, 3.0, 2e3]), np.array([5e3, 1.0, 0.0]))
-        assert calls == [1]
+        assert calls == [2]
+        # its P at z = 0 is exactly 0, scalar and array: h = -1, eta = -inf,
+        # and its erfc and exp go to 0
+        shapes = [LARGE_A_THRESHOLD, 5e3, 1e6, 1e9]
+        for a_tilde in shapes:
+            assert reg_lower_gamma(a_tilde, 0.0) == 0.0
+        assert reg_lower_gamma(np.array(shapes), 0.0).tolist() == [0.0] * 4
+        mixed = reg_lower_gamma(np.array(shapes), np.array([0.0, 5e3, 0.0, 1e9]))
+        assert mixed[0] == 0.0 and mixed[2] == 0.0
 
 
 class TestSaturationWindow:
