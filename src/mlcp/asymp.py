@@ -13,7 +13,7 @@ evaluations of the p/q polynomial families, built from one erfc per node
 are performed either in exact coefficient space (polynomial counterterms)
 or via log1p of explicitly tiny corrections, never by subtracting two
 large floats: ln g0 - a ln(sqrt2 |y|) is one log1p formula on the whole
-line (_psi2), which the C3 integrand reuses.
+line, which the C3 integrand reuses (_integrands).
 
 C1 is closed-form up to one smooth integral.  With s = 2b and Y = edge
 (Y^s = 1/b), C1 = u b r^s + a b I, I = int_0^Y s y^{s-1} ln|r-y| dy.
@@ -30,11 +30,13 @@ C1's error is a b r^s times K's estimate plus a rounding allowance of 4 eps
 a b times the summed |terms| of I, counting (1/b + r^s)|ln(Y-r)| for the
 first.
 
-C2 and C3 are each two adaptive Gauss-Kronrod integrals of the same
-integrand: the core |y| <= y_switch, and both tails mapped by t = 1/y onto
+C2 and C3 are integrated together, as the two components of one
+integrand (_integrands), which evaluates the profile once per node for
+both.  They take two adaptive Gauss-Kronrod calls, which share their
+panels: the core |y| <= y_switch, and both tails mapped by t = 1/y onto
 [-1/y_switch, 1/y_switch], where integrand(1/t)/t^2 is smooth through
-t = 0 (see _in_t).  Their error estimate is the sum of the two integrals'
-estimates.
+t = 0 (see _in_t).  Each constant's error estimate is the sum of its
+component's estimates in the two calls.
 """
 
 import functools
@@ -55,10 +57,13 @@ from .specfun import horner
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _T_MIN = 2.0**-30
-# math.erfc element by element: against a 40-digit reference, scipy's erfc is
-# 1.4e-14 relative off for y in [6, 12] and 5.7e-14 by y = 26, where
-# math.erfc stays within 4e-16.
-_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _erfc(x):
+    """math.erfc element by element on the array x, in x's shape: against a
+    40-digit reference, scipy's erfc is 1.4e-14 relative off for y in
+    [6, 12] and 5.7e-14 by y = 26, where math.erfc stays within 4e-16."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class _Profile:
         self.u = u
         self.sign_a = -1.0 if a % 2 else 1.0
         self.cu_e = exp_u(u) - self.sign_a  # e^u - (-1)^a
-        self.exp_neg_u = exp_u(-u)  # e^-u, for y < 0 in _psi2
+        self.exp_neg_u = exp_u(-u)  # e^-u, for y < 0 in psi2 (_integrands)
         bfrac = Fraction(b)
         p0 = combo_poly.p0(a)
         q0 = combo_poly.q0(a)
@@ -181,22 +186,13 @@ def _finite(name, y, values):
     return values
 
 
-def _psi2_terms(y, prof, parts):
-    # _psi2's formula, with no check that its values are finite
-    _, _, gauss, half = parts
-    t = _SQRT2 * np.abs(y)
-    ratio = horner(prof.tail_ratio, 1.0 / (t * t))
-    small = prof.cu_e * half - gauss * (horner(prof.q0, t) / horner(prof.p0, t))
-    corr = np.where(y > 0.0, prof.sign_a, -prof.exp_neg_u) * small
-    bad = corr <= -1.0
-    if np.any(bad):
-        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
-    return np.log1p(ratio) + np.log1p(corr)
+def _integrands(y, prof):
+    """The C2 and C3 integrands at the nodes y, none of them 0, stacked:
+    shape (2,) + y.shape.  One _parts (one erfc) and one p0(s), q0(s) per
+    node serve both.
 
-
-def _psi2(y, prof):
-    """C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y != 0, by one
-    formula on the whole line.  With t = sqrt2 |y| and w = 1/t^2,
+    C2's, psi2 = ln g0(y) - a ln(sqrt2 |y|) - u [y<0], is one formula on
+    the whole line.  With t = sqrt2 |y| and w = 1/t^2,
 
       psi2 = log1p(p0(t)/t^a - 1) + log1p(side (e^u - (-1)^a) small),
       small = erfc(|y|)/2 - exp(-y^2) q0(t) / (sqrt(2 pi) p0(t)),
@@ -204,56 +200,72 @@ def _psi2(y, prof):
     side = (-1)^a for y > 0 and -e^-u for y < 0.  p0(t)/t^a - 1 is the
     polynomial tail_ratio in w, so ln p0(t) - a ln t, which cancels at
     large t (and the tail map multiplies that error by y^2), is never
-    formed by subtraction.  The second argument is at most -1 exactly where
-    g0 <= 0, which raises AccuracyError, and so does a value that is not
-    finite (a term overflowed a double), naming the first such y.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _finite("C2", y, _psi2_terms(y, prof, _parts(y, prof)))
+    formed by subtraction.  t = |s|, and p0 has parity a and q0 parity
+    a - 1, so q0(t)/p0(t) is q0(s)/p0(s) for y < 0 and its negative for
+    y > 0, bit for bit.
 
+    C3's folds the linear counterterm into exact algebra:
 
-def _c3_integrand(y, prof):
-    """C3 integrand with the linear counterterm folded into exact algebra:
+      combined + 4 b y psi2 + (2ab - a^2) y / (4 (1 + y^2)),
+      combined = [p_comb(s) amp + q_comb(s) gauss] / (sqrt2 g0(y)).
 
-        combined + 4 b y psi2(y) + (2ab - a^2) y / (4 (1 + y^2)),
-
-    combined = [p_comb(s) amp + q_comb(s) gauss] / (sqrt2 g0(y)), s = -sqrt2 y.
-    A g0 that is not positive, or a value that is not finite, raises
-    AccuracyError naming the first such y.
+    A g0 that is not positive (psi2's second log1p argument at most -1, or
+    g0 itself), or a value that is not finite (a term overflowed a double),
+    raises AccuracyError naming the first such y, C2's checks first.
     """
     a, b = prof.a, prof.b
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         parts = _parts(y, prof)
-        g0 = _mix(prof.p0, prof.q0, parts)
-        bad = ~(g0 > 0.0)
-        if np.any(bad):
-            raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
+        s, amp, gauss, half = parts
+        p0, q0 = horner(prof.p0, s), horner(prof.q0, s)
+        t = _SQRT2 * np.abs(y)
+        ratio = horner(prof.tail_ratio, 1.0 / (t * t))
+        above = y > 0.0
+        q_over_p = q0 / p0
+        small = prof.cu_e * half - gauss * np.where(above, -q_over_p, q_over_p)
+        corr = np.where(above, prof.sign_a, -prof.exp_neg_u) * small
+        _nonpositive(y, corr <= -1.0)
+        psi2 = _finite("C2", y, np.log1p(ratio) + np.log1p(corr))
+        g0 = p0 * amp + q0 * gauss
+        _nonpositive(y, ~(g0 > 0.0))
         combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
-        linear = np.zeros_like(y)
-        nonzero = y != 0.0
-        psi2 = _psi2_terms(y[nonzero], prof, [part[nonzero] for part in parts])
-        linear[nonzero] = 4.0 * b * y[nonzero] * psi2
-        out = combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + linear
-    return _finite("C3", y, out)
+        c3 = combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + 4.0 * b * y * psi2
+    return np.stack((psi2, _finite("C3", y, c3)))
+
+
+def _nonpositive(y, bad):
+    """AccuracyError naming the first y where bad holds: g0 is not positive
+    there."""
+    if np.any(bad):
+        raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
+
+
+def _integrands_at(y, params):
+    """_integrands at y, a float or an array, 0 included: there psi2's
+    formula is not defined, and C2's integrand is ln g0(0) for a = 0 and
+    +inf for a >= 1 (the log singularity), C3's g1(0)/(sqrt2 g0(0)).  No
+    quadrature node is 0."""
+    prof = _profile(params)
+    y = np.asarray(y, dtype=float)
+    at0 = y == 0.0
+    out = np.empty((2,) + y.shape)
+    out[:, ~at0] = _integrands(y[~at0], prof)
+    if np.any(at0):
+        g = eval_G(0.0, params)
+        out[0, at0] = math.inf if prof.a else math.log(g.g0)
+        out[1, at0] = g.g1 / (_SQRT2 * g.g0)
+    return out
 
 
 def c2_integrand(y, params):
     """The C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y, a float
-    or an array.  At y = 0, where _psi2's formula is not defined, it is
-    ln g0(0) for a = 0 and +inf for a >= 1 (the log singularity); the
-    quadrature calls _psi2 itself, on nodes that are never 0."""
-    prof = _profile(params)
-    y = np.asarray(y, dtype=float)
-    at0 = y == 0.0
-    out = np.empty_like(y)
-    out[~at0] = _psi2(y[~at0], prof)
-    if np.any(at0):
-        out[at0] = math.inf if prof.a else math.log(eval_G(0.0, params).g0)
-    return _float_or_array(out)
+    or an array (see _integrands_at for y = 0)."""
+    return _float_or_array(_integrands_at(y, params)[0])
 
 
 def c3_integrand(y, params):
-    return _float_or_array(_c3_integrand(np.asarray(y, dtype=float), _profile(params)))
+    """The C3 integrand of the module docstring at y, a float or an array."""
+    return _float_or_array(_integrands_at(y, params)[1])
 
 
 def positivity_scan(params):
@@ -269,38 +281,40 @@ def positivity_scan(params):
     )
 
 
-def _in_t(integrand, prof):
-    """h(t) = integrand(1/t, prof)/t^2 for 0 < |t| <= 1/y_switch: the tails
-    in t = 1/y.  The integrands decay like A/y^2 (C2) and A/y^3 (C3), and
-    the logs in _psi2 cancel exactly, so h is smooth through t = 0.  Below
-    |t| = t_min = _T_MIN/y_switch, h is held at h(+-t_min), which moves the
-    tail by about |h'(0)| t_min^2/2 per side: the integrands overflow at
-    large |y| (from about 1e16 at a = 6, u = 500), and C3's cancelling
-    O(1/y) parts leave noise of about eps*|y| in h."""
+def _in_t(prof):
+    """h(t) = _integrands(1/t, prof)/t^2 for 0 < |t| <= 1/y_switch: the
+    tails in t = 1/y.  The integrands decay like A/y^2 (C2) and A/y^3 (C3),
+    and the logs in psi2 cancel exactly, so h is smooth through t = 0.
+    Below |t| = t_min = _T_MIN/y_switch, h is held at h(+-t_min), which
+    moves the tail by about |h'(0)| t_min^2/2 per side: the integrands
+    overflow at large |y| (from about 1e16 at a = 6, u = 500), and C3's
+    cancelling O(1/y) parts leave noise of about eps*|y| in h."""
     t_min = _T_MIN / prof.y_switch
 
     def h(t):
         y = 1.0 / np.copysign(np.maximum(np.abs(t), t_min), t)
-        return integrand(y, prof) * (y * y)
+        return _integrands(y, prof) * (y * y)
 
     return h
 
 
-def _whole_line(integrand, prof, tol):
-    """Integral of integrand(y, prof) over the real line and its error.  The
-    integrand is one formula for every y; y_switch only places the split
-    between two adaptive calls, each to 2 tol: the core |y| <= y_switch,
-    graded toward the log singularity at y = 0 from both sides, and both
-    tails (_in_t) on uniform panels of [-1/y_switch, 1/y_switch].  The error
-    is the sum of the two gk15 estimates; holding h below t_min adds under
-    1e-17 at a <= 6, far below their roundoff term."""
+def _whole_line(prof, tols):
+    """Integrals of _integrands over the real line and their errors, lists
+    of (C2, C3).  The integrands are one formula for every y; y_switch only
+    places the split between two adaptive calls, each to half of tols:
+    the core |y| <= y_switch, graded toward the log singularity at y = 0
+    from both sides, and both tails (_in_t) on uniform panels of
+    [-1/y_switch, 1/y_switch].  Each error is the sum of the two gk15
+    estimates; holding h below t_min adds under 1e-17 at a <= 6, far below
+    their roundoff term."""
     core = graded_edges(prof.y_switch)
     core = [-y for y in core[:0:-1]] + core
     t_edge = 1.0 / prof.y_switch
     tail = [-t_edge, -0.5 * t_edge, 0.0, 0.5 * t_edge, t_edge]
-    core_val, core_err = adaptive(lambda y: integrand(y, prof), core, 2.0 * tol)
-    tail_val, tail_err = adaptive(_in_t(integrand, prof), tail, 2.0 * tol)
-    return core_val + tail_val, core_err + tail_err
+    half = [0.5 * t for t in tols]
+    core_val, core_err = adaptive(lambda y: _integrands(y, prof), core, half)
+    tail_val, tail_err = adaptive(_in_t(prof), tail, half)
+    return (core_val + tail_val).tolist(), (core_err + tail_err).tolist()
 
 
 def coeff_C1(params, tol=1e-9):
@@ -329,26 +343,25 @@ def _c1_with_err(params, tol=1e-9):
 
 
 def coeff_C2(params, tol=1e-9):
-    return _c2_with_err(params, tol)[0]
-
-
-def _c2_with_err(params, tol=1e-9):
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite", constraint="tol")
-    prof = _profile(params)
-    pref = _SQRT2 * params.b * params.r**params.b
-    total, err = _whole_line(_psi2, prof, tol / (4.0 * pref))
-    return pref * total, pref * err
+    """C2 to tol.  It is integrated together with C3 (_c2_c3_with_err), so
+    this costs as much as coeff_C3, and fails where C3 cannot be certified;
+    compute_coeffs gives all three constants at once."""
+    return _c2_c3_with_err(params, tol)[0][0]
 
 
 def coeff_C3(params, tol=1e-9):
-    return _c3_with_err(params, tol)[0]
+    """C3 to tol, integrated together with C2 as in coeff_C2."""
+    return _c2_c3_with_err(params, tol)[1][0]
 
 
-def _c3_with_err(params, tol=1e-9):
+def _c2_c3_with_err(params, tol=1e-9):
+    """(C2, err2) and (C3, err3) from one _whole_line call, each to tol:
+    C2 = sqrt2 b r^b times its integral, C3 a closed form plus its
+    integral."""
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite", constraint="tol")
     a, b, alpha, u = params.a, params.b, params.alpha, params.u
+    pref = _SQRT2 * b * params.r**b
     mass = params.bulk_mass  # b r^{2b}
     closed = -(0.5 + alpha) * u
     if a:
@@ -357,15 +370,14 @@ def _c3_with_err(params, tol=1e-9):
         closed += 0.25 * a * (2.0 + a - 2.0 * b + 4.0 * alpha) * math.log(
             1.0 / inner_radius - 1.0
         )
-    total, err = _whole_line(_c3_integrand, _profile(params), tol / 4.0)
-    return closed + total, err
+    (c2, c3), (e2, e3) = _whole_line(_profile(params), [tol / pref, tol])
+    return (pref * c2, pref * e2), (closed + c3, e3)
 
 
 def compute_coeffs(params, tol=1e-9):
     """All three constants with their quadrature error estimates."""
     c1, e1 = _c1_with_err(params, tol)
-    c2, e2 = _c2_with_err(params, tol)
-    c3, e3 = _c3_with_err(params, tol)
+    (c2, e2), (c3, e3) = _c2_c3_with_err(params, tol)
     for name, err in (("C1", e1), ("C2", e2), ("C3", e3)):
         if not (err <= tol):
             raise AccuracyError(f"{name} error estimate {err:.3e} exceeds tol {tol:.3e}")

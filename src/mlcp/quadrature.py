@@ -6,16 +6,21 @@ is bisected until the summed estimate meets the target.  Panel order and
 bisection order are deterministic, so results are bit-reproducible.
 
 Integrands take arrays: f maps an array of nodes to the array of its
-values, of the same shape.  Each call to f evaluates the 15 nodes of a
-whole batch of panels: every initial panel in one call, then both halves
-of a bisected panel in one call.
+values, of the same shape, or to a stack of C component values, of shape
+(C,) + the nodes' shape.  The components share every panel and every
+call to f, and each has its own tolerance (Genz and Malik's vector
+integrands).  Each call to f evaluates the 15 nodes of a whole batch of
+panels: every initial panel in one call, then both halves of a bisected
+panel in one call.
 
 Kronrod nodes are strictly interior, so integrable endpoint singularities
 (log or algebraic) never get evaluated exactly at the endpoint; callers
 resolve them by grading panels geometrically toward the singular point.
 """
 
+import functools
 import heapq
+import operator
 
 import numpy as np
 
@@ -84,52 +89,81 @@ def gk15(f, lo, hi):
     return res_k * half, err
 
 
+def _running_sums(x):
+    """The sum of each row of the 2-d array x, adding one column at a time
+    from the left, as a list (np.sum would add pairwise)."""
+    return [functools.reduce(operator.add, row, 0.0) for row in x.tolist()]
+
+
 def adaptive(f, edges, tol):
     """Integrate f over the union of [edges[i], edges[i+1]] panels.
 
-    The worst panel is bisected until the total error estimate is below
-    ``tol`` (absolute); raises AccuracyError when the panel budget
-    _MAX_PANELS is exhausted first.  f is called once for all initial
-    panels and once per bisection.  Returns (integral, error_estimate).
+    tol is the absolute tolerance: a float, or a sequence of one per
+    component for an integrand with a component axis.  The panel with the
+    largest weighted error, max_c err_c tol[0]/tol[c], is bisected until
+    every component's summed estimate is within its tol; with one
+    component the weight is 1, so the panels go in the order of their
+    error.  Raises AccuracyError, naming the component furthest over its
+    tol if f has a component axis, when the panel budget _MAX_PANELS is
+    exhausted first, or when panels at double-precision width lock in more
+    error than a tol allows.  f is called once for all initial panels and
+    once per bisection.  Returns (integral, error_estimate): floats for an
+    integrand without a component axis, arrays of shape (C,) for one with
+    it.
     """
     edges = np.asarray(edges, dtype=float)
     distinct = edges[:-1] != edges[1:]
     lo, hi = edges[:-1][distinct], edges[1:][distinct]
     vals, errs = gk15(f, lo, hi)
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    floor_err = 0.0  # error locked in by panels already at double-precision width
-    initial = zip(lo.tolist(), hi.tolist(), vals.tolist(), errs.tolist())
-    for counter, (a, b, val, err) in enumerate(initial):
-        heap.append((-err, counter, a, b, val, err))
-        total += val
-        total_err += err
-    heapq.heapify(heap)
-    counter = panels = len(heap)
-    while total_err > tol and heap and panels < _MAX_PANELS:
+    stacked = vals.ndim > 1
+    vals, errs = np.atleast_2d(vals), np.atleast_2d(errs)  # (C, panels)
+    tols = list(tol) if stacked else [tol]
+    weights = np.array([1.0] + [tols[0] / t for t in tols[1:]])[:, None]
+
+    def keys(errs):
+        # heap keys of the panels: their largest weighted error, negated
+        return (-(errs * weights).max(axis=0)).tolist()
+
+    def over(errors):
+        return any(map(operator.gt, errors, tols))
+
+    total, total_err = _running_sums(vals), _running_sums(errs)
+    heap = []  # built only when a panel must be split
+    if over(total_err):
+        heap = list(zip(
+            keys(errs), range(len(lo)), lo.tolist(), hi.tolist(), vals.T.tolist(), errs.T.tolist()
+        ))
+        heapq.heapify(heap)
+    floor_err = [0.0] * len(tols)  # locked in by panels already at double-precision width
+    counter = panels = len(lo)
+    while over(total_err) and heap and panels < _MAX_PANELS:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         # stop splitting once interior nodes would round onto the endpoints
-        if err <= 0.0 or hi - lo <= 1024.0 * max(abs(lo), abs(hi)) * 2.3e-16 + 5e-300:
-            floor_err += err
-            if floor_err > tol:
+        if max(err) <= 0.0 or hi - lo <= 1024.0 * max(abs(lo), abs(hi)) * 2.3e-16 + 5e-300:
+            floor_err = [t + e for t, e in zip(floor_err, err)]
+            if over(floor_err):
                 break
             continue
         mid = 0.5 * (lo + hi)
         vals, errs = gk15(f, np.array([lo, mid]), np.array([mid, hi]))
-        (v1, v2), (e1, e2) = vals.tolist(), errs.tolist()
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+        vals, errs = vals.reshape(-1, 2), errs.reshape(-1, 2)  # (C, 2)
+        (k1, k2), (v1, v2), (e1, e2) = keys(errs), vals.T.tolist(), errs.T.tolist()
+        total = [t + (p + q - v) for t, p, q, v in zip(total, v1, v2, val)]
+        total_err = [t + (p + q - e) for t, p, q, e in zip(total_err, e1, e2, err)]
+        heapq.heappush(heap, (k1, counter, lo, mid, v1, e1))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
+        heapq.heappush(heap, (k2, counter, mid, hi, v2, e2))
         counter += 1
         panels += 1
-    if total_err > tol:
+    if over(total_err):
+        c = max(range(len(tols)), key=lambda c: total_err[c] / tols[c])
+        where = f" in component {c}" if stacked else ""
         raise AccuracyError(
-            f"adaptive quadrature stalled at error {total_err:.3e} > tol {tol:.3e}"
+            f"adaptive quadrature stalled at error {total_err[c]:.3e} > tol {tols[c]:.3e}{where}"
         )
-    return total, total_err
+    if stacked:
+        return np.array(total), np.array(total_err)
+    return total[0], total_err[0]
 
 
 def graded_edges(hi):

@@ -283,6 +283,20 @@ class TestC3:
         expected = -0.7 + 2.0 * math.log((1.0 * 0.25) ** -0.5 - 1.0)
         assert shift == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("a", [0, 1, 3])
+    def test_integrand_at_zero(self, a):
+        # y = 0: g1(0)/(sqrt2 g0(0)), bit for bit, its limit from both
+        # sides (4 b y psi2 goes like y ln|y| at a >= 1); element by
+        # element in an array
+        p = Params(1.0, 0.0, 0.5, 0.6, a)
+        at0 = c3_integrand(0.0, p)
+        g = eval_G(0.0, p)
+        assert at0 == g.g1 / (math.sqrt(2.0) * g.g0)
+        for y in (-1e-12, 1e-12):
+            assert at0 == pytest.approx(c3_integrand(y, p), abs=1e-9)
+        row = c3_integrand(np.array([-1.0, 0.0, 1e-12]), p)
+        assert row.tolist() == [c3_integrand(-1.0, p), at0, c3_integrand(1e-12, p)]
+
     def test_integrand_continuity_across_switch(self):
         p = Params(1.0, 0.0, 0.5, 0.6, 2)
         lo = c3_integrand(8.0 - 1e-9, p)
@@ -377,8 +391,9 @@ def mp_integrands(params):
 
 
 class TestSinglePath:
-    """_psi2 is one formula on the whole line, and every profile evaluation
-    shares one erfc per node (asymp._parts)."""
+    """psi2 is one formula on the whole line, and every profile evaluation
+    shares one erfc per node (asymp._parts); the C2 and C3 integrands are
+    one evaluation (asymp._integrands)."""
 
     YS = [0.5, 2.0, 3.6, 5.0, 7.0, 7.99, 8.01, 9.0, 12.0, 20.0]  # y_switch = 8
 
@@ -394,7 +409,7 @@ class TestSinglePath:
         p = Params(1.0, 0.0, 0.5, 0.7, 3)
         prof = asymp._profile(p)
         y = np.array([-20.0, -9.0, -1.0, 0.5, 8.5, 30.0])
-        for evaluate in (asymp._psi2, asymp._c3_integrand, lambda y, _: eval_G(y, p)):
+        for evaluate in (asymp._integrands, lambda y, _: eval_G(y, p)):
             calls.clear()
             evaluate(y, prof)
             assert calls == [y.size]
@@ -407,12 +422,40 @@ class TestSinglePath:
         prof = asymp._profile(params)
         y = np.array(sorted([-v for v in self.YS] + self.YS))
         with mp.workdps(60):
-            for f, integrand in zip(
-                mp_integrands(params), (asymp._psi2, asymp._c3_integrand)
-            ):
+            for f, values in zip(mp_integrands(params), asymp._integrands(y, prof)):
                 ref = np.array([float(f(mp.mpf(v))) for v in y])
-                err = np.abs(integrand(y, prof) - ref)
+                err = np.abs(values - ref)
                 assert np.all(err <= 2e-14 + 1e-12 * np.abs(ref))
+
+    def test_erfc_elements_per_node(self, monkeypatch):
+        # one profile evaluation per quadrature node for both C2 and C3:
+        # the erfc elements of one compute_coeffs are 15 per panel of its
+        # two C2/C3 adaptive calls (C1's integrand takes no erfc)
+        elements, panels = [], []
+        erfc, adaptive, gk15 = asymp._erfc, asymp.adaptive, quadrature.gk15
+
+        def counted_erfc(x):
+            elements.append(x.size)
+            return erfc(x)
+
+        def counted_adaptive(f, edges, tol):
+            panels.append(0)
+            return adaptive(f, edges, tol)
+
+        def counted_gk15(f, lo, hi):
+            panels[-1] += np.size(lo)
+            return gk15(f, lo, hi)
+
+        monkeypatch.setattr(asymp, "_erfc", counted_erfc)
+        monkeypatch.setattr(asymp, "adaptive", counted_adaptive)
+        monkeypatch.setattr(quadrature, "gk15", counted_gk15)
+        for a in (0, 3):
+            elements.clear()
+            panels.clear()
+            compute_coeffs(Params(1.0, 0.0, 0.5, 0.7, a))
+            c2_c3 = panels[-2:]  # C1 makes one call at a >= 1, before them
+            assert len(panels) == 2 + (a > 0)
+            assert sum(elements) == 15 * sum(c2_c3)
 
 
 class TestTails:
@@ -432,8 +475,7 @@ class TestTails:
         prof = asymp._profile(params)
         t = np.geomspace(1e-305, 1.0 / prof.y_switch, 500)
         t = np.concatenate((-t, t))
-        for integrand in (asymp._psi2, asymp._c3_integrand):
-            assert np.all(np.isfinite(asymp._in_t(integrand, prof)(t)))
+        assert np.all(np.isfinite(asymp._in_t(prof)(t)))
 
     # u = 2.5 for 500: compute_coeffs cannot certify C3 there (its core
     # stalls), so it returns no error to compare with
@@ -449,15 +491,15 @@ class TestTails:
         t_min = asymp._T_MIN / prof.y_switch
         coeffs = compute_coeffs(params)
         pref = math.sqrt(2.0) * params.b * params.r**params.b
+        y = np.array([30.0, -30.0])
         with mp.workdps(120):
-            for f, scale, err, integrand in zip(
+            for f, scale, err, values in zip(
                 mp_integrands(params),
                 (pref, 1.0),
                 (coeffs.err2, coeffs.err3),
-                (asymp._psi2, asymp._c3_integrand),
+                asymp._integrands(y, prof),
             ):
-                y = np.array([30.0, -30.0])
-                assert integrand(y, prof) == pytest.approx(
+                assert values == pytest.approx(
                     [float(f(mp.mpf(v))) for v in y], rel=1e-12, abs=1e-15
                 )
                 moved = 0
@@ -473,15 +515,18 @@ class TestTails:
     @pytest.mark.parametrize("u", [-0.7, 2.5])
     def test_error_estimates_cover_tighter_tol(self, b, a, u):
         p = Params(b, *GEOMETRIES[b], u, a)
-        for with_err in (asymp._c2_with_err, asymp._c3_with_err):
-            value, err = with_err(p, 1e-9)
-            tight, _ = with_err(p, 1e-11)
+        for (value, err), (tight, _) in zip(
+            asymp._c2_c3_with_err(p, 1e-9), asymp._c2_c3_with_err(p, 1e-11)
+        ):
             assert abs(value - tight) <= err
             assert abs(value - tight) <= 1e-12
 
     def test_gk15_calls(self, monkeypatch):
         # the octave-by-octave tails with a fitted A/y^p remainder made 262
-        # gk15 calls on this grid; the t = 1/y tails make 115
+        # gk15 calls on this grid, the t = 1/y tails 115, and with C1 in
+        # closed form 33; integrating C2 and C3 together makes 21 (C1 takes
+        # one per config, the joint core and tail calls one each, and there
+        # are three bisections)
         calls = []
         gk15 = quadrature.gk15
 
@@ -493,7 +538,7 @@ class TestTails:
         for b, (alpha, r) in GEOMETRIES.items():
             for a in (1, 4):
                 compute_coeffs(Params(b, alpha, r, 1.0, a))
-        assert len(calls) <= 262 // 2
+        assert len(calls) <= 24
 
 
 class TestPredictResidual:

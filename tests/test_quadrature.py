@@ -98,3 +98,46 @@ def test_batch_matches_node_loop():
         val, err = _gk15_loop(lambda y: math.sin(20.0 * y) / (1.5 + y), lo[i], hi[i])
         assert vals[i] == pytest.approx(val, rel=1e-14, abs=1e-15)
         assert errs[i] == pytest.approx(err, rel=1e-10, abs=0.0)
+
+
+def _log_kink(y):
+    return np.log(np.abs(y - 0.3)) * np.cos(3.0 * y)
+
+
+def test_components_each_to_own_tol():
+    # a smooth and a log-singular component on shared panels, with tols
+    # 1e-5 apart: each estimate meets its own tol, and each value lies
+    # within it of the component integrated alone
+    f = lambda y: np.stack((np.exp(y), _log_kink(y)))
+    tols = [1e-13, 1e-8]
+    vals, errs = adaptive(f, [0.0, 0.5, 1.0], tols)
+    assert vals.shape == errs.shape == (2,)
+    for c, (g, tol) in enumerate(zip((np.exp, _log_kink), tols)):
+        alone, _ = adaptive(g, [0.0, 0.5, 1.0], tol)
+        assert errs[c] <= tol
+        assert abs(vals[c] - alone) <= tol
+    assert vals[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+
+
+def test_one_component_is_the_scalar_call():
+    # the same bits, errors and number of f calls with or without a
+    # component axis, pinned to the scalar route before components existed
+    runs = []
+    for wrap, tol in ((lambda v: v, 1e-11), (lambda v: v[None], [1e-11])):
+        calls = []
+
+        def f(y, wrap=wrap, calls=calls):
+            calls.append(y.shape)
+            return wrap(_log_kink(y))
+
+        val, err = adaptive(f, [0.0, 0.5, 1.0], tol)
+        runs.append((float(np.squeeze(val)).hex(), float(np.squeeze(err)).hex(), len(calls)))
+    assert runs[0] == runs[1] == ("-0x1.236b859c474c0p-1", "0x1.2f530e3027802p-37", 51)
+
+
+def test_stall_names_component(monkeypatch):
+    # component 0 is easy; component 1 cannot reach its tol in 8 panels
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    f = lambda y: np.stack((np.exp(y), np.sin(300.0 * y) / (1e-8 + abs(y - 0.3))))
+    with pytest.raises(AccuracyError, match=r"> tol 1\.000e-16 in component 1$"):
+        adaptive(f, [0.0, 1.0], [1e-6, 1e-16])
