@@ -56,7 +56,11 @@ from .specfun import horner
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN_SQRT2 = 0.5 * math.log(2.0)
 _T_MIN = 2.0**-30
+# Below t = sqrt2 |y| = _T_TINY, far under the smallest quadrature node
+# (about 1e-18), psi2 is formed from its definition (_integrands).
+_T_TINY = 1e-30
 
 
 def _erfc(x):
@@ -200,9 +204,11 @@ def _integrands(y, prof):
     side = (-1)^a for y > 0 and -e^-u for y < 0.  p0(t)/t^a - 1 is the
     polynomial tail_ratio in w, so ln p0(t) - a ln t, which cancels at
     large t (and the tail map multiplies that error by y^2), is never
-    formed by subtraction.  t = |s|, and p0 has parity a and q0 parity
-    a - 1, so q0(t)/p0(t) is q0(s)/p0(s) for y < 0 and its negative for
-    y > 0, bit for bit.
+    formed by subtraction.  Below t = _T_TINY, far under every node,
+    psi2 is its definition, ln(g0 e^(-u [y<0])) - a ln t: nothing cancels
+    there, while w and, at odd a, q0/p0 overflow a double as t -> 0.
+    t = |s|, and p0 has parity a and q0 parity a - 1, so q0(t)/p0(t) is
+    q0(s)/p0(s) for y < 0 and its negative for y > 0, bit for bit.
 
     C3's folds the linear counterterm into exact algebra:
 
@@ -225,8 +231,15 @@ def _integrands(y, prof):
         small = prof.cu_e * half - gauss * np.where(above, -q_over_p, q_over_p)
         corr = np.where(above, prof.sign_a, -prof.exp_neg_u) * small
         _nonpositive(y, corr <= -1.0)
-        psi2 = _finite("C2", y, np.log1p(ratio) + np.log1p(corr))
+        psi2 = np.log1p(ratio) + np.log1p(corr)
         g0 = p0 * amp + q0 * gauss
+        tiny = t < _T_TINY
+        if np.any(tiny):
+            # ln t from |y|: sqrt2 |y| loses digits below the normal range
+            ln_t = np.log(np.abs(y[tiny])) + _LN_SQRT2
+            e_u = np.where(above[tiny], 1.0, prof.exp_neg_u)  # e^(-u [y<0])
+            psi2[tiny] = np.log(g0[tiny] * e_u) - a * ln_t
+        psi2 = _finite("C2", y, psi2)
         _nonpositive(y, ~(g0 > 0.0))
         combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
         c3 = combined + (2.0 * a * b - a * a) * y / (4.0 * (1.0 + y * y)) + 4.0 * b * y * psi2
@@ -312,9 +325,25 @@ def _whole_line(prof, tols):
     t_edge = 1.0 / prof.y_switch
     tail = [-t_edge, -0.5 * t_edge, 0.0, 0.5 * t_edge, t_edge]
     half = [0.5 * t for t in tols]
-    core_val, core_err = adaptive(lambda y: _integrands(y, prof), core, half)
-    tail_val, tail_err = adaptive(_in_t(prof), tail, half)
+    ys = f"{prof.y_switch:.4g}"
+    core_val, core_err = _joint(
+        lambda y: _integrands(y, prof), core, half, f"core call, |y| <= {ys}"
+    )
+    tail_val, tail_err = _joint(_in_t(prof), tail, half, f"tail call, |y| >= {ys}")
     return (core_val + tail_val).tolist(), (core_err + tail_err).tolist()
+
+
+def _joint(f, edges, tols, call):
+    """adaptive on the stacked (C2, C3) integrand f; a stall names the
+    constant that stalled and the call (core or tail) it stalled in."""
+    try:
+        return adaptive(f, edges, tols)
+    except AccuracyError as exc:
+        if exc.component is None:  # raised by the integrand itself
+            raise
+        raise AccuracyError(
+            f"{exc} (C{2 + exc.component}) of the {call}", component=exc.component
+        ) from None
 
 
 def coeff_C1(params, tol=1e-9):

@@ -36,4 +36,12 @@ class SingularPointError(MlcpError):
 
 class AccuracyError(MlcpError):
     """A numerical routine could not certify the requested tolerance, or an
-    exact j-term's inner sum lost its sign to cancellation."""
+    exact j-term's inner sum lost its sign to cancellation.
+
+    ``component`` is the index of the component that a quadrature of an
+    integrand with a component axis could not certify, else None.
+    """
+
+    def __init__(self, message, component=None):
+        super().__init__(message)
+        self.component = component

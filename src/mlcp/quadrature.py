@@ -61,7 +61,8 @@ _W_K15 = np.array(_WGK + _WGK[-2::-1])
 _W_G7 = np.zeros(15)
 _W_G7[1::2] = _WG + _WG[-2::-1]
 
-# Panel budget of one adaptive call: its initial panels plus one per bisection.
+# Default panel budget of one adaptive call: its initial panels plus one
+# per bisection.
 _MAX_PANELS = 4000
 
 
@@ -95,7 +96,7 @@ def _running_sums(x):
     return [functools.reduce(operator.add, row, 0.0) for row in x.tolist()]
 
 
-def adaptive(f, edges, tol):
+def adaptive(f, edges, tol, max_panels=_MAX_PANELS):
     """Integrate f over the union of [edges[i], edges[i+1]] panels.
 
     tol is the absolute tolerance: a float, or a sequence of one per
@@ -104,12 +105,13 @@ def adaptive(f, edges, tol):
     every component's summed estimate is within its tol; with one
     component the weight is 1, so the panels go in the order of their
     error.  Raises AccuracyError, naming the component furthest over its
-    tol if f has a component axis, when the panel budget _MAX_PANELS is
-    exhausted first, or when panels at double-precision width lock in more
-    error than a tol allows.  f is called once for all initial panels and
-    once per bisection.  Returns (integral, error_estimate): floats for an
-    integrand without a component axis, arrays of shape (C,) for one with
-    it.
+    tol if f has a component axis (its index is the error's
+    ``component``), when the panel budget max_panels (the initial panels
+    plus one per bisection) is exhausted first, or when panels at
+    double-precision width lock in more error than a tol allows.  f is
+    called once for all initial panels and once per bisection.  Returns
+    (integral, error_estimate): floats for an integrand without a
+    component axis, arrays of shape (C,) for one with it.
     """
     edges = np.asarray(edges, dtype=float)
     distinct = edges[:-1] != edges[1:]
@@ -136,7 +138,7 @@ def adaptive(f, edges, tol):
         heapq.heapify(heap)
     floor_err = [0.0] * len(tols)  # locked in by panels already at double-precision width
     counter = panels = len(lo)
-    while over(total_err) and heap and panels < _MAX_PANELS:
+    while over(total_err) and heap and panels < max_panels:
         _, _, lo, hi, val, err = heapq.heappop(heap)
         # stop splitting once interior nodes would round onto the endpoints
         if max(err) <= 0.0 or hi - lo <= 1024.0 * max(abs(lo), abs(hi)) * 2.3e-16 + 5e-300:
@@ -159,7 +161,8 @@ def adaptive(f, edges, tol):
         c = max(range(len(tols)), key=lambda c: total_err[c] / tols[c])
         where = f" in component {c}" if stacked else ""
         raise AccuracyError(
-            f"adaptive quadrature stalled at error {total_err[c]:.3e} > tol {tols[c]:.3e}{where}"
+            f"adaptive quadrature stalled at error {total_err[c]:.3e} > tol {tols[c]:.3e}{where}",
+            component=c if stacked else None,
         )
     if stacked:
         return np.array(total), np.array(total_err)

@@ -172,6 +172,12 @@ def mc_ln_mgf(params, n, samples, seed):
     r at double precision contributes weight zero (probability ~0); it is
     counted, not treated as an error.  With a = 0 and u = 0 every weight
     is 1 and nothing is drawn.
+
+    Memory: one samples-sized array, the 8 bytes per sample of the log
+    weights, plus one round's row of 8192 draws and its mask per worker.
+    The weights, their mean, effective sample size and variance (two
+    passes, Chan, Golub and LeVeque 1983) are formed in that same buffer,
+    with the arithmetic of np.mean and np.std(ddof=1), bit for bit.
     """
     _check_args(params, n, seed)
     if not (isinstance(samples, int) and samples >= 100):
@@ -197,9 +203,13 @@ def mc_ln_mgf(params, n, samples, seed):
     shift = float(np.max(log_w))
     if not math.isfinite(shift):
         raise DomainError("every Monte Carlo weight vanished", constraint="samples")
-    w = np.exp(log_w - shift)
-    mean = float(np.mean(w))
-    std = float(np.std(w, ddof=1)) / math.sqrt(samples)
+    # np.mean's and np.std(ddof=1)'s own arithmetic, in place: the same bits
+    w = np.exp(np.subtract(log_w, shift, out=log_w), out=log_w)
+    mean = float(np.add.reduce(w)) / samples
+    ess = (mean * samples) ** 2 / float(np.dot(w, w))
+    np.subtract(w, mean, out=w)
+    np.square(w, out=w)
+    std = math.sqrt(float(np.add.reduce(w)) / (samples - 1)) / math.sqrt(samples)
     ln_estimate = shift + math.log(mean)
     ln_stderr = std / mean
     return MCResult(
@@ -209,5 +219,5 @@ def mc_ln_mgf(params, n, samples, seed):
         ln_stderr=ln_stderr,
         samples=samples,
         seed=seed,
-        ess=(mean * samples) ** 2 / float(np.dot(w, w)),
+        ess=ess,
     )

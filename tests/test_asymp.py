@@ -23,7 +23,7 @@ from mlcp.asymp import (
     predict,
     residual,
 )
-from mlcp.errors import DomainError
+from mlcp.errors import AccuracyError, DomainError
 from mlcp.params import Params
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -323,6 +323,31 @@ class TestCoeffBundle:
                 call(params, tol)
             assert info.value.constraint == "tol"
 
+    @pytest.mark.parametrize(
+        "u, a, error, switch", [(-30.0, 0, "6.399e-03", "8"), (300.0, 1, "7.036e-09", "19.08")]
+    )
+    def test_stall_names_constant_and_call(self, u, a, error, switch):
+        # component 1 of the joint C2/C3 quadrature is C3
+        with pytest.raises(AccuracyError) as info:
+            compute_coeffs(Params(1.0, 0.0, 0.5, u, a))
+        assert str(info.value) == (
+            f"adaptive quadrature stalled at error {error} > tol 5.000e-10"
+            f" in component 1 (C3) of the core call, |y| <= {switch}"
+        )
+        assert info.value.component == 1
+
+    def test_tail_stall_names_the_tail(self, monkeypatch):
+        adaptive = asymp.adaptive
+
+        def tail_stalls(f, edges, tol):
+            if edges[0] == -1.0 / 8.0:  # the tail call, t = 1/y
+                raise AccuracyError("adaptive quadrature stalled in component 0", component=0)
+            return adaptive(f, edges, tol)
+
+        monkeypatch.setattr(asymp, "adaptive", tail_stalls)
+        with pytest.raises(AccuracyError, match=r"0 \(C2\) of the tail call, \|y\| >= 8$"):
+            compute_coeffs(Params(1.0, 0.0, 0.5, -0.7, 1))  # y_switch = 8
+
     def test_profile_built_once(self, monkeypatch):
         # one build for C2, C3 and later point evaluations of the same
         # (a, b, u); alpha and r do not enter the profile
@@ -426,6 +451,20 @@ class TestSinglePath:
                 ref = np.array([float(f(mp.mpf(v))) for v in y])
                 err = np.abs(values - ref)
                 assert np.all(err <= 2e-14 + 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("u", [0.6, 40.0, -700.0])
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_integrands_below_the_nodes_vs_mpmath(self, a, u):
+        # far below every node: 1/t^2 and q0/p0 (odd a) overflow a double
+        # there, so psi2 is ln g0 - a ln t - u [y<0] itself; subnormal y too
+        params = Params(1.0, 0.0, 0.5, u, a)
+        tiny = [1e-300, 1e-200, 1e-160, 1e-40, 1e-31, 1e-310, 5e-324]
+        y = np.array(sorted([-v for v in tiny] + tiny))
+        values = asymp._integrands(y, asymp._profile(params))
+        with mp.workdps(60):
+            for f, value in zip(mp_integrands(params), values):
+                ref = np.array([float(f(mp.mpf(v))) for v in y])
+                assert np.all(np.abs(value - ref) <= 2e-14 + 1e-12 * np.abs(ref))
 
     def test_erfc_elements_per_node(self, monkeypatch):
         # one profile evaluation per quadrature node for both C2 and C3:

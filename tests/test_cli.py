@@ -259,6 +259,17 @@ class TestCompare:
         assert record["type"] == "AccuracyError"
         assert record["message"].startswith("C2 integrand not finite at y=")
 
+    @pytest.mark.parametrize("u, a", [(-30.0, 0), (300.0, 1)])
+    def test_c3_stall_exit_3_names_constant_and_call(self, tmp_path, capsys, u, a):
+        cfg = write_config(tmp_path, n_list=[64], params={"u": u, "a": a})
+        assert main(["compare", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        record = json.loads(line)["error"]
+        assert record["type"] == "AccuracyError"
+        assert "in component 1 (C3) of the core call, |y| <= " in record["message"]
+
     def test_csv_columns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[16, 32, 64], params={"u": 0.5, "a": 1})
         assert main(["compare", "--config", cfg]) == 0

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,9 @@ class TestThreadedRounds:
             (Params(1.0, 0.0, 0.5, -1.2, 0), 12, 5000),
             # a = 3 keeps the multiply
             (Params(1.0, 0.0, 0.6, 0.0, 3), 12, 5000),
+            # past 2^17 samples: the in-place statistics against np.std at
+            # a deeper pairwise-sum tree
+            (Params(1.0, 0.0, 0.5, 1.0, 1), 4, 2**17 + 3),
         ],
     )
     def test_bit_identical_to_serial_loop(self, monkeypatch, cores, params, n, samples):
@@ -270,6 +274,20 @@ class TestStageGenerators:
         mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 10, 1000, seed=2)
         assert sorted(j for j, _ in built_by) == list(range(1, 11))
         assert threading.main_thread() not in {t for _, t in built_by}
+
+
+class TestMemory:
+    def test_one_samples_sized_array(self):
+        # the log weights are the one samples-sized array: the statistics
+        # run in them, and the workers' rows add 72 KiB each
+        samples = 2**18
+        tracemalloc.start()
+        try:
+            mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 4, samples, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * samples
 
 
 class TestEffectiveSampleSize:
