@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma
+import scipy
 
 from . import combo_poly
 from .errors import AccuracyError, DomainError
@@ -59,7 +59,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT2 = 0.5 * math.log(2.0)
 _T_MIN = 2.0**-30
 # Below t = sqrt2 |y| = _T_TINY, far under the smallest quadrature node
-# (about 1e-18), psi2 is formed from its definition (_integrands).
+# (about 1e-18), psi2 is formed from its definition (_integrands); at large
+# a, from where t^a < 2^-900 (_Profile.t_tiny).
 _T_TINY = 1e-30
 
 
@@ -103,7 +104,7 @@ class _Profile:
 
     __slots__ = (
         "a", "b", "u", "cu_e", "exp_neg_u", "sign_a",
-        "p0", "q0", "p1", "q1", "p_comb", "q_comb", "tail_ratio", "y_switch",
+        "p0", "q0", "p1", "q1", "p_comb", "q_comb", "tail_ratio", "t_tiny", "y_switch",
     )
 
     def __init__(self, a, b, u):
@@ -129,6 +130,9 @@ class _Profile:
         # p0(t)/t^a - 1 as a polynomial in w = 1/t^2: constant term 0, then
         # the coefficients of t^{a-2}, t^{a-4}, ... below the monic head
         self.tail_ratio = [0.0] + [float(p0.coeffs[a - 2 * m]) for m in range(1, a // 2 + 1)]
+        # tail_ratio reaches w^(a/2) = t^-a, which overflows a double as
+        # t^a nears underflow: from a = 18 at the smallest nodes
+        self.t_tiny = max(_T_TINY, 2.0 ** (-900.0 / max(a, 1)))
         self.y_switch = max(8.0, math.sqrt(max(u, 0.0) + 64.0))
 
 
@@ -204,9 +208,10 @@ def _integrands(y, prof):
     side = (-1)^a for y > 0 and -e^-u for y < 0.  p0(t)/t^a - 1 is the
     polynomial tail_ratio in w, so ln p0(t) - a ln t, which cancels at
     large t (and the tail map multiplies that error by y^2), is never
-    formed by subtraction.  Below t = _T_TINY, far under every node,
-    psi2 is its definition, ln(g0 e^(-u [y<0])) - a ln t: nothing cancels
-    there, while w and, at odd a, q0/p0 overflow a double as t -> 0.
+    formed by subtraction.  Below t = t_tiny (_T_TINY, far under every
+    node, to a = 9; above, where t^a < 2^-900), psi2 is its definition,
+    ln(g0 e^(-u [y<0])) - a ln t: nothing cancels there, while w and, at
+    odd a, q0/p0 overflow a double as t -> 0.
     t = |s|, and p0 has parity a and q0 parity a - 1, so q0(t)/p0(t) is
     q0(s)/p0(s) for y < 0 and its negative for y > 0, bit for bit.
 
@@ -233,12 +238,13 @@ def _integrands(y, prof):
         _nonpositive(y, corr <= -1.0)
         psi2 = np.log1p(ratio) + np.log1p(corr)
         g0 = p0 * amp + q0 * gauss
-        tiny = t < _T_TINY
+        tiny = t < prof.t_tiny
         if np.any(tiny):
             # ln t from |y|: sqrt2 |y| loses digits below the normal range
             ln_t = np.log(np.abs(y[tiny])) + _LN_SQRT2
-            e_u = np.where(above[tiny], 1.0, prof.exp_neg_u)  # e^(-u [y<0])
-            psi2[tiny] = np.log(g0[tiny] * e_u) - a * ln_t
+            # -u, not a factor e^-u: g0 e^-u overflows at u = -700, a >= 18
+            u_neg = np.where(above[tiny], 0.0, prof.u)
+            psi2[tiny] = np.log(g0[tiny]) - u_neg - a * ln_t
         psi2 = _finite("C2", y, psi2)
         _nonpositive(y, ~(g0 > 0.0))
         combined = _mix(prof.p_comb, prof.q_comb, parts) / (_SQRT2 * g0)
@@ -366,7 +372,7 @@ def _c1_with_err(params, tol=1e-9):
     )
     log_gap = math.log(gap)
     terms = [(1.0 / b - r_s) * log_gap, r_s * math.log(r), -r_s * k]
-    terms += [-r_s * float(digamma(s + 1.0)), -r_s * np.euler_gamma]
+    terms += [-r_s * float(scipy.special.digamma(s + 1.0)), -r_s * np.euler_gamma]
     rounding = 8.9e-16 * (sum(map(abs, terms)) + 2.0 * r_s * abs(log_gap))  # 4 eps
     return u_part + a * b * math.fsum(terms), a * b * (r_s * k_err + rounding)
 

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy import special
+import scipy
 
 from .errors import DomainError, SingularPointError, UnsupportedOrderError
 
@@ -122,7 +122,7 @@ def stirling2(ell, j):
     """Stirling number of the second kind S(ell, j), exact integer."""
     if ell < 0 or j < 0:
         raise DomainError("stirling2 requires nonnegative indices")
-    return special.stirling2(ell, j, exact=True)
+    return scipy.special.stirling2(ell, j, exact=True)
 
 
 @lru_cache(maxsize=None)

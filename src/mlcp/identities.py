@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfi, gammainc
+import scipy
 
 from . import combo_poly as cp
 from . import specfun
@@ -206,7 +206,7 @@ def check_incomplete_gamma_overlap():
             z = lam * at
             if 0.5 * at * specfun.temme_eta(lam) ** 2 > 700.0:
                 continue
-            p_sp = float(gammainc(at, z))
+            p_sp = float(scipy.special.gammainc(at, z))
             p_tm = specfun.reg_lower_gamma(at, z)
             worst = max(worst, abs(p_sp - p_tm) / p_sp)
     return CheckResult("incomplete_gamma_overlap", worst <= 1e-10, worst, "rel 1e-10")
@@ -232,7 +232,7 @@ def _orthogonality_worst(nu):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
         def weight(x):
-            t = erfi(x * inv_sqrt2)
+            t = scipy.special.erfi(x * inv_sqrt2)
             return 2.0 / math.pi * np.exp(0.5 * x * x) / (1.0 + t * t)
 
     polys = [cp.assoc_hermite(nu, k).float_coeffs() for k in range(7)]

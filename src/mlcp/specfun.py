@@ -24,13 +24,15 @@ with many shapes can skip them.  ``lgamma_diff`` gives ln Gamma(x + delta) -
 ln Gamma(x) with small absolute error for large x; its Stirling series
 stops at the first term that cannot change a bit of the result.  Every
 array function here accepts scalars or arrays, returns a scalar for
-scalar input, and is a pure function of its arguments.
+scalar input, and is a pure function of its arguments.  It names
+``scipy.special.<fn>`` at the call, not at import: scipy imports that
+submodule on first access, so a process that never calls one skips its cost.
 """
 
 import math
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import DomainError
 
@@ -195,7 +197,7 @@ def _p_temme(a, h, eta_of, cs_of):
     # side of lambda = 1 that eta_of and cs_of serve
     eta = eta_of(h)
     expo = 0.5 * a * eta * eta
-    half = 0.5 * special.erfc(-eta * np.sqrt(0.5 * a))
+    half = 0.5 * scipy.special.erfc(-eta * np.sqrt(0.5 * a))
     cs = cs_of(h, eta)
     inv_a = 1.0 / a
     series = cs[0] + inv_a * (cs[1] + inv_a * (cs[2] + inv_a * cs[3]))
@@ -257,7 +259,7 @@ def reg_lower_gamma(a_tilde, z):
     shape = np.broadcast_shapes(a.shape, z.shape)
     a = np.broadcast_to(a, shape).ravel()
     z = float(z) if z.ndim == 0 else np.broadcast_to(z, shape).ravel()
-    out = _piecewise(a < LARGE_A_THRESHOLD, special.gammainc, _p_uniform, a, z)
+    out = _piecewise(a < LARGE_A_THRESHOLD, scipy.special.gammainc, _p_uniform, a, z)
     out = np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if shape == () else out.reshape(shape)
 

@@ -310,6 +310,20 @@ class TestCoeffBundle:
         assert (c.C1, c.C2, c.C3) == (0.0, 0.0, 0.0)
         assert max(c.err1, c.err2, c.err3) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "a, c2, c3",
+        # 30-digit mpmath quadrature of mp_integrands: the core |y| <= 8 by
+        # tanh-sinh, the tails in t = 1/y by Gauss-Legendre
+        [(18, 99.480437220220295558, -153.82953927636964409),
+         (24, 154.03959556351546212, -277.08046694673504362)],
+    )
+    def test_large_a_vs_mpmath(self, a, c2, c3):
+        # tail_ratio's w^(a/2) overflows at the smallest core nodes from
+        # a = 18; psi2's definition form takes them
+        c = compute_coeffs(Params(1.0, 0.0, 0.5, 0.5, a))
+        assert max(c.err1, c.err2, c.err3) <= 1e-9
+        assert abs(c.C2 - c2) <= 1e-11 and abs(c.C3 - c3) <= 1e-10
+
     def test_error_estimates_within_tol(self):
         c = compute_coeffs(Params(1.0, 0.0, 0.6, 0.5, 2), tol=1e-9)
         assert c.err1 <= 1e-9 and c.err2 <= 1e-9 and c.err3 <= 1e-9
@@ -461,6 +475,23 @@ class TestSinglePath:
         tiny = [1e-300, 1e-200, 1e-160, 1e-40, 1e-31, 1e-310, 5e-324]
         y = np.array(sorted([-v for v in tiny] + tiny))
         values = asymp._integrands(y, asymp._profile(params))
+        with mp.workdps(60):
+            for f, value in zip(mp_integrands(params), values):
+                ref = np.array([float(f(mp.mpf(v))) for v in y])
+                assert np.all(np.abs(value - ref) <= 2e-14 + 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("u", [0.6, 40.0, -700.0])
+    @pytest.mark.parametrize("a", [18, 24])
+    def test_integrands_around_the_large_a_switch_vs_mpmath(self, a, u):
+        # from a = 10, psi2 takes its definition where t^a < 2^-900, and
+        # from a = 18 that is above the smallest nodes: both forms, either
+        # side of the switch
+        params = Params(1.0, 0.0, 0.5, u, a)
+        prof = asymp._profile(params)
+        assert prof.t_tiny == 2.0 ** (-900.0 / a)
+        near = [0.01, 0.5, 0.999, 1.001, 2.0, 1e3]
+        y = prof.t_tiny / math.sqrt(2.0) * np.array([-v for v in near[::-1]] + near)
+        values = asymp._integrands(y, prof)
         with mp.workdps(60):
             for f, value in zip(mp_integrands(params), values):
                 ref = np.array([float(f(mp.mpf(v))) for v in y])

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -243,11 +245,11 @@ class TestCompare:
         assert record["type"] == "AccuracyError"
         assert record["message"].startswith("g0 nonpositive at y=-7.98")
 
-    @pytest.mark.parametrize("u, a", [(708.0, 1), (-700.0, 1), (0.5, 30)])
+    @pytest.mark.parametrize("u, a", [(708.0, 1), (-700.0, 1)])
     def test_overflowing_integrand_exit_3_without_warning(self, tmp_path, capsys, u, a):
-        # e^u near the double limit, or a = 30: a term of the C2 integrand
-        # overflows a double; one record naming y, with every warning an
-        # error, and no NaN error estimate
+        # e^u near the double limit: a term of the C2 integrand overflows a
+        # double; one record naming y, with every warning an error, and no
+        # NaN error estimate
         cfg = write_config(tmp_path, n_list=[64], params={"u": u, "a": a})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -258,6 +260,17 @@ class TestCompare:
         record = json.loads(line)["error"]
         assert record["type"] == "AccuracyError"
         assert record["message"].startswith("C2 integrand not finite at y=")
+
+    def test_large_a_certifies_without_warning(self, tmp_path, capsys):
+        # a = 30: C2's smallest core nodes take psi2's definition form, so
+        # no term overflows; every warning an error
+        cfg = write_config(tmp_path, n_list=[8, 16], params={"u": 0.5, "a": 30},
+                           output="json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", "--config", cfg]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert all(math.isfinite(summary[c]) for c in ("C1", "C2", "C3"))
 
     @pytest.mark.parametrize("u, a", [(-30.0, 0), (300.0, 1)])
     def test_c3_stall_exit_3_names_constant_and_call(self, tmp_path, capsys, u, a):
@@ -643,6 +656,40 @@ class TestExitCodes:
         assert main(["compare", "--config", cfg, "--tol", "1e-18"]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "AccuracyError"
+
+
+_LAZY_SPECIAL_SCRIPT = """
+import sys
+
+def loaded():
+    return "scipy.special" in sys.modules
+
+import mlcp
+import mlcp.cli
+assert not loaded(), "import"
+from mlcp.cli import main
+assert main(["mc", "--config", sys.argv[1], "--samples", "1000"]) == 0
+assert not loaded(), "mc"
+assert main(["dump-polys"]) == 0
+assert not loaded(), "dump-polys"
+assert main(["exact", "--config", sys.argv[1]]) == 0
+assert loaded(), "exact"
+"""
+
+
+class TestLazySpecial:
+    def test_loaded_on_first_special_function_call(self, tmp_path):
+        # mlcp reaches scipy.special only as an attribute of scipy, which
+        # imports the submodule on first access: importing mlcp, mc and
+        # dump-polys never load it, exact does
+        cfg = write_config(tmp_path, n_list=[10, 64], params={"u": 0.5, "a": 1})
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAZY_SPECIAL_SCRIPT, cfg],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestWithoutMpmath:
