@@ -259,34 +259,6 @@ def _nonpositive(y, bad):
         raise AccuracyError(f"g0 nonpositive at y={y[bad][0]}")
 
 
-def _integrands_at(y, params):
-    """_integrands at y, a float or an array, 0 included: there psi2's
-    formula is not defined, and C2's integrand is ln g0(0) for a = 0 and
-    +inf for a >= 1 (the log singularity), C3's g1(0)/(sqrt2 g0(0)).  No
-    quadrature node is 0."""
-    prof = _profile(params)
-    y = np.asarray(y, dtype=float)
-    at0 = y == 0.0
-    out = np.empty((2,) + y.shape)
-    out[:, ~at0] = _integrands(y[~at0], prof)
-    if np.any(at0):
-        g = eval_G(0.0, params)
-        out[0, at0] = math.inf if prof.a else math.log(g.g0)
-        out[1, at0] = g.g1 / (_SQRT2 * g.g0)
-    return out
-
-
-def c2_integrand(y, params):
-    """The C2 integrand ln g0(y) - a ln(sqrt2 |y|) - u [y<0] at y, a float
-    or an array (see _integrands_at for y = 0)."""
-    return _float_or_array(_integrands_at(y, params)[0])
-
-
-def c3_integrand(y, params):
-    """The C3 integrand of the module docstring at y, a float or an array."""
-    return _float_or_array(_integrands_at(y, params)[1])
-
-
 def positivity_scan(params):
     """Check g0 > 0 on the grid of step 1e-3 over [-12, 12]; returns the
     grid minimum and its location."""

@@ -287,7 +287,7 @@ def cmd_dump_polys(a_max, b, fmt, out_path):
         raise DomainError("a_max must be >= 0", constraint="a_max")
     try:
         bq = Fraction(b)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # "inf", "1/0"
         raise DomainError(f"b is not a rational literal: {b!r}", constraint="b")
     if bq <= 0:
         raise DomainError("b must be positive", constraint="b")

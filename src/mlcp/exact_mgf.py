@@ -111,10 +111,10 @@ _TERM_EXPONENT = 40.0
 # at least _MIN_GREGORY_ROWS rows (the measured break-even against its 630
 # quadrature nodes) by Gregory's formula, its integral to _QUAD_RTOL per
 # row and per unit of max(1, |f_A|, |f_B|) on panels halving toward both
-# ends over _GRADE_LEVELS levels, with at most _MAX_BISECTIONS bisections:
-# on 9,000 random configs (n from 2^13 to 2^20, a <= 6) no converging
-# range needed more than 15, and the 7 of 9,683 that stalled stalled under
-# a 4000-panel budget too; a stalled range falls back to its row sum.
+# ends over _GRADE_LEVELS levels, under quadrature's bisection bound: on
+# 9,000 random configs (n from 2^13 to 2^20, a <= 6) no converging range
+# needed more than 15 bisections, and the 7 of 9,683 that stalled stalled
+# under a 4000-panel budget too; a stalled range falls back to its row sum.
 # _HEAD is derived on _gregory_ranges.
 _HEAD = 128
 _WINDOW_SQRT = 40.0
@@ -122,7 +122,6 @@ _KAPPA = 1e4
 _MIN_GREGORY_ROWS = 4096
 _QUAD_RTOL = 1e-13
 _GRADE_LEVELS = 20
-_MAX_BISECTIONS = 64
 
 # Gregory's end corrections, for the differences of order 1..7.
 _GREGORY = (1 / 12, 1 / 24, 19 / 720, 3 / 160, 863 / 60480, 275 / 24192, 33953 / 3628800)
@@ -412,8 +411,7 @@ def _summands(ctx, lo, hi, ranges):
         )
         f_A, f_B = float(forward[0]), float(backward[-1])
         tol = _QUAD_RTOL * (B - A) * max(1.0, abs(f_A), abs(f_B))
-        budget = len(edges) - 1 + _MAX_BISECTIONS
-        parts = [adaptive(f, edges, tol, budget)[0], 0.5 * f_A, 0.5 * f_B]
+        parts = [adaptive(f, edges, tol)[0], 0.5 * f_A, 0.5 * f_B]
         for k, c in enumerate(_GREGORY, start=1):
             forward, backward = np.diff(forward), np.diff(backward)
             parts += [c * float(backward[-1]), c * (-1) ** k * float(forward[0])]

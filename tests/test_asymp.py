@@ -12,8 +12,6 @@ from scipy.special import erfc as sp_erfc
 
 from mlcp import asymp, combo_poly, quadrature
 from mlcp.asymp import (
-    c2_integrand,
-    c3_integrand,
     coeff_C1,
     coeff_C2,
     coeff_C3,
@@ -29,6 +27,11 @@ from mlcp.params import Params
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # (alpha, r) of the three compare geometries, by b
 GEOMETRIES = {0.5: (0.5, 1.0), 1.0: (0.0, 0.5), 2.0: (-0.5, 0.6)}
+
+
+def integrands(y, params):
+    """The (C2, C3) integrands of params at the nonzero nodes y, stacked."""
+    return asymp._integrands(np.array(y, dtype=float), asymp._profile(params))
 
 
 def c1_trapezoid_oracle(params, panels=10**6):
@@ -225,45 +228,40 @@ class TestC2:
 
     def test_parity_even_a_u0(self):
         p = Params(1.0, 0.0, 0.5, 0.0, 2)
-        for y in (0.3, 1.7, 9.0, 44.0):
-            left = c2_integrand(-y, p)
-            right = c2_integrand(y, p)
-            assert left == pytest.approx(right, rel=1e-10)
+        y = np.array([0.3, 1.7, 9.0, 44.0])
+        assert integrands(-y, p)[0] == pytest.approx(integrands(y, p)[0], rel=1e-10)
 
     def test_integrand_continuity_across_switch(self):
         for a in (0, 1, 3):
             p = Params(1.0, 0.0, 0.5, 0.6, a)
             ys = 8.0  # switch for u=0.6 stays at 8
-            lo = c2_integrand(ys - 1e-9, p)
-            hi = c2_integrand(ys + 1e-9, p)
+            lo, hi = integrands([ys - 1e-9, ys + 1e-9], p)[0]
             assert lo == pytest.approx(hi, rel=1e-9, abs=1e-13)
 
     @pytest.mark.parametrize("a", [0, 1, 3])
     def test_integrand_at_zero(self, a):
-        # y = 0: ln g0(0) = ln((1 + e^u)/2) at a = 0, its limit from the
-        # right, and +inf at a >= 1, with no warning; element by element in
-        # an array
+        # toward y = 0 from both sides, psi2 + a ln(sqrt2 |y|) + u [y<0]
+        # tends to ln g0(0), which is ln((1 + e^u)/2) at a = 0; no warning
         p = Params(1.0, 0.0, 0.5, 0.6, a)
+        y = np.array([-1e-12, 1e-12])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            at0 = c2_integrand(0.0, p)
-            row = c2_integrand(np.array([-1.0, 0.0, 1e-12]), p)
+            psi2 = integrands(y, p)[0]
+        ln_g0 = psi2 + a * np.log(math.sqrt(2.0) * np.abs(y)) + np.where(y < 0.0, 0.6, 0.0)
+        at0 = math.log(eval_G(0.0, p).g0)
+        assert ln_g0 == pytest.approx([at0, at0], rel=1e-10)
         if a == 0:
             assert at0 == pytest.approx(math.log((1.0 + math.exp(0.6)) / 2.0), rel=1e-15)
-            assert at0 == pytest.approx(c2_integrand(1e-12, p), rel=1e-10)
-        else:
-            assert at0 == math.inf
-        assert row.tolist() == [c2_integrand(-1.0, p), at0, c2_integrand(1e-12, p)]
 
     def test_tail_rate(self):
         # y^2 * integrand -> a(a-1)/4; for a=1 the tail decays faster
         for a in (2, 4):
             p = Params(1.0, 0.0, 0.5, 0.3, a)
-            assert 200.0**2 * c2_integrand(200.0, p) == pytest.approx(
+            assert 200.0**2 * integrands([200.0], p)[0, 0] == pytest.approx(
                 a * (a - 1) / 4.0, rel=1e-3
             )
         p1 = Params(1.0, 0.0, 0.5, 0.3, 1)
-        assert abs(200.0**2 * c2_integrand(200.0, p1)) < 1e-12
+        assert abs(200.0**2 * integrands([200.0], p1)[0, 0]) < 1e-12
 
 
 class TestC3:
@@ -285,22 +283,16 @@ class TestC3:
 
     @pytest.mark.parametrize("a", [0, 1, 3])
     def test_integrand_at_zero(self, a):
-        # y = 0: g1(0)/(sqrt2 g0(0)), bit for bit, its limit from both
-        # sides (4 b y psi2 goes like y ln|y| at a >= 1); element by
-        # element in an array
+        # toward y = 0 from both sides the integrand tends to
+        # g1(0)/(sqrt2 g0(0)) (4 b y psi2 goes like y ln|y| at a >= 1)
         p = Params(1.0, 0.0, 0.5, 0.6, a)
-        at0 = c3_integrand(0.0, p)
         g = eval_G(0.0, p)
-        assert at0 == g.g1 / (math.sqrt(2.0) * g.g0)
-        for y in (-1e-12, 1e-12):
-            assert at0 == pytest.approx(c3_integrand(y, p), abs=1e-9)
-        row = c3_integrand(np.array([-1.0, 0.0, 1e-12]), p)
-        assert row.tolist() == [c3_integrand(-1.0, p), at0, c3_integrand(1e-12, p)]
+        at0 = g.g1 / (math.sqrt(2.0) * g.g0)
+        assert integrands([-1e-12, 1e-12], p)[1] == pytest.approx([at0, at0], abs=1e-9)
 
     def test_integrand_continuity_across_switch(self):
         p = Params(1.0, 0.0, 0.5, 0.6, 2)
-        lo = c3_integrand(8.0 - 1e-9, p)
-        hi = c3_integrand(8.0 + 1e-9, p)
+        lo, hi = integrands([8.0 - 1e-9, 8.0 + 1e-9], p)[1]
         assert lo == pytest.approx(hi, rel=1e-8, abs=1e-13)
 
 
@@ -338,7 +330,7 @@ class TestCoeffBundle:
             assert info.value.constraint == "tol"
 
     @pytest.mark.parametrize(
-        "u, a, error, switch", [(-30.0, 0, "6.399e-03", "8"), (300.0, 1, "7.036e-09", "19.08")]
+        "u, a, error, switch", [(-30.0, 0, "1.210e-01", "8"), (300.0, 1, "1.526e-09", "19.08")]
     )
     def test_stall_names_constant_and_call(self, u, a, error, switch):
         # component 1 of the joint C2/C3 quadrature is C3
@@ -378,8 +370,8 @@ class TestCoeffBundle:
             p = Params(1.0, 0.0, 0.6, 0.5, 2)
             first = compute_coeffs(p)
             eval_G(0.3, p)
-            c2_integrand(1.5, Params(1.0, 0.25, 0.55, 0.5, 2))
-            c3_integrand(-2.0, p)
+            integrands([1.5], Params(1.0, 0.25, 0.55, 0.5, 2))
+            integrands([-2.0], p)
             assert built == [(2, 1.0, 0.5)]
             assert compute_coeffs(p) == first
             eval_G(0.3, Params(1.0, 0.0, 0.6, 0.7, 2))

@@ -526,6 +526,15 @@ class TestExitCodes:
         assert "traceback" not in record
         assert main(["exact", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("b", ["1/0", "inf"])
+    def test_b_not_rational_exit_2(self, capsys, b):
+        assert main(["dump-polys", "--b", b]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "b")
+        assert record["message"] == f"b is not a rational literal: {b!r}"
+
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[10], params={"u": 0.5, "a": 1})
         assert main(["mc", "--config", cfg, "--seed", "-1"]) == 2

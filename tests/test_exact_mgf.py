@@ -439,7 +439,7 @@ class TestLiveWindow:
         in_nodes = []
         real_adaptive, real_p = exact_mgf.adaptive, exact_mgf.reg_lower_gamma
 
-        def adaptive(f, edges, tol, max_panels):
+        def adaptive(f, edges, tol):
             def nodes(x):
                 in_nodes.append(True)
                 try:
@@ -447,7 +447,7 @@ class TestLiveWindow:
                 finally:
                     in_nodes.pop()
 
-            return real_adaptive(nodes, edges, tol, max_panels)
+            return real_adaptive(nodes, edges, tol)
 
         def p(a, z):
             assert not in_nodes
@@ -750,7 +750,7 @@ class TestGregoryRanges:
                 route(params, n)
 
     def test_stalled_quadrature_sums_every_row(self, monkeypatch):
-        def stalled(f, edges, tol, max_panels):
+        def stalled(f, edges, tol):
             raise AccuracyError("adaptive quadrature stalled")
 
         params, n = Params(1.0, 0.0, 0.5, 0.7, 1), 2**17
@@ -761,12 +761,13 @@ class TestGregoryRanges:
     def test_stalled_range_stops_after_its_bisections(self, monkeypatch):
         # the upper range's quadrature at b = 2, a = 6 cannot settle on its
         # rows' rounding noise: it gives up after its initial 42 panels and
-        # 64 bisections (of 2 panels each), and the value is the row sum
+        # quadrature's 128 bisections (of 2 panels each), and the value is
+        # the row sum
         params, n = Params(2.0, -0.5, 0.6, -0.7, 6), 2**14
         assert _gregory_ranges(_TermContext(params, n), 1, n) == [(7908, n)]
         seen, value = self._work(monkeypatch, ROUTES[0], params, n)
         assert value == _row_sum(params, n)[0]
-        assert seen["nodes"] == (42 + 2 * 64) * 15
+        assert seen["nodes"] == (42 + 2 * 128) * 15
 
     @pytest.mark.parametrize("n", [128, 256, 4096])
     @pytest.mark.parametrize("geometry", GEOMETRIES)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mlcp import quadrature
+from mlcp import asymp, identities, quadrature
 from mlcp.errors import AccuracyError
+from mlcp.params import Params
 from mlcp.quadrature import adaptive, gk15, graded_edges
 
 
@@ -40,10 +41,11 @@ def test_oscillatory():
     assert val == pytest.approx((1.0 - math.cos(60.0)) / 20.0, abs=1e-13)
 
 
-def test_panel_budget_failure():
+def test_panel_budget_failure(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_BISECTIONS", 7)
     f = lambda y: np.sin(300.0 * y) / (1e-8 + abs(y - 0.3))
     with pytest.raises(AccuracyError) as info:
-        adaptive(f, [0.0, 1.0], 1e-16, max_panels=8)
+        adaptive(f, [0.0, 1.0], 1e-16)
     assert info.value.component is None
 
 
@@ -54,18 +56,19 @@ def test_deterministic():
     assert a == b
 
 
-def test_one_call_per_bisection():
+def test_one_call_per_bisection(monkeypatch):
     # three initial panels in one call, then one call of both halves per
-    # bisection; a budget of 10 panels allows exactly 7 bisections
-    shapes = []
-
+    # bisection, _MAX_BISECTIONS of them (read at call time) before a stall
     def f(y):
         shapes.append(y.shape)
         return np.sin(300.0 * y) / (1e-8 + abs(y - 0.3))
 
-    with pytest.raises(AccuracyError):
-        adaptive(f, [0.0, 0.3, 0.6, 1.0], 1e-16, max_panels=10)
-    assert shapes == [(3, 15)] + [(2, 15)] * 7
+    for bisections in (quadrature._MAX_BISECTIONS, 7):
+        monkeypatch.setattr(quadrature, "_MAX_BISECTIONS", bisections)
+        shapes = []
+        with pytest.raises(AccuracyError):
+            adaptive(f, [0.0, 0.3, 0.6, 1.0], 1e-16)
+        assert shapes == [(3, 15)] + [(2, 15)] * bisections
 
 
 def _gk15_loop(f, lo, hi):
@@ -135,9 +138,41 @@ def test_one_component_is_the_scalar_call():
     assert runs[0] == runs[1] == ("-0x1.236b859c474c0p-1", "0x1.2f530e3027802p-37", 51)
 
 
-def test_stall_names_component():
-    # component 0 is easy; component 1 cannot reach its tol in 8 panels
+def test_stall_names_component(monkeypatch):
+    # component 0 is easy; component 1 cannot reach its tol in 7 bisections
+    monkeypatch.setattr(quadrature, "_MAX_BISECTIONS", 7)
     f = lambda y: np.stack((np.exp(y), np.sin(300.0 * y) / (1e-8 + abs(y - 0.3))))
     with pytest.raises(AccuracyError, match=r"> tol 1\.000e-16 in component 1$") as info:
-        adaptive(f, [0.0, 1.0], [1e-6, 1e-16], max_panels=8)
+        adaptive(f, [0.0, 1.0], [1e-6, 1e-16])
     assert info.value.component == 1
+
+
+def test_converging_calls_keep_half_the_budget(monkeypatch):
+    # every adaptive call of the 84 compare configs and the identity report
+    # that converges does so within half of _MAX_BISECTIONS: the bound
+    # stops only stalls
+    bisections = []
+
+    def counted(real):
+        def adaptive(f, edges, tol):
+            calls = []
+
+            def g(y):
+                calls.append(None)
+                return f(y)
+
+            result = real(g, edges, tol)
+            bisections.append(len(calls) - 1)
+            return result
+
+        return adaptive
+
+    for module in (asymp, identities):
+        monkeypatch.setattr(module, "adaptive", counted(module.adaptive))
+    for b, alpha, r in ((1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)):
+        for u in (-0.7, 0.0, 1.0, 2.5):
+            for a in range(7):
+                asymp.compute_coeffs(Params(b, alpha, r, u, a))
+    assert all(check.passed for check in identities.run_all())
+    assert len(bisections) > 84
+    assert max(bisections) <= quadrature._MAX_BISECTIONS // 2
