@@ -6,9 +6,6 @@ from .asymp import (
     AsymptoticCoeffs,
     GPair,
     ScanResult,
-    coeff_C1,
-    coeff_C2,
-    coeff_C3,
     compute_coeffs,
     eval_G,
     positivity_scan,
@@ -41,9 +38,6 @@ __all__ = [
     "SingularPointError",
     "SplitDiagnostics",
     "UnsupportedOrderError",
-    "coeff_C1",
-    "coeff_C2",
-    "coeff_C3",
     "compute_coeffs",
     "eval_G",
     "ln_mgf_exact",

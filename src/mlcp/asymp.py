@@ -324,14 +324,8 @@ def _joint(f, edges, tols, call):
         ) from None
 
 
-def coeff_C1(params, tol=1e-9):
-    return _c1_with_err(params, tol)[0]
-
-
-def _c1_with_err(params, tol=1e-9):
+def _c1_with_err(params, tol):
     """C1 and its error from the closed form in the module docstring."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite", constraint="tol")
     a, b, r, u = params.a, params.b, params.r, params.u
     u_part = u * params.bulk_mass
     if a == 0:
@@ -349,24 +343,10 @@ def _c1_with_err(params, tol=1e-9):
     return u_part + a * b * math.fsum(terms), a * b * (r_s * k_err + rounding)
 
 
-def coeff_C2(params, tol=1e-9):
-    """C2 to tol.  It is integrated together with C3 (_c2_c3_with_err), so
-    this costs as much as coeff_C3, and fails where C3 cannot be certified;
-    compute_coeffs gives all three constants at once."""
-    return _c2_c3_with_err(params, tol)[0][0]
-
-
-def coeff_C3(params, tol=1e-9):
-    """C3 to tol, integrated together with C2 as in coeff_C2."""
-    return _c2_c3_with_err(params, tol)[1][0]
-
-
-def _c2_c3_with_err(params, tol=1e-9):
+def _c2_c3_with_err(params, tol):
     """(C2, err2) and (C3, err3) from one _whole_line call, each to tol:
     C2 = sqrt2 b r^b times its integral, C3 a closed form plus its
     integral."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite", constraint="tol")
     a, b, alpha, u = params.a, params.b, params.alpha, params.u
     pref = _SQRT2 * b * params.r**b
     mass = params.bulk_mass  # b r^{2b}
@@ -382,7 +362,12 @@ def _c2_c3_with_err(params, tol=1e-9):
 
 
 def compute_coeffs(params, tol=1e-9):
-    """All three constants with their quadrature error estimates."""
+    """C1, C2 and C3 with their quadrature error estimates, each certified
+    within tol: the one entry to the three constants.  A tol that is not
+    positive and finite is a DomainError, and an estimate above tol an
+    AccuracyError naming its constant."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite", constraint="tol")
     c1, e1 = _c1_with_err(params, tol)
     (c2, e2), (c3, e3) = _c2_c3_with_err(params, tol)
     for name, err in (("C1", e1), ("C2", e2), ("C3", e3)):

@@ -28,8 +28,9 @@ saturate gets a scalar factor for that shift, and one whose shifts all
 saturate builds no slice.  With cu = 0 (u = 0, a even) it calls
 ``reg_lower_gamma`` on no row.  The shift k = 0 has a log-gamma ratio of
 0 and needs no ``lgamma_diff`` call; one call per chunk takes the shifts
-k >= 1 as a column, so that they share the powers of the shapes, and its
-Stirling series stops at the first term that cannot change a bit (see
+k >= 1 as a column, so that they share the powers of the shapes, with
+the scale -(k/2b) ln n inside its main term, and its Stirling series
+stops at the first term that cannot change a bit (see
 ``specfun.lgamma_diff``).
 
 The inner alternating sum loses up to a*|log10(x_j - b r^{2b})| digits
@@ -70,12 +71,12 @@ grow like sqrt(n) while the P window or the floor is the wider (at b = 1,
 r = 0.5 up to n of about 1.6e7 at a = 2, 7e5 at a = 3 and 1.6e5 at
 a = 4) and like n after it, and no array grows with n.  On the 84
 compare geometries at n = 2^14, 2^17 and 2^20 the hybrid is within
-3.2e-16, 1.9e-15, 9.0e-16, 7.2e-14, 1.3e-13 and 4.1e-13 of |ln E_n| from
-the row sum at a = 0..5.  The quadrature's error estimate is not a
-bound, and no error is stated with the value: near W the rows carry a
-rounding error of their own (against 40 digits, rms 1.2e-12 to 2.9e-10
-per row in the 300 rows past W at b = 0.5, a = 3 and 4), which the
-quadrature integrates with them.  A span with no Gregory range (every
+3.2e-16, 1.1e-15, 4.8e-16, 5.5e-15, 1.1e-14, 7.4e-14 and 2.0e-13 of
+|ln E_n| from the row sum at a = 0..6.  The quadrature's error estimate
+is not a bound, and no error is stated with the value: near W the rows
+carry a rounding error of their own (against 40 digits, rms 2.3e-13 to
+2.2e-11 per row in the 300 rows past W at b = 0.5, a = 3 and 4), which
+the quadrature integrates with them.  A span with no Gregory range (every
 span at n < 4224) is summed row by row.  A row that cancels or
 overflows, or a quadrature that stalls, sends every span back to summing
 its rows, so the routine returns the row sums or raises the row sum's
@@ -113,8 +114,8 @@ _TERM_EXPONENT = 40.0
 # row and per unit of max(1, |f_A|, |f_B|) on panels halving toward both
 # ends over _GRADE_LEVELS levels, under quadrature's bisection bound: on
 # 9,000 random configs (n from 2^13 to 2^20, a <= 6) no converging range
-# needed more than 15 bisections, and the 7 of 9,683 that stalled stalled
-# under a 4000-panel budget too; a stalled range falls back to its row sum.
+# needed more than one bisection, and 1 of 9,656 stalled; a stalled range
+# falls back to its row sum.
 # _HEAD is derived on _gregory_ranges.
 _HEAD = 128
 _WINDOW_SQRT = 40.0
@@ -198,14 +199,13 @@ class _TermContext:
     """
 
     __slots__ = (
-        "params", "n", "ln_n", "z", "cu", "coeffs", "k_over_2b", "shifts", "window",
+        "params", "n", "z", "cu", "coeffs", "k_over_2b", "shifts", "window",
         "two_alpha", "two_b",
     )
 
     def __init__(self, params, n):
         self.params = params
         self.n = n
-        self.ln_n = math.log(n)
         self.z = n * params.r ** (2.0 * params.b)
         sign = -1.0 if params.a % 2 else 1.0
         self.cu = sign * exp_u(params.u) - 1.0
@@ -302,7 +302,7 @@ def _log_terms(ctx, j):
     # one lgamma_diff call takes every shift k >= 1 (row k - 1 of gs), so
     # that the powers of at0 are shared; the shift k = 0 has g = 0, and
     # leaving out its factor exp(0) = 1 changes no bit of its term
-    gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
+    gs = lgamma_diff(at0, ctx.shifts, ctx.n) if p.a else None
     terms = []
     # a term that overflows (e^u near its limit) leaves an inf or a NaN in
     # its row; the log of a row that is not finite and positive is not
@@ -454,8 +454,8 @@ def ln_mgf_exact(params, n):
     large enough for a Gregory range (past _HEAD rows and the critical
     window, at least _MIN_GREGORY_ROWS long) the rows outside the window
     are summed by Gregory's formula (the module docstring); on the compare
-    geometries at n = 2^14, 2^17 and 2^20 that value is within 7.2e-14 of
-    |ln E_n| from the row sum at a <= 3, 1.3e-13 at a = 4 and 4.1e-13 at
+    geometries at n = 2^14, 2^17 and 2^20 that value is within 5.5e-15 of
+    |ln E_n| from the row sum at a <= 3, 1.1e-14 at a = 4 and 7.4e-14 at
     a = 5.
     The j-terms are evaluated in chunks of _CHUNK indices, with P(a, z)
     evaluated only in the window where it can change a term (the rule on
@@ -466,7 +466,7 @@ def ln_mgf_exact(params, n):
     The total is one math.fsum over the summands, which rounds their exact
     sum once, so neither the chunks nor the order change a bit of it.  A u
     with e^u beyond the double range (u > 709.78) is a DomainError.  No
-    accuracy is certified: on 50-digit references the error is 1.66e-2 at
+    accuracy is certified: on 50-digit references the error is 6.1e-5 at
     a = 4, n = 2**17, and below 1e-10 for a <= 3 (n <= 256; n = 2**14 at
     a = 1).  A j-term whose inner sum comes out nonpositive or not finite
     raises AccuracyError naming its j.

@@ -13,17 +13,19 @@ takes one of two routes, chosen by the size of a:
 
       eta = sign(lambda-1) * sqrt(2*(lambda - 1 - ln(lambda))).
 
-  scipy's P is not used there: it drifts past a = 2.6e5 (1.2e-12 absolute
-  at a = 1e6, lambda = 0.995), and n up to 2^20 reaches a = 2e6; the
-  expansion stays within ~1e-15 there.
+  scipy's P is not used there: its lower-tail relative error grows with a
+  (at z = a + x sqrt(a), |x| <= 12: 2.5e-7 at a = 7e5, 4.3e-6 at 1e6,
+  2.4e-4 at 2e6), and it takes 2-14 times the expansion's time on 200 to
+  2000 window shapes at z from 1.3e5 to 2e6.  n up to 2^20 reaches
+  a = 2e6; the expansion stays within ~1e-16 absolute there.
 
 Past a*eta^2/2 ~ 745.13 its erfc and exp underflow, and it gives exactly 1
 or 0.  ``saturation_window`` gives, for one z and an exponent E, closed-form
 shape bounds outside which a*(lambda - 1 - ln lambda) > E, so that a caller
 with many shapes can skip them.  ``lgamma_diff`` gives ln Gamma(x + delta) -
-ln Gamma(x) with small absolute error for large x; its Stirling series
-stops at the first term that cannot change a bit of the result.  Every
-array function here accepts scalars or arrays, returns a scalar for
+ln Gamma(x) - delta ln n with small absolute error for large x; its Stirling
+series stops at the first term that cannot change a bit of the result.
+Every array function here accepts scalars or arrays, returns a scalar for
 scalar input, and is a pure function of its arguments.  It names
 ``scipy.special.<fn>`` at the call, not at import: scipy imports that
 submodule on first access, so a process that never calls one skips its cost.
@@ -207,8 +209,11 @@ def _p_temme(a, h, eta_of, cs_of):
 def _p_uniform(a, z):
     # The uniform expansion on a 1-d array a >= LARGE_A_THRESHOLD and z >= 0,
     # a float or an array like a; saturated (exactly 1 or 0) by underflow
-    # past expo ~ 745.13 (and at z = 0, see _eta_far).
-    h = z / a - 1.0
+    # past expo ~ 745.13 (and at z = 0, see _eta_far).  h = (z - a)/a is one
+    # rounding off for z/2 <= a <= 2z (Sterbenz); erfc's argument multiplies
+    # the error of h by about sqrt(a/2), which z/a - 1 would raise to 2.7e-14
+    # of P at a = 1e6.
+    h = (z - a) / a
     return _piecewise(
         _near(h),
         lambda a, h: _p_temme(a, h, _eta_near, _cs_near),
@@ -283,16 +288,20 @@ _STIRLING_REACH = (math.inf,) + tuple(
 )
 
 
-def lgamma_diff(x, delta):
-    """ln Gamma(x + delta) - ln Gamma(x) with small absolute error.
+def lgamma_diff(x, delta, n):
+    """ln Gamma(x + delta) - ln Gamma(x) - delta ln n with small absolute
+    error.
 
-    Scalars or broadcastable arrays.  For x >= 20 the difference of the two
-    Stirling series is expanded analytically so the result carries ~1e-15
-    absolute error even when lnGamma itself is ~1e6 (a naive lgamma
-    difference then loses five digits); below 20, math.lgamma element by
-    element.  Requires x > 0 and x + delta > 0.  Several shifts of the same
-    x are cheapest as one call with delta a column against the row x: the
-    powers of x are then taken once for all of them.
+    Scalars or broadcastable arrays, and a scale n > 0.  For x >= 20 the
+    difference of the two Stirling series is expanded analytically, with
+    main term (x - 1/2) log1p(delta/x) + delta (ln((x + delta)/n) - 1), so
+    the result carries ~1e-15 absolute error even when lnGamma itself is
+    ~1e6 (a naive lgamma difference then loses five digits), and delta ln n
+    cancels against nothing (subtracted from the result at x ~ n it left
+    up to 1.6e-14); below 20, math.lgamma element by element, less
+    delta ln n.  Requires x > 0 and x + delta > 0.  Several shifts of the
+    same x are cheapest as one call with delta a column against the row x:
+    the powers of x are then taken once for all of them.
 
     The series stops at the first term m with min(x) >= X_m (x clamped to
     20), provided delta >= 0; the result is the five-term sum's, bit for
@@ -327,10 +336,11 @@ def lgamma_diff(x, delta):
     # The expansion runs on every entry, with x clamped to the cutoff (the
     # entries below it are replaced next), and before x is broadcast
     # against delta: a column of shifts shares the powers of x.
-    # (x+d-1/2)ln(x+d) - (x-1/2)ln(x) - d  ==  (x-1/2)log1p(d/x) + d(ln(x+d) - 1)
+    # (x+d-1/2)ln(x+d) - (x-1/2)ln(x) - d - d ln(n)
+    #     ==  (x-1/2)log1p(d/x) + d(ln((x+d)/n) - 1)
     x = np.maximum(x, _LGAMMA_DIFF_DIRECT_CUTOFF)
     log_ratio = np.log1p(delta / x)
-    main = (x - 0.5) * log_ratio + delta * (np.log(x + delta) - 1.0)
+    main = (x - 0.5) * log_ratio + delta * (np.log((x + delta) / n) - 1.0)
     reach = max(x_min, _LGAMMA_DIFF_DIRECT_CUTOFF) if d_min >= 0.0 else 0.0
     stirling = 0.0
     for m, (coeff, limit) in enumerate(zip(_STIRLING_TAIL, _STIRLING_REACH), start=1):
@@ -341,8 +351,9 @@ def lgamma_diff(x, delta):
     out = np.asarray(main + stirling)
     if x_min < _LGAMMA_DIFF_DIRECT_CUTOFF:
         direct = (xs < _LGAMMA_DIFF_DIRECT_CUTOFF) & (ds != 0.0)
+        ln_n = math.log(n)
         out[direct] = [
-            math.lgamma(xi + di) - math.lgamma(xi)
+            math.lgamma(xi + di) - math.lgamma(xi) - di * ln_n
             for xi, di in zip(xs[direct].tolist(), ds[direct].tolist())
         ]
     return float(out) if out.ndim == 0 else out

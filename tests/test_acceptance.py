@@ -11,7 +11,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
-from mlcp.asymp import coeff_C1, compute_coeffs, positivity_scan, predict
+from mlcp.asymp import compute_coeffs, positivity_scan, predict
 from mlcp.exact_mgf import ln_mgf_exact, ln_partition, split_sums
 from mlcp.identities import (
     check_differentiation_rules,
@@ -117,8 +117,8 @@ def test_criterion_04_asymptotic_convergence():
 def test_criterion_05_a0_specialization():
     p = Params(1.0, 0.0, 0.5, 1.0, 0)
     analytic = p.u * p.bulk_mass
-    assert coeff_C1(p) == pytest.approx(analytic, abs=1e-10)
     coeffs = compute_coeffs(p, tol=1e-9)
+    assert coeffs.C1 == pytest.approx(analytic, abs=1e-10)
     residuals = []
     for k in range(8, 14):
         n = 2**k

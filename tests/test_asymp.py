@@ -12,9 +12,6 @@ from scipy.special import erfc as sp_erfc
 
 from mlcp import asymp, combo_poly, quadrature
 from mlcp.asymp import (
-    coeff_C1,
-    coeff_C2,
-    coeff_C3,
     compute_coeffs,
     eval_G,
     positivity_scan,
@@ -140,18 +137,18 @@ class TestPositivityScan:
 class TestC1:
     def test_a0_closed_form(self):
         p = Params(1.0, 0.0, 0.5, 1.0, 0)
-        assert coeff_C1(p) == pytest.approx(1.0 * 1.0 * 0.25, abs=1e-12)
+        assert compute_coeffs(p).C1 == pytest.approx(1.0 * 1.0 * 0.25, abs=1e-12)
 
     def test_null(self):
-        assert coeff_C1(Params(1.0, 0.0, 0.5, 0.0, 0)) == 0.0
+        assert compute_coeffs(Params(1.0, 0.0, 0.5, 0.0, 0)).C1 == 0.0
 
     def test_vs_trapezoid_oracle(self):
         p = Params(1.0, 0.0, 0.5, 1.0, 1)
-        assert coeff_C1(p) == pytest.approx(c1_trapezoid_oracle(p), abs=1e-8)
+        assert compute_coeffs(p).C1 == pytest.approx(c1_trapezoid_oracle(p), abs=1e-8)
 
     def test_vs_trapezoid_oracle_general_b(self):
         p = Params(2.0, 0.25, 0.6, -0.4, 3)
-        assert coeff_C1(p) == pytest.approx(c1_trapezoid_oracle(p), abs=1e-8)
+        assert compute_coeffs(p).C1 == pytest.approx(c1_trapezoid_oracle(p), abs=1e-8)
 
     @pytest.mark.parametrize("b", [0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("frac", [0.02, 0.3, 0.7, 0.95, 0.999])
@@ -214,17 +211,17 @@ class TestC1:
 
 class TestC2:
     def test_null(self):
-        assert coeff_C2(Params(1.0, 0.0, 0.5, 0.0, 0)) == pytest.approx(0.0, abs=1e-12)
+        assert compute_coeffs(Params(1.0, 0.0, 0.5, 0.0, 0)).C2 == pytest.approx(0.0, abs=1e-12)
 
     def test_vs_simpson_oracle_a0(self):
         p = Params(1.0, 0.0, 0.5, 1.0, 0)
-        assert coeff_C2(p) == pytest.approx(c2_simpson_oracle_a0(p), abs=1e-8)
+        assert compute_coeffs(p).C2 == pytest.approx(c2_simpson_oracle_a0(p), abs=1e-8)
 
     def test_exact_pi_case(self):
         # a=2, u=0, b=1, r=1/2: integrand is ln(1 + 1/(2y^2)), whose
         # integral is pi*sqrt(2), so C2 = sqrt(2)*(1/2)*pi*sqrt(2)/ ... = pi
         p = Params(1.0, 0.0, 0.5, 0.0, 2)
-        assert coeff_C2(p) == pytest.approx(math.pi, abs=1e-9)
+        assert compute_coeffs(p).C2 == pytest.approx(math.pi, abs=1e-9)
 
     def test_parity_even_a_u0(self):
         p = Params(1.0, 0.0, 0.5, 0.0, 2)
@@ -266,18 +263,18 @@ class TestC2:
 
 class TestC3:
     def test_null(self):
-        assert coeff_C3(Params(1.0, 0.0, 0.5, 0.0, 0)) == pytest.approx(0.0, abs=1e-12)
+        assert compute_coeffs(Params(1.0, 0.0, 0.5, 0.0, 0)).C3 == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_minus_one_case(self):
         # a=2, u=0, b=1, r=1/2: odd integrand, C3 = closed form = -1
         p = Params(1.0, 0.0, 0.5, 0.0, 2)
-        assert coeff_C3(p) == pytest.approx(-1.0, abs=1e-9)
+        assert compute_coeffs(p).C3 == pytest.approx(-1.0, abs=1e-9)
 
     def test_alpha_shift(self):
         # C3(alpha+1) - C3(alpha) = -u + a ln((b r^{2b})^{-1/(2b)} - 1)
         pa = Params(1.0, 0.3, 0.5, 0.7, 2)
         pb = Params(1.0, 1.3, 0.5, 0.7, 2)
-        shift = coeff_C3(pb) - coeff_C3(pa)
+        shift = compute_coeffs(pb).C3 - compute_coeffs(pa).C3
         expected = -0.7 + 2.0 * math.log((1.0 * 0.25) ** -0.5 - 1.0)
         assert shift == pytest.approx(expected, abs=1e-9)
 
@@ -324,10 +321,9 @@ class TestCoeffBundle:
     def test_tol_positive_and_finite(self, tol):
         # an infinite tol would certify any error estimate
         params = Params(1.0, 0.0, 0.6, 0.5, 2)
-        for call in (coeff_C1, coeff_C2, coeff_C3, compute_coeffs):
-            with pytest.raises(DomainError) as info:
-                call(params, tol)
-            assert info.value.constraint == "tol"
+        with pytest.raises(DomainError) as info:
+            compute_coeffs(params, tol)
+        assert info.value.constraint == "tol"
 
     @pytest.mark.parametrize(
         "u, a, error, switch", [(-30.0, 0, "1.210e-01", "8"), (300.0, 1, "1.526e-09", "19.08")]

@@ -219,7 +219,7 @@ def _reference_log_terms(ctx, j):
     double k-sum from k = 0 on."""
     p = ctx.params
     at0 = (j + p.alpha) / p.b
-    gs = lgamma_diff(at0, ctx.shifts) - ctx.shifts * ctx.ln_n if p.a else None
+    gs = lgamma_diff(at0, ctx.shifts, ctx.n) if p.a else None
     ps = [
         reg_lower_gamma((2.0 * j + k + 2.0 * p.alpha) / (2.0 * p.b), ctx.z)
         for k in range(p.a + 1)
@@ -340,9 +340,9 @@ class TestLiveWindow:
         per_chunk = []
         real = exact_mgf.lgamma_diff
 
-        def counted(x, delta):
+        def counted(x, delta, n):
             before = len(stirling_terms)
-            out = real(x, delta)
+            out = real(x, delta, n)
             per_chunk.append((float(np.min(x)), len(stirling_terms) - before))
             return out
 
@@ -507,7 +507,7 @@ def _cancelling_rows(ctx, j):
     at0 = (j + p.alpha) / p.b
     terms = [
         ctx.coeffs[k]
-        * np.exp(lgamma_diff(at0, d) - d * ctx.ln_n)
+        * np.exp(lgamma_diff(at0, d, ctx.n))
         * (1.0 + ctx.cu * reg_lower_gamma(at0 + d, ctx.z))
         for k, d in enumerate(ctx.k_over_2b)
     ]
@@ -548,7 +548,7 @@ class TestHighPrecisionAgreement:
 
 NONPOSITIVE_CASES = [
     (Params(3.0, 0.0, 0.7, 2.5, 6), 2**14),
-    (Params(3.0, 0.0, 0.7, -0.7, 6), 2**14),
+    (Params(3.0, 0.0, 0.7, -3.0, 6), 2**14),
     (Params(1.0, 0.0, 0.5, 0.7, 6), 2**17),
     (Params(0.5, 0.5, 1.0, 0.0, 6), 2**17),
 ]
@@ -700,33 +700,44 @@ class TestGregoryRanges:
         assert abs(ln_mgf_exact(params, n).ln_mgf - rows) <= 1e-13 * abs(rows)
 
     @pytest.mark.parametrize("a", [3, 4])
-    def test_window_edge_range_against_40_digits(self, monkeypatch, a):
-        # the 300 rows from the window edge up, where P is 0 on every
-        # shift: Gregory's sum of them differs from their row sum by under
-        # a quarter of the row sum's own error against 40 digits.  The
-        # rows' rounding noise here is above 1e-13 per row, so the
-        # quadrature gets 1e-10 per row on this short range
+    def test_window_edge_range_against_40_digits(self, a):
+        # the 300 rows from the window edge up, where P is 0 on every shift,
+        # at the default _QUAD_RTOL.  Each term C(a,k) (-r)^(a-k) e^(g_k) of
+        # a row is within 2 eps relative of its value (r = 1 is exact) and
+        # for g_k within lgamma_diff's 2e-15 absolute, which e^(g_k) turns
+        # into relative error; its a additions add a eps sum_k |t_k|.  So
+        # row j is within kappa_j ((a + 3) eps + 2e-15) + eps |f_j| of its
+        # log, kappa_j = sum_k |t_k| / |sum_k t_k|, and the row sum within
+        # the sum of those.  Gregory's sum adds its quadrature tolerance.
+        # The rows read 2.8e-12 (a = 3) and 2.5e-11 (a = 4) off 40 digits,
+        # Gregory's sum 2.9e-12 and 2.5e-10, against bounds of 2.0e-9 and
+        # 2.9e-8
         params, n = Params(0.5, 0.5, 1.0, 2.5, a), 2**17
         ctx = _TermContext(params, n)
         lo = _gregory_ranges(ctx, 1, n)[1][0]
         hi = lo + 299
         assert (lo + params.alpha) / params.b > ctx.window[1]
-        monkeypatch.setattr(exact_mgf, "_QUAD_RTOL", 1e-10)
         gregory = math.fsum(chain.from_iterable(_summands(ctx, lo, hi, [(lo, hi)])))
-        rows = math.fsum(chain.from_iterable(_rows(ctx, lo, hi)))
+        rows = list(chain.from_iterable(_rows(ctx, lo, hi)))
+        eps = 2.0**-53
         with mp.workdps(40):
             n_mp, b, r = mp.mpf(n), mp.mpf(params.b), mp.mpf(params.r)
-            exact = mp.mpf(0)
+            exact, bound = mp.mpf(0), 0.0
             for j in range(lo, hi + 1):
                 at0 = (j + mp.mpf(params.alpha)) / b
-                exact += mp.log(sum(
+                terms = [
                     mp.binomial(a, k) * (-r) ** (a - k)
                     * mp.exp(mp.loggamma(at0 + k / (2 * b)) - mp.loggamma(at0)
                              - k / (2 * b) * mp.log(n_mp))
                     for k in range(a + 1)
-                ))
-            row_error = abs(float(rows - exact))
-        assert abs(gregory - rows) < 0.25 * row_error < 1e-8
+                ]
+                f_j = mp.log(sum(terms))
+                kappa = float(sum(map(abs, terms)) / abs(sum(terms)))
+                exact += f_j
+                bound += kappa * ((a + 3) * eps + 2e-15) + eps * abs(float(f_j))
+            tol = exact_mgf._QUAD_RTOL * (hi - lo) * max(1.0, abs(rows[0]), abs(rows[-1]))
+            assert abs(math.fsum(rows) - exact) <= bound
+            assert abs(gregory - exact) <= bound + tol
 
     @pytest.mark.parametrize("params, n", NONPOSITIVE_CASES)
     def test_nonpositive_row_as_on_the_row_path(self, params, n):
@@ -759,12 +770,23 @@ class TestGregoryRanges:
         assert ln_mgf_exact(params, n).ln_mgf == rows
 
     def test_stalled_range_stops_after_its_bisections(self, monkeypatch):
-        # the upper range's quadrature at b = 2, a = 6 cannot settle on its
-        # rows' rounding noise: it gives up after its initial 42 panels and
-        # quadrature's 128 bisections (of 2 panels each), and the value is
-        # the row sum
+        # seeded noise of 1e-9 on the j-terms at the quadrature nodes, far
+        # above the range's tolerance of 1e-13 per row, keeps the upper
+        # range's quadrature from settling: it gives up after its initial
+        # 42 panels and quadrature's 128 bisections (of 2 panels each), and
+        # the value is the row sum, which the noise does not reach
         params, n = Params(2.0, -0.5, 0.6, -0.7, 6), 2**14
         assert _gregory_ranges(_TermContext(params, n), 1, n) == [(7908, n)]
+        rng = np.random.default_rng(20261020)
+        real = exact_mgf._log_terms
+
+        def noisy(ctx, j):
+            f = real(ctx, j)
+            if np.all(j == np.floor(j)):
+                return f
+            return f + 1e-9 * rng.standard_normal(f.shape)
+
+        monkeypatch.setattr(exact_mgf, "_log_terms", noisy)
         seen, value = self._work(monkeypatch, ROUTES[0], params, n)
         assert value == _row_sum(params, n)[0]
         assert seen["nodes"] == (42 + 2 * 128) * 15
@@ -878,18 +900,25 @@ class TestPinnedBits:
     # the kernel that claim to keep every bit must keep these
 
     @pytest.mark.parametrize("params, n, expected", [
-        (Params(1.0, 0.0, 0.5, 0.7, 4), 2**17, "-0x1.a48903fb485c4p+19"),
-        (Params(2.0, -0.5, 0.6, -0.7, 1), 2**14, "-0x1.3b340896b6bbep+15"),
+        (Params(1.0, 0.0, 0.5, 0.7, 4), 2**17, "-0x1.a4890373938c2p+19"),
+        (Params(2.0, -0.5, 0.6, -0.7, 1), 2**14, "-0x1.3b340896b6bbfp+15"),
         (Params(1.0, 0.0, 0.5, 1.0, 0), 2**18, "0x1.0047eae63022ap+16"),
     ])
     def test_exact_large(self, params, n, expected):
         assert ln_mgf_exact(params, n).ln_mgf.hex() == expected
 
+    def test_a4_at_2_17_against_50_digits(self):
+        # the first pinned value against perfbench/refs.json's 50-digit
+        # reference, 6.1e-5 off; with delta ln n subtracted from
+        # lgamma_diff's result it reads 1.66e-2 off
+        value = ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 4), 2**17).ln_mgf
+        assert abs(value - -861256.1077977371) <= 1e-3
+
     def test_diagnostic_split(self):
         split = split_sums(Params(2.0, -0.5, 0.6, -0.7, 1), 2**14, 0.05, 10)
         assert [s.hex() for s in (split.S0, split.S1, split.S2, split.S3)] == [
-            "-0x1.be1ce7a487fd3p+3", "-0x1.8acc79c8be034p+13",
-            "-0x1.3356274385097p+11", "-0x1.8a5f4bc3a943fp+14",
+            "-0x1.be1ce7a487fd3p+3", "-0x1.8acc79c8be031p+13",
+            "-0x1.335627438509ap+11", "-0x1.8a5f4bc3a9442p+14",
         ]
 
     def test_compare_grid(self):
@@ -902,7 +931,7 @@ class TestPinnedBits:
         configs = [Params(*geometry, u, a) for geometry, u, a in grid]
         values = [ln_mgf_exact(p, n).ln_mgf.hex() for n in (128, 256) for p in configs]
         digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
-        assert digest == "317462743c61808c205266b125698977913269f618ed2b93a7df7a70cf0bbb83"
+        assert digest == "99044ceaa3455accbef13674c05908ae08cf5d7523bc43fdbb1fff7ae25f6d91"
 
 
 class TestPartitionFunctions:

@@ -234,6 +234,74 @@ class TestRegLowerGamma:
                 ref = mp.gammainc(mpf(at), 0, mpf(z), regularized=True)
                 assert abs(mpf(reg_lower_gamma(at, z)) - ref) < 1e-14
 
+    # P(a, a + x sqrt(a)) to 50 digits at the x of WINDOW_X, from mpmath:
+    # exp(a ln z - z - lnGamma(a + 1)) 1F1(1; a + 1; z), at the double z
+    WINDOW_X = (-12, -9, -6, -3, -2, -1, -0.5, 0, 0.5, 1, 2, 3, 6, 9, 12)
+    WINDOW_P = {
+        1e4: (
+            "3.156548275780672214667e-36",
+            "8.334444723475769064002e-21",
+            "4.648524608121270314188e-10",
+            "0.001234175584468491996642",
+            "0.02220754381396969386165",
+            "0.1586511921935646569571",
+            "0.30941788486118259421",
+            "0.5013298083399552003827",
+            "0.6923424407025655578575",
+            "0.8413487504471796223965",
+            "0.9767126778664011960526",
+            "0.9985295051036143187241",
+            "0.999999998037807517867",
+            "0.9999999999999999989011",
+            "1.0",
+        ),
+        1e6: (
+            "9.935030455836756700995e-34",
+            "8.837522530124922842349e-20",
+            "9.178900262302023421887e-10",
+            "0.001338104167313599692259",
+            "0.02269611400673680280602",
+            "0.158655213574303652463",
+            "0.3086255568908153209815",
+            "0.5001329807608725912443",
+            "0.6915504757714971815334",
+            "0.8413447863683402916276",
+            "0.9771959041012301372418",
+            "0.9986382593537824085206",
+            "0.9999999989402602647156",
+            "0.9999999999999999998563",
+            "1.0",
+        ),
+        2e6: (
+            "1.179144490543315019899e-33",
+            "9.497004483905272847266e-20",
+            "9.375636962777568911097e-10",
+            "0.001341553453822980743894",
+            "0.02271194107915604685654",
+            "0.1586552337570894369495",
+            "0.3085997765876310503133",
+            "0.5000940315975191579709",
+            "0.6915246973019786218441",
+            "0.8413447662226321444589",
+            "0.9772117041782486643175",
+            "0.998641733015411473192",
+            "0.999999998962161382813",
+            "0.9999999999999999998661",
+            "1.0",
+        ),
+    }
+
+    @pytest.mark.parametrize("at", sorted(WINDOW_P))
+    def test_window_against_50_digits(self, at):
+        # h = (z - a)/a is one rounding off; z/a - 1 would carry the
+        # rounding of z/a, which erfc's argument multiplies by about
+        # sqrt(a/2): 2.7e-14 off at a = 1e6
+        z = at + np.array(self.WINDOW_X) * math.sqrt(at)
+        got = reg_lower_gamma(at, z)
+        with mp.workdps(50):
+            err = max(abs(mpf(g) - mpf(ref)) for g, ref in zip(got.tolist(), self.WINDOW_P[at]))
+        assert err <= 3e-16
+
     def test_array_matches_scalar(self):
         at = np.repeat([0.5, 3.0, 999.9, 1e3, 5e3, 1e5, 1e6, 2e6], 9)
         lam = np.tile([1e-3, 0.3, 0.9, 0.995, 1.0, 1.001, 1.04, 1.06, 3.0], 8)
@@ -354,48 +422,70 @@ class TestSaturationWindow:
                 saturation_window(z, 745.0)
 
 
+# the scale n of lgamma_diff below, the exact kernel's at n = 2^20
+SCALE = 2**20
+
+
 class TestLgammaDiff:
     def test_matches_mpmath(self):
         with mp.workdps(40):
             for x in (0.7, 5.0, 19.9, 20.1, 123.0, 4.5e4, 2.2e6):
                 for d in (0.25, 1.0, 2.5):
-                    ref = mp.loggamma(mpf(x) + mpf(d)) - mp.loggamma(mpf(x))
-                    assert abs(mpf(lgamma_diff(x, d)) - ref) < 5e-14 * max(1.0, abs(float(ref)))
+                    for n in (1, 1000):
+                        ref = mp.loggamma(mpf(x) + mpf(d)) - mp.loggamma(mpf(x))
+                        ref -= d * mp.log(n)
+                        got = mpf(lgamma_diff(x, d, n))
+                        assert abs(got - ref) < 5e-14 * max(1.0, abs(float(ref)))
+
+    @pytest.mark.parametrize("n", [2**14, 2**20, 2**24])
+    def test_scaled_against_40_digits(self, n):
+        # the exact kernel's shapes x ~ n: delta ln n is part of the main
+        # term; subtracted from the result it would leave 5.5e-15 to
+        # 1.6e-14 of error
+        x = np.linspace(0.2 * n, 0.9 * n, 7)
+        shifts = [0.5, 1.0, 1.5, 2.0, 3.0]
+        got = lgamma_diff(x, np.array(shifts).reshape(-1, 1), n)
+        with mp.workdps(40):
+            for d, row in zip(shifts, got.tolist()):
+                for xi, g in zip(x.tolist(), row):
+                    ref = mp.loggamma(mpf(xi) + d) - mp.loggamma(mpf(xi)) - d * mp.log(n)
+                    assert abs(mpf(g) - ref) <= 2e-15
 
     def test_zero_shift(self):
-        assert lgamma_diff(17.3, 0.0) == 0.0
+        assert lgamma_diff(17.3, 0.0, SCALE) == 0.0
 
     def test_array_matches_scalar(self):
         x = np.array([0.7, 5.0, 19.9, 20.0, 20.1, 123.0, 4.5e4, 2.2e6])
         for d in (0.0, 0.25, 1.0, 2.5):
-            arr = lgamma_diff(x, d)
-            assert arr.tolist() == [lgamma_diff(xi, d) for xi in x]
+            arr = lgamma_diff(x, d, SCALE)
+            assert arr.tolist() == [lgamma_diff(xi, d, SCALE) for xi in x]
         # a column of shifts against the row x, as the exact kernel calls it
         shifts = np.array([0.0, 0.25, 1.0, 2.5, -0.5])
-        grid = lgamma_diff(x, shifts[:, None])
-        assert grid.tolist() == [[lgamma_diff(xi, d) for xi in x] for d in shifts]
+        grid = lgamma_diff(x, shifts[:, None], SCALE)
+        assert grid.tolist() == [[lgamma_diff(xi, d, SCALE) for xi in x] for d in shifts]
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            lgamma_diff(0.0, 1.0)
+            lgamma_diff(0.0, 1.0, SCALE)
         with pytest.raises(DomainError):
-            lgamma_diff(np.array([3.0, 0.5]), -1.0)
+            lgamma_diff(np.array([3.0, 0.5]), -1.0, SCALE)
         for x, d in ((math.nan, 1.0), (3.0, math.nan)):
             with pytest.raises(DomainError):
-                lgamma_diff(x, d)
+                lgamma_diff(x, d, SCALE)
 
     def test_pairs_not_extrema(self):
         # min(x) + min(delta) <= 0 here, but every pair is positive
         x, d = np.array([1.0, 10.0]), np.array([5.0, -5.0])
-        assert lgamma_diff(x, d).tolist() == [lgamma_diff(1.0, 5.0), lgamma_diff(10.0, -5.0)]
-        assert lgamma_diff(np.array([]), -1.0).shape == (0,)
+        pairs = [lgamma_diff(1.0, 5.0, SCALE), lgamma_diff(10.0, -5.0, SCALE)]
+        assert lgamma_diff(x, d, SCALE).tolist() == pairs
+        assert lgamma_diff(np.array([]), -1.0, SCALE).shape == (0,)
 
 
 def _full_series(x, delta):
     """lgamma_diff with every Stirling term, whatever x is."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(specfun, "_STIRLING_REACH", (math.inf,) * 5)
-        return lgamma_diff(x, delta)
+        return lgamma_diff(x, delta, SCALE)
 
 
 # shifts up to 6, the largest kernel shift a/(2b) at a = 6, b = 0.5
@@ -425,7 +515,7 @@ class TestStirlingCutoff:
             np.geomspace(limit, 1.01 * limit, 1000),
         ])
         assert x.min() >= limit
-        fast = lgamma_diff(x, CUTOFF_SHIFTS)
+        fast = lgamma_diff(x, CUTOFF_SHIFTS, SCALE)
         assert fast.tobytes() == _full_series(x, CUTOFF_SHIFTS).tobytes()
 
     @given(
@@ -434,7 +524,7 @@ class TestStirlingCutoff:
     )
     @settings(max_examples=300, deadline=None)
     def test_bitwise_property(self, x, d):
-        fast = lgamma_diff(x, d)
+        fast = lgamma_diff(x, d, SCALE)
         full = _full_series(x, d)
         assert fast.hex() == full.hex()
 
@@ -443,8 +533,8 @@ class TestStirlingCutoff:
         # all five terms on every entry
         x = np.array([2e4, 5e4, 1e6])
         d = np.array([[-0.5], [1.0]])
-        lgamma_diff(x, d)
+        lgamma_diff(x, d, SCALE)
         assert stirling_terms == [6] * 5
         stirling_terms.clear()
-        lgamma_diff(x, np.abs(d))
+        lgamma_diff(x, np.abs(d), SCALE)
         assert stirling_terms == [6] * 2
