@@ -10,7 +10,6 @@ from .asymp import (
     eval_G,
     positivity_scan,
     predict,
-    residual,
 )
 from .errors import (
     AccuracyError,
@@ -45,7 +44,6 @@ __all__ = [
     "mc_ln_mgf",
     "positivity_scan",
     "predict",
-    "residual",
     "sample_moduli",
     "split_sums",
 ]

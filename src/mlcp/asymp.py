@@ -49,8 +49,7 @@ import scipy
 
 from . import combo_poly
 from .errors import AccuracyError, DomainError
-from .exact_mgf import ln_mgf_exact
-from .params import exp_u
+from .params import check_size, exp_u
 from .quadrature import adaptive, graded_edges
 from .specfun import horner
 
@@ -377,12 +376,6 @@ def compute_coeffs(params, tol=1e-9):
 
 
 def predict(params, n, coeffs):
-    """C1*n + C2*sqrt(n) + C3."""
-    if n < 1:
-        raise DomainError("n must be >= 1", constraint="n")
+    """C1*n + C2*sqrt(n) + C3; params and n are checked by check_size."""
+    check_size(params, n)
     return coeffs.C1 * n + coeffs.C2 * math.sqrt(n) + coeffs.C3
-
-
-def residual(params, n, coeffs):
-    """ln E_n minus its three-term prediction."""
-    return ln_mgf_exact(params, n).ln_mgf - predict(params, n, coeffs)

@@ -77,10 +77,12 @@ is not a bound, and no error is stated with the value: near W the rows
 carry a rounding error of their own (against 40 digits, rms 2.3e-13 to
 2.2e-11 per row in the 300 rows past W at b = 0.5, a = 3 and 4), which
 the quadrature integrates with them.  A span with no Gregory range (every
-span at n < 4224) is summed row by row.  A row that cancels or
-overflows, or a quadrature that stalls, sends every span back to summing
-its rows, so the routine returns the row sums or raises the row sum's
-AccuracyError, naming the same j.
+span at n < 4224) is summed row by row.  Each span is walked once, in
+ascending j; a range whose Gregory sum raises AccuracyError (an end row
+that cancels or overflows, a quadrature node inside the P window, a
+stalled quadrature) is summed from its own rows instead, so the routine
+raises the row sum's AccuracyError, naming the same j, and evaluates no
+row twice but the end rows of a range that falls back.
 
 The module also provides the diagnostic decomposition of ln E_n into four
 index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
@@ -255,7 +257,7 @@ def _p_shifts(ctx, j):
     point inside the window, and shift k reads it from m = 2j[0] + k with
     stride 2.  Gregory's quadrature nodes lie outside the window (see
     _gregory_ranges); a chunk of them that reaches it raises AccuracyError,
-    which sends the sum back to its rows.  With cu = 0 no row runs P.
+    which sends that range back to its rows.  With cu = 0 no row runs P.
     """
     a = ctx.params.a
     if not ctx.cu:  # 1 + 0*P is 1 whatever P is
@@ -376,75 +378,72 @@ def _rows(ctx, lo, hi):
         yield _log_terms(ctx, j).tolist()
 
 
-def _summands(ctx, lo, hi, ranges):
-    """Lists of floats whose sum is sum_{j=lo}^{hi} f_j: every row of
-    lo..hi outside the ranges one by one, in ascending j, one list per
-    chunk, then one list for each range [A, B] of ``ranges``:
+def _gregory(ctx, A, B):
+    """A list of floats whose sum is sum_{j=A}^{B} f_j by Gregory's formula:
 
         sum_{j=A}^{B} f_j = int_A^B f + (f_A + f_B)/2
                             + sum_k c_k (nabla^k f_B + (-1)^k Delta^k f_A),
 
     with the c_k of _GREGORY and the differences from the rows A..A+7 and
-    B-7..B.  The integral is quadrature.adaptive on _log_terms at real j."""
+    B-7..B.  The integral is quadrature.adaptive on _log_terms at real j.
+    An end row that cancels or overflows, a node inside the P window or a
+    stalled quadrature raises AccuracyError."""
     order = len(_GREGORY)
-    ends = []
-    row = lo
-    for A, B in ranges:
-        yield from _rows(ctx, row, A - 1)
-        ends.append(
-            (_log_terms(ctx, np.arange(A, A + order + 1, dtype=float)),
-             _log_terms(ctx, np.arange(B - order, B + 1, dtype=float)))
-        )
-        row = B + 1
-    yield from _rows(ctx, row, hi)
+    forward = _log_terms(ctx, np.arange(A, A + order + 1, dtype=float))
+    backward = _log_terms(ctx, np.arange(B - order, B + 1, dtype=float))
 
     def f(x):
         return _log_terms(ctx, x.ravel()).reshape(x.shape)
 
-    # panels halve toward both ends of a range, over _GRADE_LEVELS levels
+    # panels halve toward both ends of the range, over _GRADE_LEVELS levels
     grades = [0.5**k for k in range(_GRADE_LEVELS, 0, -1)]
-    for (A, B), (forward, backward) in zip(ranges, ends):
-        half = 0.5 * (B - A)
-        edges = (
-            [A] + [A + half * g for g in grades] + [A + half]
-            + [B - half * g for g in reversed(grades)] + [B]
-        )
-        f_A, f_B = float(forward[0]), float(backward[-1])
-        tol = _QUAD_RTOL * (B - A) * max(1.0, abs(f_A), abs(f_B))
-        parts = [adaptive(f, edges, tol)[0], 0.5 * f_A, 0.5 * f_B]
-        for k, c in enumerate(_GREGORY, start=1):
-            forward, backward = np.diff(forward), np.diff(backward)
-            parts += [c * float(backward[-1]), c * (-1) ** k * float(forward[0])]
-        yield parts
+    half = 0.5 * (B - A)
+    edges = (
+        [A] + [A + half * g for g in grades] + [A + half]
+        + [B - half * g for g in reversed(grades)] + [B]
+    )
+    f_A, f_B = float(forward[0]), float(backward[-1])
+    tol = _QUAD_RTOL * (B - A) * max(1.0, abs(f_A), abs(f_B))
+    parts = [adaptive(f, edges, tol)[0], 0.5 * f_A, 0.5 * f_B]
+    for k, c in enumerate(_GREGORY, start=1):
+        forward, backward = np.diff(forward), np.diff(backward)
+        parts += [c * float(backward[-1]), c * (-1) ** k * float(forward[0])]
+    return parts
+
+
+def _summands(ctx, lo, hi):
+    """Lists of floats whose sum is sum_{j=lo}^{hi} f_j, in one pass over
+    the span in ascending j: the rows up to each range [A, B] that
+    _gregory_ranges finds in it, one list per chunk, then the range as one
+    list from _gregory, or its own rows where _gregory raises
+    AccuracyError, and the rows after the last range."""
+    row = lo
+    for A, B in _gregory_ranges(ctx, lo, hi):
+        yield from _rows(ctx, row, A - 1)
+        try:
+            yield _gregory(ctx, A, B)
+        except AccuracyError:
+            yield from _rows(ctx, A, B)
+        row = B + 1
+    yield from _rows(ctx, row, hi)
 
 
 def _span_sums(params, n, spans):
     """sum_{j=lo}^{hi} f_j for each span (lo, hi) of ``spans``, ascending
-    and together within 1..n.
+    and together within 1..n: one math.fsum per span over the lists of its
+    _summands.
 
-    Each span is one math.fsum over the lists of its _summands, with
-    Gregory's formula on the ranges that _gregory_ranges finds inside it.
     fsum rounds the exact sum once, so feeding it a list at a time changes
-    no bit of the result.  A row that cancels or overflows, or a stalled
-    quadrature, in any span sends every span back to summing its rows one
-    by one, in ascending j: that gives the row sums, or the error of the
-    first bad row, which a Gregory range may have skipped.  Where no span
-    has a range the rows were summed one by one already, and the error is
-    raised as it is.
+    no bit of the result.  A range whose Gregory sum raises is summed from
+    its own rows, so a row that cancels or overflows raises the
+    AccuracyError of the first such row in ascending j, as the row sum
+    would: the rows below a range are evaluated before it, the k-sum comes
+    out nonpositive only inside the window, whose rows are summed one by
+    one, and the rows that overflow below the window form one run up to
+    it, which a range's end rows B-7..B meet.
     """
-    if params.a == 0 and params.u == 0.0:  # every factor is exactly 1
-        return [0.0] * len(spans)
     ctx = _TermContext(params, n)
-    ranges = [_gregory_ranges(ctx, lo, hi) for lo, hi in spans]
-    try:
-        return [
-            math.fsum(chain.from_iterable(_summands(ctx, lo, hi, r)))
-            for (lo, hi), r in zip(spans, ranges)
-        ]
-    except AccuracyError:
-        if not any(ranges):
-            raise
-    return [math.fsum(chain.from_iterable(_rows(ctx, lo, hi))) for lo, hi in spans]
+    return [math.fsum(chain.from_iterable(_summands(ctx, lo, hi))) for lo, hi in spans]
 
 
 def ln_mgf_exact(params, n):
@@ -469,7 +468,9 @@ def ln_mgf_exact(params, n):
     accuracy is certified: on 50-digit references the error is 6.1e-5 at
     a = 4, n = 2**17, and below 1e-10 for a <= 3 (n <= 256; n = 2**14 at
     a = 1).  A j-term whose inner sum comes out nonpositive or not finite
-    raises AccuracyError naming its j.
+    raises AccuracyError naming its j, the first such j of the row sum; a
+    Gregory range that cannot be summed by the formula is summed from its
+    own rows, and the rest of the span is not evaluated again.
     """
     check_size(params, n)
     (total,) = _span_sums(params, n, [(1, n)])
@@ -508,8 +509,9 @@ def split_sums(params, n, eps, m_prime):
     so work and memory grow like sqrt(n), as ln_mgf_exact's do.  Where no
     Gregory range fits in any of the four (every n below 4224) the
     total is within a few ulps of ln_mgf_exact's row sum; elsewhere each
-    S_i agrees with its row sum as ln_mgf_exact does.  A row that cancels
-    or overflows raises ln_mgf_exact's AccuracyError.
+    S_i agrees with its row sum as ln_mgf_exact does.  The four ranges are
+    walked once each, in ascending j, so a row that cancels or overflows
+    raises ln_mgf_exact's AccuracyError, naming the same j.
     """
     check_size(params, n)
     mass = params.bulk_mass

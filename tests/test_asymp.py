@@ -16,9 +16,9 @@ from mlcp.asymp import (
     eval_G,
     positivity_scan,
     predict,
-    residual,
 )
 from mlcp.errors import AccuracyError, DomainError
+from mlcp.exact_mgf import ln_mgf_exact
 from mlcp.params import Params
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -604,7 +604,7 @@ class TestPredictResidual:
         p = Params(1.0, 0.0, 0.5, 0.0, 0)
         c = compute_coeffs(p)
         for n in (1, 10, 1000):
-            assert residual(p, n, c) == 0.0
+            assert ln_mgf_exact(p, n).ln_mgf - predict(p, n, c) == 0.0
 
     def test_predict_formula(self):
         p = Params(1.0, 0.0, 0.5, 1.0, 0)
@@ -612,10 +612,19 @@ class TestPredictResidual:
         n = 77
         assert predict(p, n, c) == c.C1 * 77 + c.C2 * math.sqrt(77.0) + c.C3
 
+    def test_predict_checks_its_arguments(self):
+        # params.check_size: a Params and a positive integer n
+        p = Params(1.0, 0.0, 0.5, 1.0, 0)
+        c = compute_coeffs(p)
+        for params, n in ((p, 0), (p, 10.0), (None, 10)):
+            with pytest.raises(DomainError):
+                predict(params, n, c)
+
     def test_a0_residual_shrinks(self):
         p = Params(1.0, 0.0, 0.5, 1.0, 0)
         c = compute_coeffs(p)
-        assert abs(residual(p, 4096, c)) < abs(residual(p, 256, c))
+        res = [ln_mgf_exact(p, n).ln_mgf - predict(p, n, c) for n in (256, 4096)]
+        assert abs(res[1]) < abs(res[0])
 
     def test_a1_residual_slope(self):
         p = Params(1.0, 0.0, 0.5, 1.0, 1)
@@ -623,7 +632,8 @@ class TestPredictResidual:
         pts = []
         for k in range(8, 14):  # n = 256 .. 8192
             n = 2**k
-            pts.append((math.log(n), math.log(abs(residual(p, n, c)))))
+            res = ln_mgf_exact(p, n).ln_mgf - predict(p, n, c)
+            pts.append((math.log(n), math.log(abs(res))))
         mean_x = sum(x for x, _ in pts) / len(pts)
         mean_y = sum(y for _, y in pts) / len(pts)
         slope = sum((x - mean_x) * (y - mean_y) for x, y in pts) / sum(

@@ -667,6 +667,64 @@ class TestExitCodes:
         assert record["error"]["type"] == "AccuracyError"
 
 
+def _floats(obj, path=()):
+    """(path, value) for every number or null at any depth of obj, a path
+    being the chain of keys that leads to it."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _floats(value, path + (key,))
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _floats(value, path)
+    elif obj is None or isinstance(obj, float):
+        yield path, obj
+
+
+class TestExitCodeContract:
+    # the contract on seeded random configs: exit 0, 2 or 3; a nonzero exit
+    # writes one JSON error record and no traceback; exit 0 writes finite
+    # numbers, with null only where a value can overflow or is undefined
+    NULLABLE = {("rows", "estimate_E"), ("rows", "stderr_E"), ("summary", "slope")}
+
+    def test_random_calls(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        cfg = tmp_path / "config.json"
+        for _ in range(50):
+            command = str(rng.choice(["exact", "compare", "mc"]))
+            b = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+            params = {
+                "b": b,
+                "alpha": rng.uniform(-0.9, 2.0),
+                "r": rng.uniform(0.01, 0.999) * b ** (-1.0 / (2.0 * b)),
+                "u": float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, math.log10(2000.0))),
+                "a": int(rng.integers(0, 9)),
+            }
+            n = int(2.0 ** rng.uniform(0.0, 12.0))
+            cfg.write_text(json.dumps({"params": params, "n_list": [n]}))
+            argv = [command, "--config", str(cfg), "--format", "json"]
+            if command == "mc":
+                argv += ["--samples", "200"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            call = (argv, params, n)
+            assert code in (0, 2, 3), call
+            if code:
+                assert out == "", call
+                (line,) = err.splitlines()
+                record = json.loads(line, parse_constant=reject_constant)["error"]
+                assert "traceback" not in record, (call, record)
+                continue
+            assert err == "", call
+            payload = json.loads(out, parse_constant=reject_constant)
+            for path, value in _floats(payload):
+                if value is None:
+                    assert path in self.NULLABLE, (call, path)
+                else:
+                    assert math.isfinite(value), (call, path)
+
+
 _LAZY_SPECIAL_SCRIPT = """
 import sys
 

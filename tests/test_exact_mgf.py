@@ -16,6 +16,7 @@ from mlcp import exact_mgf, specfun
 from mlcp.errors import AccuracyError, DomainError, RangeError
 from mlcp.exact_mgf import (
     _CHUNK,
+    _gregory,
     _gregory_ranges,
     _log_terms,
     _rows,
@@ -434,7 +435,7 @@ class TestLiveWindow:
         # Gregory's quadrature nodes lie outside the window, so P is one
         # constant per shift on each batch of them and no node reaches
         # reg_lower_gamma; a batch of nodes inside the window raises, which
-        # sends the sum back to its rows, bit for bit
+        # sends the range back to its rows, bit for bit
         params, n = Params(1.0, 0.0, 0.5, 0.7, 4), 2**17
         in_nodes = []
         real_adaptive, real_p = exact_mgf.adaptive, exact_mgf.reg_lower_gamma
@@ -675,9 +676,10 @@ class TestGregoryRanges:
     def test_formula_on_a_smooth_sum(self, monkeypatch):
         # Gregory's formula and the quadrature alone, on f(j) = sqrt(j) + 1e4/j
         monkeypatch.setattr(exact_mgf, "_log_terms", lambda ctx, j: np.sqrt(j) + 1e4 / j)
+        monkeypatch.setattr(exact_mgf, "_gregory_ranges", lambda ctx, lo, hi: [(3000, 900_000)])
         n = 10**6
         ctx = _TermContext(Params(1.0, 0.0, 0.5, 0.7, 1), n)
-        got = math.fsum(chain.from_iterable(_summands(ctx, 1, n, [(3000, 900_000)])))
+        got = math.fsum(chain.from_iterable(_summands(ctx, 1, n)))
         j = np.arange(1, n + 1, dtype=float)
         assert got == pytest.approx(math.fsum((np.sqrt(j) + 1e4 / j).tolist()), rel=1e-15)
 
@@ -686,7 +688,7 @@ class TestGregoryRanges:
         # same floats handed over one at a time, in any order
         params, n = Params(1.0, 0.0, 0.5, 0.7, 1), 2**17
         ctx = _TermContext(params, n)
-        floats = [x for part in _summands(ctx, 1, n, _gregory_ranges(ctx, 1, n)) for x in part]
+        floats = [x for part in _summands(ctx, 1, n) for x in part]
         total = ln_mgf_exact(params, n).ln_mgf
         assert total == math.fsum(iter(floats)) == math.fsum(reversed(floats))
 
@@ -717,7 +719,7 @@ class TestGregoryRanges:
         lo = _gregory_ranges(ctx, 1, n)[1][0]
         hi = lo + 299
         assert (lo + params.alpha) / params.b > ctx.window[1]
-        gregory = math.fsum(chain.from_iterable(_summands(ctx, lo, hi, [(lo, hi)])))
+        gregory = math.fsum(_gregory(ctx, lo, hi))
         rows = list(chain.from_iterable(_rows(ctx, lo, hi)))
         eps = 2.0**-53
         with mp.workdps(40):
@@ -790,6 +792,59 @@ class TestGregoryRanges:
         seen, value = self._work(monkeypatch, ROUTES[0], params, n)
         assert value == _row_sum(params, n)[0]
         assert seen["nodes"] == (42 + 2 * 128) * 15
+
+    @staticmethod
+    def _row_batches(monkeypatch):
+        """The list that collects every batch of rows (integer j) the kernel
+        is handed from now on."""
+        batches = []
+        real = exact_mgf._log_terms
+
+        def counted(ctx, j):
+            if np.all(j == np.floor(j)):
+                batches.append(j)
+            return real(ctx, j)
+
+        monkeypatch.setattr(exact_mgf, "_log_terms", counted)
+        return batches
+
+    def test_stall_sends_only_its_range_to_rows(self, monkeypatch):
+        # only the upper range's quadrature stalls: that range is summed
+        # from its rows, and the lower range keeps its Gregory sum, with no
+        # row inside it evaluated but its eight end rows at each side
+        params, n = Params(1.0, 0.0, 0.5, 0.7, 1), 2**17
+        ctx = _TermContext(params, n)
+        (A, B), (upper, _) = _gregory_ranges(ctx, 1, n)
+        assert (A, B, upper) == (129, 31161, 34429)
+        terms = _row_sum(params, n)[1]
+        expected = math.fsum(terms[:A - 1].tolist() + terms[B:].tolist() + _gregory(ctx, A, B))
+        real = exact_mgf.adaptive
+
+        def stalls_above(f, edges, tol):
+            if edges[0] >= upper:
+                raise AccuracyError("adaptive quadrature stalled")
+            return real(f, edges, tol)
+
+        monkeypatch.setattr(exact_mgf, "adaptive", stalls_above)
+        batches = self._row_batches(monkeypatch)
+        assert ln_mgf_exact(params, n).ln_mgf == expected
+        j = np.concatenate(batches)
+        assert not np.any((A + 7 < j) & (j < B - 7))
+
+    @pytest.mark.parametrize("params, n", [c for c in NONPOSITIVE_CASES if c[1] == 2**17])
+    def test_rows_evaluated_once_before_the_error(self, monkeypatch, params, n):
+        # one pass per span: every row the kernel sees before the row sum's
+        # error is evaluated once, on each route
+        with pytest.raises(AccuracyError) as rows:
+            _row_sum(params, n)
+        for route in ROUTES:
+            with monkeypatch.context() as m:
+                batches = self._row_batches(m)
+                with pytest.raises(AccuracyError) as hybrid:
+                    route(params, n)
+            assert str(hybrid.value) == str(rows.value)
+            j = np.concatenate(batches)
+            assert np.unique(j).size == j.size
 
     @pytest.mark.parametrize("n", [128, 256, 4096])
     @pytest.mark.parametrize("geometry", GEOMETRIES)

@@ -321,3 +321,40 @@ class TestOverflowAndSeeds:
             mc_ln_mgf(GINIBRE, 10, 1000, seed=seed)
         with pytest.raises(DomainError):
             sample_moduli(GINIBRE, 10, seed=seed)
+
+
+def _ginibre_ln_mgf(moduli, r, u, a):
+    """ln of the sample mean of e^{u #(R_j < r)} prod_j |R_j - r|^a over
+    the rows of moduli, with its delta-method standard error: the
+    log-mean-exp estimator of ln E_n, shifted by the largest log weight so
+    that no weight overflows."""
+    log_w = u * np.count_nonzero(moduli < r, axis=1)
+    if a:
+        log_w = log_w + a * np.log(np.abs(moduli - r)).sum(axis=1)
+    w = np.exp(log_w - log_w.max())
+    mean = w.mean()
+    return log_w.max() + math.log(mean), w.std(ddof=1) / (math.sqrt(w.size) * mean)
+
+
+class TestGinibreEigenvalues:
+    # At b = 1, alpha = 0 the weight e^{-n|z|^2} is the Ginibre ensemble:
+    # the eigenvalue moduli of n x n matrices with entries N_C(0, 1/n) give
+    # an estimate of E_n that shares no code and no formula with either
+    # route, and so checks the radial representation n R_j^2 ~ Gamma(j)
+    # and the weight's conventions (the scale in n, the sign of u, the side
+    # of r that gets e^u) on which both rest
+    SAMPLES = 20_000
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_against_the_exact_product(self, n):
+        rng = np.random.default_rng(20261020 + n)
+        shape = (self.SAMPLES, n, n)
+        scale = math.sqrt(0.5 / n)  # real and imaginary parts, variance 1/n in all
+        m = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        moduli = np.abs(np.linalg.eigvals(m))
+        for a in (0, 1, 2):
+            for u in (-0.7, 1.0):
+                params = Params(1.0, 0.0, 0.5, u, a)
+                est, se = _ginibre_ln_mgf(moduli, params.r, u, a)
+                z = (est - ln_mgf_exact(params, n).ln_mgf) / se
+                assert abs(z) <= 4.0, (n, a, u, est, se, z)
