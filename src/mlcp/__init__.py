@@ -21,7 +21,7 @@ from .errors import (
 )
 from .exact_mgf import ExactResult, SplitDiagnostics, ln_mgf_exact, ln_partition, split_sums
 from .params import Params
-from .sampler import MCResult, mc_ln_mgf, sample_moduli
+from .sampler import MCResult, mc_ln_mgf, mc_ln_mgf_sizes, sample_moduli
 
 __all__ = [
     "AccuracyError",
@@ -42,6 +42,7 @@ __all__ = [
     "ln_mgf_exact",
     "ln_partition",
     "mc_ln_mgf",
+    "mc_ln_mgf_sizes",
     "positivity_scan",
     "predict",
     "sample_moduli",

@@ -38,7 +38,7 @@ from .errors import AccuracyError, DomainError, MlcpError
 from .exact_mgf import ln_mgf_exact, split_sums
 from .identities import run_all
 from .params import Params
-from .sampler import mc_ln_mgf
+from .sampler import mc_ln_mgf_sizes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -262,10 +262,8 @@ def cmd_compare(config, out_path):
 def cmd_mc(config, out_path):
     columns = ("n", "estimate_E", "stderr_E", "ln_estimate", "ln_stderr", "ess",
                "samples", "seed")
-    rows = [
-        {"n": n, **asdict(mc_ln_mgf(config.params, n, config.samples, config.seed))}
-        for n in config.n_list
-    ]
+    results = mc_ln_mgf_sizes(config.params, config.n_list, config.samples, config.seed)
+    rows = [{"n": n, **asdict(res)} for n, res in zip(config.n_list, results)]
     _write(config.output, out_path, columns, rows)
     return EXIT_OK
 

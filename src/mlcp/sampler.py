@@ -11,14 +11,24 @@ accumulated in log space with a max shift so no weight overflows.
 Streams are SFC64 substreams, one per modulus index j, all from the same
 SeedSequence spawn keys (entropy seed, spawn key (j,)), so the estimate is
 a pure function of (seed, samples, params, n).  Versions that drew Philox
-substreams give other values for the same seed.  The draws run on every
-usable core as a pipeline: each worker thread builds and owns the streams
-of one contiguous group of indices j and walks the samples in rounds of
-8192.  It adds its terms into a round's log weights once the group before
-it has added theirs, while that group goes on to the next round.  Every
-sample thus receives the same additions in the same order as in a serial
-loop over j, and a stream drawn in pieces yields the same variates as one
-draw, so the result is bit-identical for any core count.
+substreams give other values for the same seed.  The shape (j+alpha)/b does
+not depend on n, so one call serves a list of sizes: each index's
+substream is drawn once, and its variates enter the log weights of every
+size n >= j.  Calls for one size at a time draw the same substreams, so the
+rows of a list are correlated either way, and each row is bit for bit the
+row of its one-size call.
+
+The draws run on every usable core as a pipeline: each worker thread builds
+and owns the streams of one contiguous group of indices j and walks the
+samples in rounds of 8192.  A round is one buffer of 8192 log weights per
+size, taken from a pool of about two per worker; a stage adds its terms
+into a round once the group before it has added theirs, while that group
+goes on to the next round.  The last stage folds each round into partial
+statistics and returns its buffer to the pool, so memory does not grow with
+the number of samples.  Every sample receives the same additions in the
+same order as in a serial loop over j, a stream drawn in pieces yields the
+same variates as one draw, and the rounds are folded in order, so the
+result is bit-identical for any core count.
 """
 
 import math
@@ -33,8 +43,13 @@ from .errors import DomainError
 from .params import check_size
 
 # Samples per round: long enough that each draw call outweighs its Python
-# overhead, short enough that a stage's row stays in cache.
+# overhead, short enough that a stage's rows stay in cache.
 _ROUND_SAMPLES = 8192
+# Round buffers per stage: one being filled, one waiting for the next stage.
+_BUFFERS_PER_STAGE = 2
+# The cost of one gamma draw in units of one size's transform of it
+# (divide, power, compare, log, add), for balancing the stages.
+_DRAW_COST = 2
 
 
 @dataclass(frozen=True)
@@ -68,8 +83,7 @@ def _shapes(params, n):
     return (j + params.alpha) / params.b
 
 
-def _check_args(params, n, seed):
-    check_size(params, n)
+def _check_seed(seed):
     if not (isinstance(seed, int) and seed >= 0):
         raise DomainError("seed must be a nonnegative integer", constraint="seed")
 
@@ -105,119 +119,212 @@ def sample_moduli(params, n, seed):
     so its moduli are unrelated to any sample of ``mc_ln_mgf`` with the
     same seed.
     """
-    _check_args(params, n, seed)
+    check_size(params, n)
+    _check_seed(seed)
     rng = _generator(seed)
     g = rng.standard_gamma(_shapes(params, n))
     return (g / n) ** (1.0 / (2.0 * params.b))
 
 
-def _stage(seed, shapes, lo, hi, params, n, log_w, ready, done):
-    """Add the terms of indices lo..hi-1 into log_w, one round at a time.
+class _Rounds:
+    """The rounds of one call: the sizes' rows of log weights, one buffer
+    per round, flow from stage to stage and back to a bounded pool.
 
-    A round starts once ``ready`` yields True: the stage before has added
-    its terms into that round's samples.  The stage then signals ``done``.
-    ``None`` stands for no neighbour; False passes a failure downstream.
-    The stage builds the generators of its indices when its first round
-    starts.  Building holds the interpreter lock, so stages that all built
-    at once would only contend for it; this way a stage builds while the
-    one before draws its second round.
+    ``sizes`` ascend, so the rows an index j adds into are the rows from
+    ``first[j - 1]`` on.  The last stage leaves round k's partial
+    statistics of row i in ``partials[k, i]``: the largest log weight m,
+    and with w = e^(log weight - m) the sums S1 = sum w, S2 = sum w^2 and
+    M2 = sum (w - S1/count)^2.
     """
-    a, r, u = params.a, params.r, params.u
-    root = 1.0 / (2.0 * params.b)
-    row = np.empty(min(_ROUND_SAMPLES, log_w.size))
-    below = np.empty(row.size, dtype=bool)
-    finished = False
-    rngs = None
-    try:
-        # errstate is thread-local, so each worker sets its own
-        with np.errstate(divide="ignore"):
-            for s0 in range(0, log_w.size, row.size):
-                if ready is not None and not ready.get():
-                    return
-                if rngs is None:
-                    rngs = [_generator(seed, j + 1) for j in range(lo, hi)]
-                chunk = log_w[s0 : s0 + row.size]
-                radii, inside = row[: chunk.size], below[: chunk.size]
-                for rng, shape in zip(rngs, shapes[lo:hi]):
-                    rng.standard_gamma(shape, out=radii)
-                    radii /= n
-                    radii **= root
-                    if u:
-                        np.less(radii, r, out=inside)
-                    if a:
-                        # an exact hit R_j == r records log weight -inf (weight 0)
-                        radii -= r
-                        np.abs(radii, out=radii)
-                        np.log(radii, out=radii)
-                        if a != 1:  # x * 1.0 is x, bit for bit
-                            radii *= a
-                        chunk += radii
-                    if u:
-                        np.add(chunk, u, out=chunk, where=inside)
+
+    def __init__(self, params, sizes, samples, seed, buffers):
+        self.params, self.sizes, self.samples, self.seed = params, sizes, samples, seed
+        self.shapes = _shapes(params, sizes[-1])
+        self.first = np.searchsorted(sizes, np.arange(1, sizes[-1] + 1))
+        self.width = min(_ROUND_SAMPLES, samples)
+        self.partials = np.empty((-(-samples // self.width), len(sizes), 4))
+        self.pool = queue.SimpleQueue()
+        for _ in range(buffers):
+            self.pool.put(np.empty((len(sizes), self.width)))
+
+    def stage(self, lo, hi, ready, done):
+        """Add the terms of indices lo..hi-1 into each round's rows.
+
+        A round starts once ``ready`` yields its buffer: the stage before
+        has added its terms into it.  The stage then hands it on to
+        ``done``.  ``ready`` None takes a free buffer from the pool and
+        zeroes it; ``done`` None folds the round and frees its buffer.
+        None on a link or in the pool passes a failure on, so that every
+        stage ends.  The stage builds the generators of its indices when
+        its first round starts.  Building holds the interpreter lock, so
+        stages that all built at once would only contend for it; this way a
+        stage builds while the one before draws its second round.
+        """
+        params, sizes = self.params, self.sizes
+        a, r, u = params.a, params.r, params.u
+        root = 1.0 / (2.0 * params.b)
+        shapes, first = self.shapes[lo:hi], self.first[lo:hi].tolist()
+        draw = np.empty(self.width)
+        radii = np.empty(self.width)
+        below = np.empty(self.width, dtype=bool)
+        finished = False
+        rngs = None
+        try:
+            # errstate is thread-local, so each worker sets its own
+            with np.errstate(divide="ignore"):
+                for k, s0 in enumerate(range(0, self.samples, self.width)):
+                    count = min(self.width, self.samples - s0)
+                    buf = self.pool.get() if ready is None else ready.get()
+                    if buf is None:
+                        return
+                    if ready is None:
+                        buf[:, :count] = 0.0
+                    if rngs is None:
+                        rngs = [_generator(self.seed, j + 1) for j in range(lo, hi)]
+                    gamma, term, inside = draw[:count], radii[:count], below[:count]
+                    for rng, shape, rows_from in zip(rngs, shapes, first):
+                        rng.standard_gamma(shape, out=gamma)
+                        for i in range(rows_from, len(sizes)):
+                            chunk = buf[i, :count]
+                            np.divide(gamma, sizes[i], out=term)
+                            term **= root
+                            if u:
+                                np.less(term, r, out=inside)
+                            if a:
+                                # an exact hit R_j == r records log weight -inf (weight 0)
+                                term -= r
+                                np.abs(term, out=term)
+                                np.log(term, out=term)
+                                if a != 1:  # x * 1.0 is x, bit for bit
+                                    term *= a
+                                chunk += term
+                            if u:
+                                np.add(chunk, u, out=chunk, where=inside)
+                    if done is None:
+                        self.fold(buf[:, :count], k)
+                        self.pool.put(buf)
+                    else:
+                        done.put(buf)
+            finished = True
+        finally:
+            if not finished:
                 if done is not None:
-                    done.put(True)
-        finished = True
-    finally:
-        if done is not None and not finished:
-            done.put(False)
+                    done.put(None)
+                # wakes the first stage should it wait for a buffer that
+                # this stage will never free
+                self.pool.put(None)
+
+    def fold(self, rows, k):
+        """Round k's partial statistics of each row, formed in the row."""
+        count = rows.shape[1]
+        for i, w in enumerate(rows):
+            m = float(np.max(w))
+            if m == -math.inf:  # every weight of the round is 0
+                self.partials[k, i] = (m, 0.0, 0.0, 0.0)
+                continue
+            np.exp(np.subtract(w, m, out=w), out=w)
+            s1 = float(np.add.reduce(w))
+            s2 = float(np.dot(w, w))
+            np.subtract(w, s1 / count, out=w)
+            np.square(w, out=w)
+            self.partials[k, i] = (m, s1, s2, float(np.add.reduce(w)))
 
 
-def mc_ln_mgf(params, n, samples, seed):
-    """Monte Carlo estimate of E_n from ``samples`` independent draws.
+def _estimate(partials, width, samples, seed):
+    """The MCResult of one size from its rounds' partial statistics.
 
-    Per-sample log weights u*#(R_j<r) + a*sum_j ln|R_j - r| are summed
-    over per-j substreams; the mean and its standard error are formed
-    after subtracting the running maximum, and the log-scale uncertainty
-    is the delta-method ratio stderr/estimate.  A draw landing exactly on
-    r at double precision contributes weight zero (probability ~0); it is
-    counted, not treated as an error.  With a = 0 and u = 0 every weight
-    is 1 and nothing is drawn.
-
-    Memory: one samples-sized array, the 8 bytes per sample of the log
-    weights, plus one round's row of 8192 draws and its mask per worker.
-    The weights, their mean, effective sample size and variance (two
-    passes, Chan, Golub and LeVeque 1983) are formed in that same buffer,
-    with the arithmetic of np.mean and np.std(ddof=1), bit for bit.
+    The rounds are rescaled to the largest log weight and combined in round
+    order by exact sums (math.fsum); the sum of squared deviations adds
+    each round's own to its count times its mean's squared deviation from
+    the whole mean (Chan, Golub and LeVeque 1983).
     """
-    _check_args(params, n, seed)
-    if not (isinstance(samples, int) and samples >= 100):
-        raise DomainError("samples must be an integer >= 100", constraint="samples")
-    a, u = params.a, params.u
-    if not a and not u:
-        return MCResult(1.0, 0.0, 0.0, 0.0, samples, seed, float(samples))
-    shapes = _shapes(params, n)
-    workers = min(_usable_cores(), n)
-    bounds = [n * k // workers for k in range(workers + 1)]
-    links = [None] + [queue.SimpleQueue() for _ in range(workers - 1)] + [None]
-    log_w = np.zeros(samples, dtype=np.float64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _stage, seed, shapes, bounds[k], bounds[k + 1], params, n, log_w,
-                links[k], links[k + 1],
-            )
-            for k in range(workers)
-        ]
-        for future in futures:
-            future.result()
-    shift = float(np.max(log_w))
+    shift = max(partials[:, 0].tolist())
     if not math.isfinite(shift):
         raise DomainError("every Monte Carlo weight vanished", constraint="samples")
-    # np.mean's and np.std(ddof=1)'s own arithmetic, in place: the same bits
-    w = np.exp(np.subtract(log_w, shift, out=log_w), out=log_w)
-    mean = float(np.add.reduce(w)) / samples
-    ess = (mean * samples) ** 2 / float(np.dot(w, w))
-    np.subtract(w, mean, out=w)
-    np.square(w, out=w)
-    std = math.sqrt(float(np.add.reduce(w)) / (samples - 1)) / math.sqrt(samples)
+    counts = [width] * (len(partials) - 1) + [samples - width * (len(partials) - 1)]
+    scales = [math.exp(m - shift) for m in partials[:, 0].tolist()]
+    s1 = [c * s for c, s in zip(scales, partials[:, 1].tolist())]
+    total = math.fsum(s1)
+    mean = total / samples
+    sq = math.fsum(c * c * s for c, s in zip(scales, partials[:, 2].tolist()))
+    dev = math.fsum(
+        c * c * v + k * (s / k - mean) ** 2
+        for c, v, s, k in zip(scales, partials[:, 3].tolist(), s1, counts)
+    )
+    std = math.sqrt(dev / (samples - 1)) / math.sqrt(samples)
     ln_estimate = shift + math.log(mean)
-    ln_stderr = std / mean
     return MCResult(
         estimate_E=_exp_times(ln_estimate, 1.0),
         stderr_E=_exp_times(shift, std),
         ln_estimate=ln_estimate,
-        ln_stderr=ln_stderr,
+        ln_stderr=std / mean,
         samples=samples,
         seed=seed,
-        ess=ess,
+        ess=total * total / sq,
     )
+
+
+def mc_ln_mgf_sizes(params, ns, samples, seed):
+    """Monte Carlo estimates of E_n at each size n of the list ``ns``, from
+    ``samples`` independent draws each; a list of MCResult in the order of
+    ``ns``.
+
+    Per-sample log weights u*#(R_j<r) + a*sum_j ln|R_j - r| are summed
+    over per-j substreams, drawn once for all sizes: the variates of index
+    j enter every size n >= j, each size divided by its own n.  The mean
+    and its standard error are formed after subtracting the largest log
+    weight, and the log-scale uncertainty is the delta-method ratio
+    stderr/estimate.  A draw landing exactly on r at double precision
+    contributes weight zero (probability ~0); it is counted, not treated as
+    an error.  With a = 0 and u = 0 every weight is 1 and nothing is drawn.
+    Every size is checked before anything is drawn.
+
+    Memory: about two round buffers per worker, each of 8192 log weights
+    per distinct size, plus one row of 8192 draws, their transform and mask
+    per worker; 32 bytes per size and round hold the partial statistics.
+    So a call holds O(workers * sizes * 8192) doubles whatever ``samples``
+    is.  The statistics are per-round partials (largest log weight, sum,
+    sum of squares and sum of squared deviations of the shifted weights)
+    combined exactly in round order, not np.mean's and np.std's pairwise
+    sums over all samples; the two agree to about 1e-15 relative.
+    """
+    if not (isinstance(ns, (list, tuple)) and ns):
+        raise DomainError("ns must be a nonempty list of sizes", constraint="n")
+    for n in ns:
+        check_size(params, n)
+    _check_seed(seed)
+    if not (isinstance(samples, int) and samples >= 100):
+        raise DomainError("samples must be an integer >= 100", constraint="samples")
+    if not params.a and not params.u:
+        return [MCResult(1.0, 0.0, 0.0, 0.0, samples, seed, float(samples))] * len(ns)
+    sizes = sorted(set(ns))
+    workers = min(_usable_cores(), sizes[-1])
+    rounds = _Rounds(params, sizes, samples, seed, _BUFFERS_PER_STAGE * workers)
+    # stage bounds that split the work, one draw and one transform per
+    # size n >= j for each index j, evenly; one size gives top * k // workers
+    work = np.cumsum(_DRAW_COST + len(sizes) - rounds.first)
+    total = int(work[-1])
+    bounds = sorted({
+        int(np.searchsorted(work, total * k // workers, side="right"))
+        for k in range(workers + 1)
+    })
+    stages = len(bounds) - 1
+    links = [None] + [queue.SimpleQueue() for _ in range(stages - 1)] + [None]
+    with ThreadPoolExecutor(max_workers=stages) as pool:
+        futures = [
+            pool.submit(rounds.stage, bounds[k], bounds[k + 1], links[k], links[k + 1])
+            for k in range(stages)
+        ]
+        for future in futures:
+            future.result()
+    results = {
+        n: _estimate(rounds.partials[:, i], rounds.width, samples, seed)
+        for i, n in enumerate(sizes)
+    }
+    return [results[n] for n in ns]
+
+
+def mc_ln_mgf(params, n, samples, seed):
+    """Monte Carlo estimate of E_n from ``samples`` independent draws: the
+    one-size call of ``mc_ln_mgf_sizes``."""
+    return mc_ln_mgf_sizes(params, [n], samples, seed)[0]

@@ -358,6 +358,25 @@ class TestMc:
         assert main(["mc", "--config", cfg, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0]["ess"] == 1000.0
 
+    def test_rows_equal_one_size_runs(self, tmp_path, capsys, monkeypatch):
+        # one sampler call for the whole n_list, whose rows are those of
+        # one run per size
+        calls = []
+        sizes = cli.mc_ln_mgf_sizes
+
+        def recorded(params, ns, samples, seed):
+            calls.append(ns)
+            return sizes(params, ns, samples, seed)
+
+        monkeypatch.setattr(cli, "mc_ln_mgf_sizes", recorded)
+        rows = []
+        for n_list in ([16, 64], [16], [64]):
+            cfg = write_config(tmp_path, n_list=n_list, samples=9000, params={"u": 0.5, "a": 1})
+            assert main(["mc", "--config", cfg, "--format", "json"]) == 0
+            rows.append(json.loads(capsys.readouterr().out)["rows"])
+        assert calls == [(16, 64), (16,), (64,)]
+        assert rows[0] == rows[1] + rows[2]
+
     def test_overflowing_estimate_is_null_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_list=[1500], seed=3, samples=3000,
                            params={"b": 0.5, "alpha": 0.5, "r": 1.0, "u": 2.5})
@@ -608,7 +627,7 @@ class TestExitCodes:
         # computing anything, in either format
         calls = []
         monkeypatch.setattr(cli, "compute_coeffs", lambda *args: calls.append(args))
-        monkeypatch.setattr(cli, "mc_ln_mgf", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "mc_ln_mgf_sizes", lambda *args: calls.append(args))
         cfg = write_config(tmp_path, diagnostic={"eps": 0.05, "m_prime": 10})
         for fmt in ("csv", "json"):
             assert main([command, "--config", cfg, "--format", fmt]) == 2

@@ -13,7 +13,7 @@ from mlcp import sampler
 from mlcp.errors import DomainError
 from mlcp.exact_mgf import ln_mgf_exact
 from mlcp.params import Params
-from mlcp.sampler import mc_ln_mgf, sample_moduli
+from mlcp.sampler import mc_ln_mgf, mc_ln_mgf_sizes, sample_moduli
 
 GINIBRE = Params(1.0, 0.0, 0.5, 0.0, 0)
 
@@ -156,8 +156,9 @@ class TestShapeBelowOne:
         assert abs(res.ln_estimate - exact) <= 4.0 * res.ln_stderr
 
 
-def serial_reference(params, n, samples, seed):
-    """The one-stream-at-a-time loop over j that mc_ln_mgf must reproduce."""
+def serial_log_weights(params, n, samples, seed):
+    """The one-stream-at-a-time loop over j whose log weights mc_ln_mgf
+    must reproduce."""
     a, r, u = params.a, params.r, params.u
     root = 1.0 / (2.0 * params.b)
     shapes = (np.arange(1, n + 1, dtype=np.float64) + params.alpha) / params.b
@@ -170,14 +171,35 @@ def serial_reference(params, n, samples, seed):
                 log_w += a * np.log(np.abs(radii - r))
         if u:
             log_w += u * (radii < r)
-    shift = float(np.max(log_w))
-    w = np.exp(log_w - shift)
-    mean = float(np.mean(w))
-    std = float(np.std(w, ddof=1)) / math.sqrt(samples)
+    return log_w
+
+
+def serial_reference(params, n, samples, seed):
+    """The serial loop's log weights, folded round by round of 8192 into
+    (largest log weight, sum w, sum w^2, sum of squared deviations) and the
+    rounds combined in order: the MCResult fields mc_ln_mgf must give."""
+    log_w = serial_log_weights(params, n, samples, seed)
+    width = min(8192, samples)
+    rounds = []
+    for s0 in range(0, samples, width):
+        lw = log_w[s0 : s0 + width]
+        m = float(np.max(lw))
+        if m == -math.inf:
+            rounds.append((m, 0.0, 0.0, 0.0, lw.size))
+            continue
+        w = np.exp(lw - m)
+        s1 = float(np.sum(w))
+        rounds.append((m, s1, float(np.dot(w, w)), float(np.sum((w - s1 / w.size) ** 2)), lw.size))
+    shift = max(m for m, *_ in rounds)
+    scaled = [(math.exp(m - shift), s1, s2, m2, k) for m, s1, s2, m2, k in rounds]
+    total = math.fsum(c * s1 for c, s1, _, _, _ in scaled)
+    mean = total / samples
+    sq = math.fsum(c * c * s2 for c, _, s2, _, _ in scaled)
+    dev = math.fsum(c * c * m2 + k * (c * s1 / k - mean) ** 2 for c, s1, _, m2, k in scaled)
+    std = math.sqrt(dev / (samples - 1)) / math.sqrt(samples)
     ln_estimate = shift + math.log(mean)
-    ess = (mean * samples) ** 2 / float(np.dot(w, w))
     return (math.exp(ln_estimate), math.exp(shift) * std, ln_estimate,
-            std / mean, samples, seed, ess)
+            std / mean, samples, seed, total * total / sq)
 
 
 class TestThreadedRounds:
@@ -200,8 +222,7 @@ class TestThreadedRounds:
             (Params(1.0, 0.0, 0.5, -1.2, 0), 12, 5000),
             # a = 3 keeps the multiply
             (Params(1.0, 0.0, 0.6, 0.0, 3), 12, 5000),
-            # past 2^17 samples: the in-place statistics against np.std at
-            # a deeper pairwise-sum tree
+            # 17 rounds, the last one of 3 samples
             (Params(1.0, 0.0, 0.5, 1.0, 1), 4, 2**17 + 3),
         ],
     )
@@ -236,19 +257,27 @@ class TestThreadedRounds:
             lambda seed, j=None: Broken() if j == broken_j else real(seed, j),
         )
         monkeypatch.setattr(sampler, "_usable_cores", lambda: 4)
-        raised = []
+        params = Params(1.0, 0.0, 0.5, 1.0, 1)
+        # the second call has more rounds (20) than the pool has buffers (8),
+        # so the first stage waits on the pool once a later stage has failed
+        calls = [
+            lambda: mc_ln_mgf(params, 8, 20001, seed=1),
+            lambda: mc_ln_mgf_sizes(params, [3, 8], 20 * 8192, seed=1),
+        ]
+        for call in calls:
+            raised = []
 
-        def run():
-            try:
-                mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 8, 20001, seed=1)
-            except FloatingPointError as exc:
-                raised.append(exc)
+            def run():
+                try:
+                    call()
+                except FloatingPointError as exc:
+                    raised.append(exc)
 
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert len(raised) == 1
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert len(raised) == 1
 
     def test_null_weight_draws_nothing(self, monkeypatch):
         def no_draws(*args):
@@ -274,20 +303,77 @@ class TestStageGenerators:
         mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 10, 1000, seed=2)
         assert sorted(j for j, _ in built_by) == list(range(1, 11))
         assert threading.main_thread() not in {t for _, t in built_by}
+        # a list of sizes builds each index's generator once, not once a size
+        built_by.clear()
+        mc_ln_mgf_sizes(Params(1.0, 0.0, 0.5, 1.0, 1), [3, 10, 6], 1000, seed=2)
+        assert sorted(j for j, _ in built_by) == list(range(1, 11))
+        assert threading.main_thread() not in {t for _, t in built_by}
 
 
 class TestMemory:
-    def test_one_samples_sized_array(self):
-        # the log weights are the one samples-sized array: the statistics
-        # run in them, and the workers' rows add 72 KiB each
-        samples = 2**18
-        tracemalloc.start()
-        try:
-            mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 4, samples, seed=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 8 * samples
+    def test_memory_independent_of_samples(self, monkeypatch):
+        # the rounds' buffers are reused and each round leaves 32 bytes per
+        # size of statistics: 16 times the samples, 8 MiB more log weights
+        # if they were kept, must cost almost nothing more
+        monkeypatch.setattr(sampler, "_usable_cores", lambda: 2)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                mc_ln_mgf_sizes(Params(1.0, 0.0, 0.5, 1.0, 1), [2, 4], samples, seed=8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # one-time set-up on a first call is not per call
+        assert peak(2**20) <= 1.1 * peak(2**16)
+
+
+class TestSizes:
+    @pytest.mark.parametrize("cores", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "params, samples",
+        [
+            (Params(1.0, 0.0, 0.5, 1.0, 1), 20001),
+            (Params(1.0, 0.0, 0.5, -0.8, 0), 3000),
+            (Params(2.0, -0.5, 0.6, 0.7, 2), 9000),
+        ],
+    )
+    def test_rows_are_their_one_size_calls(self, monkeypatch, cores, params, samples):
+        if cores is not None:
+            monkeypatch.setattr(sampler, "_usable_cores", lambda: cores)
+        sizes = (1, 4, 10, 31)
+        rows = mc_ln_mgf_sizes(params, sizes, samples, seed=13)
+        assert rows == [mc_ln_mgf(params, n, samples, seed=13) for n in sizes]
+        # order and repeats follow the list
+        assert mc_ln_mgf_sizes(params, [10, 1, 10], samples, seed=13) == [
+            rows[2], rows[0], rows[2]
+        ]
+
+    def test_statistics_against_numpy(self):
+        # the per-round partials against np.mean, np.std(ddof=1) and Kish's
+        # (sum w)^2 / sum w^2 over all the same weights at once
+        params, n, samples = Params(1.0, 0.0, 0.5, 1.0, 1), 4, 2**17 + 3
+        log_w = serial_log_weights(params, n, samples, 31)
+        shift = float(np.max(log_w))
+        w = np.exp(log_w - shift)
+        mean = float(np.mean(w))
+        std = float(np.std(w, ddof=1)) / math.sqrt(samples)
+        res = mc_ln_mgf(params, n, samples, seed=31)
+        mc_mean = math.exp(res.ln_estimate - shift)
+        assert mc_mean == pytest.approx(mean, rel=1e-14, abs=0.0)
+        assert res.ln_stderr * mc_mean == pytest.approx(std, rel=1e-14, abs=0.0)
+        assert res.ess == pytest.approx((mean * samples) ** 2 / float(np.dot(w, w)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("ns", [[4, 0, 10], (10, 2.5), [-1], [], 10, "4"])
+    def test_bad_size_raises_before_drawing(self, monkeypatch, ns):
+        def no_draws(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(sampler, "_generator", no_draws)
+        with pytest.raises(DomainError) as info:
+            mc_ln_mgf_sizes(Params(1.0, 0.0, 0.5, 1.0, 1), ns, 1000, seed=3)
+        assert info.value.constraint == "n"
 
 
 class TestEffectiveSampleSize:
