@@ -164,8 +164,8 @@ class _Rounds:
         a, r, u = params.a, params.r, params.u
         root = 1.0 / (2.0 * params.b)
         shapes, first = self.shapes[lo:hi], self.first[lo:hi].tolist()
-        draw = np.empty(self.width)
-        radii = np.empty(self.width)
+        draws = np.empty(self.width)
+        terms = np.empty(self.width)
         below = np.empty(self.width, dtype=bool)
         finished = False
         rngs = None
@@ -181,12 +181,12 @@ class _Rounds:
                         buf[:, :count] = 0.0
                     if rngs is None:
                         rngs = [_generator(self.seed, j + 1) for j in range(lo, hi)]
-                    gamma, term, inside = draw[:count], radii[:count], below[:count]
+                    gamma, term, inside = draws[:count], terms[:count], below[:count]
+                    rows = list(zip(buf[:, :count], sizes))
                     for rng, shape, rows_from in zip(rngs, shapes, first):
                         rng.standard_gamma(shape, out=gamma)
-                        for i in range(rows_from, len(sizes)):
-                            chunk = buf[i, :count]
-                            np.divide(gamma, sizes[i], out=term)
+                        for chunk, n in rows[rows_from:]:
+                            np.divide(gamma, n, out=term)
                             term **= root
                             if u:
                                 np.less(term, r, out=inside)
@@ -234,7 +234,7 @@ def _estimate(partials, width, samples, seed):
     """The MCResult of one size from its rounds' partial statistics.
 
     The rounds are rescaled to the largest log weight and combined in round
-    order by exact sums (math.fsum); the sum of squared deviations adds
+    order with math.fsum; the sum of squared deviations adds
     each round's own to its count times its mean's squared deviation from
     the whole mean (Chan, Golub and LeVeque 1983).
     """
@@ -285,8 +285,10 @@ def mc_ln_mgf_sizes(params, ns, samples, seed):
     So a call holds O(workers * sizes * 8192) doubles whatever ``samples``
     is.  The statistics are per-round partials (largest log weight, sum,
     sum of squares and sum of squared deviations of the shifted weights)
-    combined exactly in round order, not np.mean's and np.std's pairwise
-    sums over all samples; the two agree to about 1e-15 relative.
+    combined in round order with math.fsum, not np.mean's and np.std's pairwise
+    sums over all samples.  Measured against those on 18 configs, the
+    largest change was 1.8e-14 relative in ess (at an ess of 12),
+    4.5e-16 relative in ln_stderr and 4.4e-16 absolute in ln_estimate.
     """
     if not (isinstance(ns, (list, tuple)) and ns):
         raise DomainError("ns must be a nonempty list of sizes", constraint="n")
@@ -301,7 +303,8 @@ def mc_ln_mgf_sizes(params, ns, samples, seed):
     workers = min(_usable_cores(), sizes[-1])
     rounds = _Rounds(params, sizes, samples, seed, _BUFFERS_PER_STAGE * workers)
     # stage bounds that split the work, one draw and one transform per
-    # size n >= j for each index j, evenly; one size gives top * k // workers
+    # size n >= j for each index j, evenly (with one size, n * k // workers);
+    # a share smaller than one index's work would leave a stage empty
     work = np.cumsum(_DRAW_COST + len(sizes) - rounds.first)
     total = int(work[-1])
     bounds = sorted({

@@ -279,6 +279,34 @@ class TestThreadedRounds:
             assert not worker.is_alive()
             assert len(raised) == 1
 
+    @pytest.mark.parametrize("hits", [range(8192, 16384), range(3 * 8192)])
+    def test_vanished_rounds(self, monkeypatch, hits):
+        # index 1 lands exactly on r (G = 1: (1/4)^(1/2) = 0.5) at the
+        # samples of ``hits``: a round whose weights all vanish folds to
+        # nothing, and a call whose weights all vanish is refused
+        class Hits:
+            def __init__(self, rng):
+                self.rng, self.pos = rng, 0
+
+            def standard_gamma(self, shape, size=None, out=None):
+                g = self.rng.standard_gamma(shape, size=size, out=out)
+                g[max(hits.start - self.pos, 0) : max(hits.stop - self.pos, 0)] = 1.0
+                self.pos += g.size
+                return g
+
+        real = sampler._generator
+        monkeypatch.setattr(
+            sampler, "_generator",
+            lambda seed, j=None: Hits(real(seed, j)) if j == 1 else real(seed, j),
+        )
+        params = Params(1.0, 0.0, 0.5, 1.0, 1)
+        if len(hits) < 3 * 8192:
+            res = mc_ln_mgf(params, 4, 3 * 8192, seed=2)
+            assert dataclasses.astuple(res) == serial_reference(params, 4, 3 * 8192, 2)
+        else:
+            with pytest.raises(DomainError, match="vanished"):
+                mc_ln_mgf(params, 4, 3 * 8192, seed=2)
+
     def test_null_weight_draws_nothing(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("null weight constructed a generator")
