@@ -137,10 +137,10 @@ class _Rounds:
     M2 = sum (w - S1/count)^2.
     """
 
-    def __init__(self, params, sizes, samples, seed, buffers):
-        self.params, self.sizes, self.samples, self.seed = params, sizes, samples, seed
+    def __init__(self, params, sizes, first, samples, seed, buffers):
+        self.params, self.sizes, self.first = params, sizes, first
+        self.samples, self.seed = samples, seed
         self.shapes = _shapes(params, sizes[-1])
-        self.first = np.searchsorted(sizes, np.arange(1, sizes[-1] + 1))
         self.width = min(_ROUND_SAMPLES, samples)
         self.partials = np.empty((-(-samples // self.width), len(sizes), 4))
         self.pool = queue.SimpleQueue()
@@ -300,18 +300,19 @@ def mc_ln_mgf_sizes(params, ns, samples, seed):
     if not params.a and not params.u:
         return [MCResult(1.0, 0.0, 0.0, 0.0, samples, seed, float(samples))] * len(ns)
     sizes = sorted(set(ns))
+    first = np.searchsorted(sizes, np.arange(1, sizes[-1] + 1))
     workers = min(_usable_cores(), sizes[-1])
-    rounds = _Rounds(params, sizes, samples, seed, _BUFFERS_PER_STAGE * workers)
     # stage bounds that split the work, one draw and one transform per
     # size n >= j for each index j, evenly (with one size, n * k // workers);
     # a share smaller than one index's work would leave a stage empty
-    work = np.cumsum(_DRAW_COST + len(sizes) - rounds.first)
+    work = np.cumsum(_DRAW_COST + len(sizes) - first)
     total = int(work[-1])
     bounds = sorted({
         int(np.searchsorted(work, total * k // workers, side="right"))
         for k in range(workers + 1)
     })
     stages = len(bounds) - 1
+    rounds = _Rounds(params, sizes, first, samples, seed, _BUFFERS_PER_STAGE * stages)
     links = [None] + [queue.SimpleQueue() for _ in range(stages - 1)] + [None]
     with ThreadPoolExecutor(max_workers=stages) as pool:
         futures = [
