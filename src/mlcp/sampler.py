@@ -191,7 +191,8 @@ class _Rounds:
                             if u:
                                 np.less(term, r, out=inside)
                             if a:
-                                # an exact hit R_j == r records log weight -inf (weight 0)
+                                # an exact hit R_j == r records log weight
+                                # -inf (weight 0)
                                 term -= r
                                 np.abs(term, out=term)
                                 np.log(term, out=term)
@@ -279,15 +280,15 @@ def mc_ln_mgf_sizes(params, ns, samples, seed):
     an error.  With a = 0 and u = 0 every weight is 1 and nothing is drawn.
     Every size is checked before anything is drawn.
 
-    Memory: about two round buffers per worker, each of 8192 log weights
-    per distinct size, plus one row of 8192 draws, their transform and mask
+    Memory: two round buffers per worker, each of 8192 log weights per
+    distinct size, plus one row of 8192 draws, their transform and mask
     per worker; 32 bytes per size and round hold the partial statistics.
     So a call holds O(workers * sizes * 8192) doubles whatever ``samples``
     is.  The statistics are per-round partials (largest log weight, sum,
     sum of squares and sum of squared deviations of the shifted weights)
-    combined in round order with math.fsum, not np.mean's and np.std's pairwise
-    sums over all samples.  Measured against those on 18 configs, the
-    largest change was 1.8e-14 relative in ess (at an ess of 12),
+    combined in round order with math.fsum, not np.mean's and np.std's
+    pairwise sums over all samples.  Measured against those on 18 configs,
+    the largest change was 1.8e-14 relative in ess (at an ess of 12),
     4.5e-16 relative in ln_stderr and 4.4e-16 absolute in ln_estimate.
     """
     if not (isinstance(ns, (list, tuple)) and ns):

@@ -371,7 +371,9 @@ class TestMc:
         monkeypatch.setattr(cli, "mc_ln_mgf_sizes", recorded)
         rows = []
         for n_list in ([16, 64], [16], [64]):
-            cfg = write_config(tmp_path, n_list=n_list, samples=9000, params={"u": 0.5, "a": 1})
+            cfg = write_config(
+                tmp_path, n_list=n_list, samples=9000, params={"u": 0.5, "a": 1}
+            )
             assert main(["mc", "--config", cfg, "--format", "json"]) == 0
             rows.append(json.loads(capsys.readouterr().out)["rows"])
         assert calls == [(16, 64), (16,), (64,)]

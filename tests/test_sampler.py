@@ -189,13 +189,16 @@ def serial_reference(params, n, samples, seed):
             continue
         w = np.exp(lw - m)
         s1 = float(np.sum(w))
-        rounds.append((m, s1, float(np.dot(w, w)), float(np.sum((w - s1 / w.size) ** 2)), lw.size))
+        m2 = float(np.sum((w - s1 / w.size) ** 2))
+        rounds.append((m, s1, float(np.dot(w, w)), m2, lw.size))
     shift = max(m for m, *_ in rounds)
     scaled = [(math.exp(m - shift), s1, s2, m2, k) for m, s1, s2, m2, k in rounds]
     total = math.fsum(c * s1 for c, s1, _, _, _ in scaled)
     mean = total / samples
     sq = math.fsum(c * c * s2 for c, _, s2, _, _ in scaled)
-    dev = math.fsum(c * c * m2 + k * (c * s1 / k - mean) ** 2 for c, s1, _, m2, k in scaled)
+    dev = math.fsum(
+        c * c * m2 + k * (c * s1 / k - mean) ** 2 for c, s1, _, m2, k in scaled
+    )
     std = math.sqrt(dev / (samples - 1)) / math.sqrt(samples)
     ln_estimate = shift + math.log(mean)
     return (math.exp(ln_estimate), math.exp(shift) * std, ln_estimate,
@@ -391,7 +394,8 @@ class TestSizes:
         mc_mean = math.exp(res.ln_estimate - shift)
         assert mc_mean == pytest.approx(mean, rel=1e-14, abs=0.0)
         assert res.ln_stderr * mc_mean == pytest.approx(std, rel=1e-14, abs=0.0)
-        assert res.ess == pytest.approx((mean * samples) ** 2 / float(np.dot(w, w)), rel=1e-14, abs=0.0)
+        kish = (mean * samples) ** 2 / float(np.dot(w, w))
+        assert res.ess == pytest.approx(kish, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("ns", [[4, 0, 10], (10, 2.5), [-1], [], 10, "4"])
     def test_bad_size_raises_before_drawing(self, monkeypatch, ns):
