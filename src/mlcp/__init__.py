@@ -19,7 +19,7 @@ from .errors import (
     SingularPointError,
     UnsupportedOrderError,
 )
-from .exact_mgf import ExactResult, SplitDiagnostics, ln_mgf_exact, ln_partition, split_sums
+from .exact_mgf import ExactResult, SplitDiagnostics, ln_mgf_exact, split_sums
 from .params import Params
 from .sampler import MCResult, mc_ln_mgf, mc_ln_mgf_sizes, sample_moduli
 
@@ -40,7 +40,6 @@ __all__ = [
     "compute_coeffs",
     "eval_G",
     "ln_mgf_exact",
-    "ln_partition",
     "mc_ln_mgf",
     "mc_ln_mgf_sizes",
     "positivity_scan",

@@ -37,7 +37,7 @@ from .asymp import compute_coeffs, predict
 from .errors import AccuracyError, DomainError, MlcpError
 from .exact_mgf import ln_mgf_exact, split_sums
 from .identities import run_all
-from .params import Params
+from .params import Params, is_int
 from .sampler import mc_ln_mgf_sizes
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _integer(value, name):
     with a fractional part is a DomainError, not truncated."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise DomainError(f"{name} must be an integer, got {value!r}", constraint=name)
     return value
 

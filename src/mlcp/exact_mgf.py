@@ -85,7 +85,7 @@ raises the row sum's AccuracyError, naming the same j, and evaluates no
 row twice but the end rows of a range that falls back.
 
 The module also provides the diagnostic decomposition of ln E_n into four
-index ranges and the partition-function identity ln D_n - ln Z_n = ln E_n.
+index ranges.
 """
 
 import math
@@ -95,7 +95,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeError
-from .params import check_size, exp_u
+from .params import check_size, exp_u, is_int
 from .quadrature import adaptive
 from .specfun import lgamma_diff, reg_lower_gamma, saturation_window
 
@@ -201,8 +201,7 @@ class _TermContext:
     """
 
     __slots__ = (
-        "params", "n", "z", "cu", "coeffs", "k_over_2b", "shifts", "window",
-        "two_alpha", "two_b",
+        "params", "n", "z", "cu", "coeffs", "shifts", "window", "two_alpha", "two_b",
     )
 
     def __init__(self, params, n):
@@ -215,15 +214,14 @@ class _TermContext:
             math.comb(params.a, k) * (-params.r) ** (params.a - k)
             for k in range(params.a + 1)
         ]
-        self.k_over_2b = [k / (2.0 * params.b) for k in range(params.a + 1)]
-        self.shifts = np.array(self.k_over_2b[1:]).reshape(-1, 1)
+        self.two_b = 2.0 * params.b
+        self.shifts = np.arange(1.0, params.a + 1).reshape(-1, 1) / self.two_b
         exponent = _TERM_EXPONENT + math.log1p(abs(self.cu))
         self.window = (
             saturation_window(self.z, _TERM_EXPONENT)[0],
             saturation_window(self.z, exponent)[1],
         )
         self.two_alpha = 2.0 * params.alpha
-        self.two_b = 2.0 * params.b
 
     def shape(self, m):
         """The lattice shape s_m = (m + 2 alpha)/(2b)."""
@@ -520,7 +518,7 @@ def split_sums(params, n, eps, m_prime):
             "eps must satisfy 0 < eps < 1 and b r^{2b}/(1-eps) < 1/(1+eps)",
             constraint="eps",
         )
-    if not (isinstance(m_prime, int) and m_prime >= 1):
+    if not (is_int(m_prime) and m_prime >= 1):
         raise DomainError("m_prime must be a positive integer", constraint="m_prime")
     M = default_window_width(n)
 
@@ -556,52 +554,3 @@ def split_sums(params, n, eps, m_prime):
         theta_plus_M=theta_plus_M,
     )
 
-
-def ln_partition(params, n):
-    """Return {'ln_Z': ..., 'ln_D': ...} for the normalizing constants.
-
-    ln Z_n uses the closed product formula; ln D_n evaluates the deformed
-    product with its own max-shifted inner sums, so ln_D - ln_Z furnishes
-    an independent consistency route to ln E_n.  An inner sum that comes
-    out nonpositive or not finite raises AccuracyError naming its j.  On
-    the 84 configs of the benchmark's compare grid, ln_D - ln_Z is within
-    1e-9 of ln_mgf_exact (criterion 09's gate) for n <= 1000 at a <= 1,
-    n <= 300 at a = 2, 100 at a = 3, 60 at a = 4 and 30 at a = 5; at
-    n = 1e4 it is 5e-8 (a <= 1) to 0.6 (a = 5) off, and at a = 6 it
-    raises (first at j = 2457-2458, 2480-2508 and 4914 on the three
-    geometries), where ln_mgf_exact returns a value.
-    """
-    check_size(params, n)
-    b, alpha = params.b, params.alpha
-    ln_n = math.log(n)
-    prefactor = (
-        -(n * n) / (2.0 * b) * ln_n
-        - (1.0 + 2.0 * alpha) / (2.0 * b) * n * ln_n
-        + n * math.log(math.pi / b)
-    )
-    ln_z = prefactor + math.fsum(
-        math.lgamma((j + alpha) / b) for j in range(1, n + 1)
-    )
-
-    ctx = _TermContext(params, n)
-    at0s = (np.arange(1, n + 1, dtype=float) + alpha) / b
-    ps = [reg_lower_gamma(at0s + d, ctx.z).tolist() for d in ctx.k_over_2b]
-    d_terms = []
-    for j in range(1, n + 1):
-        at0 = (j + alpha) / b
-        lgs = [math.lgamma(at0 + d) for d in ctx.k_over_2b]
-        shift = max(lgs)
-        try:
-            inner = math.fsum(
-                ctx.coeffs[k]
-                * math.exp(lgs[k] - shift - ctx.k_over_2b[k] * ln_n)
-                * (1.0 + ctx.cu * ps[k][j - 1])
-                for k in range(params.a + 1)
-            )
-        except (OverflowError, ValueError):  # past the double range, or inf - inf
-            inner = math.nan
-        if not 0.0 < inner < math.inf:
-            raise _row_error(j, inner)
-        d_terms.append(shift + math.log(inner))
-    ln_d = prefactor + math.fsum(d_terms)
-    return {"ln_Z": ln_z, "ln_D": ln_d}

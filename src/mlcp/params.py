@@ -6,6 +6,11 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
+def is_int(value):
+    """Whether value is an int and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Params:
     """Parameter tuple of the radial two-dimensional ensemble.
@@ -44,7 +49,7 @@ class Params:
             )
         if not math.isfinite(self.u):
             raise DomainError("u must be finite", constraint="u")
-        if not (isinstance(self.a, int) and self.a >= 0):
+        if not (is_int(self.a) and self.a >= 0):
             raise DomainError("a must be a nonnegative integer", constraint="a")
 
     @property
@@ -62,7 +67,7 @@ def check_size(params, n):
     """Raise DomainError unless params is a Params and n a positive int."""
     if not isinstance(params, Params):
         raise DomainError("params must be a Params instance")
-    if not (isinstance(n, int) and n >= 1):
+    if not (is_int(n) and n >= 1):
         raise DomainError("n must be a positive integer", constraint="n")
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import check_size
+from .params import check_size, is_int
 
 # Samples per round: long enough that each draw call outweighs its Python
 # overhead, short enough that a stage's rows stay in cache.
@@ -84,7 +84,7 @@ def _shapes(params, n):
 
 
 def _check_seed(seed):
-    if not (isinstance(seed, int) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise DomainError("seed must be a nonnegative integer", constraint="seed")
 
 

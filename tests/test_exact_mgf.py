@@ -24,7 +24,6 @@ from mlcp.exact_mgf import (
     _TermContext,
     default_window_width,
     ln_mgf_exact,
-    ln_partition,
     split_sums,
 )
 from mlcp.params import Params
@@ -34,6 +33,8 @@ from mlcp.specfun import (
     reg_lower_gamma,
     saturation_window,
 )
+
+from mp_terms import log_term_mp
 
 # ln E_n values from direct numerical integration of the defining
 # expectation (40-digit tanh-sinh quadrature of the radial moments;
@@ -76,6 +77,17 @@ class TestParams:
         with pytest.raises(DomainError):
             Params(1.0, 0.0, 0.5, 0.0, 1.5)
 
+    def test_bool_a_is_refused(self):
+        # a bool is an int to Python; True must not run as a = 1
+        with pytest.raises(DomainError) as info:
+            Params(1.0, 0.0, 0.5, 0.0, True)
+        assert info.value.constraint == "a"
+
+    def test_bool_n_is_refused(self):
+        with pytest.raises(DomainError) as info:
+            ln_mgf_exact(Params(1.0, 0.0, 0.5, 0.7, 1), True)
+        assert info.value.constraint == "n"
+
     def test_constraint_field(self):
         try:
             Params(1.0, 0.0, 2.0, 0.0, 0)
@@ -102,7 +114,6 @@ class TestLargeU:
         calls = (
             lambda: ln_mgf_exact(params, 10),
             lambda: split_sums(params, 500, 0.05, 10),
-            lambda: ln_partition(params, 10),
         )
         for call in calls:
             with pytest.raises(DomainError) as info:
@@ -480,37 +491,17 @@ class TestLiveWindow:
         assert res == _outcome(params, n)
 
 
-def _log_term_mp(ctx, j):
-    """The j-term at 50 digits, independently of the double kernel: the
-    reference for its rows."""
-    p = ctx.params
-    with mp.workdps(50):
-        z = mp.mpf(ctx.n) * mp.mpf(p.r) ** (2 * mp.mpf(p.b))
-        at0 = (mp.mpf(j) + mp.mpf(p.alpha)) / mp.mpf(p.b)
-        cu = mp.mpf(-1 if p.a % 2 else 1) * mp.exp(mp.mpf(p.u)) - 1
-        lg0 = mp.loggamma(at0)
-        total = mp.mpf(0)
-        for k in range(p.a + 1):
-            d = mp.mpf(k) / (2 * mp.mpf(p.b))
-            pk = mp.gammainc(at0 + d, 0, z, regularized=True)
-            g = mp.loggamma(at0 + d) - lg0 - d * mp.log(ctx.n)
-            total += mp.binomial(p.a, k) * (-mp.mpf(p.r)) ** (p.a - k) * mp.exp(g) * (
-                1 + cu * pk
-            )
-        assert total > 0
-        return float(mp.log(total))
-
-
 def _cancelling_rows(ctx, j):
     """Indices of the rows of j whose inner k-sum is below 1e-3 of its
     largest term, recomputed term by term from lgamma_diff and P."""
     p = ctx.params
     at0 = (j + p.alpha) / p.b
+    shifts = [k / (2.0 * p.b) for k in range(p.a + 1)]
     terms = [
         ctx.coeffs[k]
         * np.exp(lgamma_diff(at0, d, ctx.n))
         * (1.0 + ctx.cu * reg_lower_gamma(at0 + d, ctx.z))
-        for k, d in enumerate(ctx.k_over_2b)
+        for k, d in enumerate(shifts)
     ]
     total = np.sum(terms, axis=0)
     return np.flatnonzero(total < 1e-3 * np.max(np.abs(terms), axis=0))
@@ -532,7 +523,7 @@ class TestOnePrecisionPath:
         rows = _cancelling_rows(ctx, np.arange(1, n + 1, dtype=float))
         assert rows.size == 293
         terms = _row_sum(params, n)[1]
-        errs = [abs(terms[i] - _log_term_mp(ctx, i + 1)) for i in rows.tolist()]
+        errs = [abs(terms[i] - log_term_mp(params, n, i + 1)) for i in rows.tolist()]
         assert math.fsum(errs) <= 5e-8
 
 
@@ -542,8 +533,7 @@ class TestHighPrecisionAgreement:
         p = Params(1.0, 0.0, 0.5, 0.3, 3)
         n = 300
         ours = ln_mgf_exact(p, n).ln_mgf
-        ctx = _TermContext(p, n)
-        ref = math.fsum(_log_term_mp(ctx, j) for j in range(1, n + 1))
+        ref = math.fsum(log_term_mp(p, n, j) for j in range(1, n + 1))
         assert ours == pytest.approx(ref, abs=5e-8)
 
 
@@ -562,10 +552,6 @@ class TestNonpositiveRow:
     def test_exact_raises_naming_j(self, params, n):
         with pytest.raises(AccuracyError, match=r"at j=\d+"):
             ln_mgf_exact(params, n)
-
-    def test_partition_raises_naming_j(self):
-        with pytest.raises(AccuracyError, match=r"at j=\d+"):
-            ln_partition(Params(3.0, 0.0, 0.7, 2.5, 6), 4096)
 
 
 class TestGregoryRanges:
@@ -874,14 +860,6 @@ class TestOverflowingRow:
         with pytest.raises(AccuracyError, match=f"not finite at j={j}:"):
             ln_mgf_exact(params, n)
 
-    @pytest.mark.parametrize("a", [2, 3])
-    def test_partition_raises_naming_j(self, a):
-        # shape 0.2 at j = 1: the k = 0 term leads its max-shifted sum with
-        # r^a (1 + cu P) past the double range; at a = 3 the k = 1 term
-        # overflows the other way, and fsum meets inf - inf
-        with pytest.raises(AccuracyError, match="not finite at j=1:"):
-            ln_partition(Params(0.5, -0.9, 1.9, 709.7, a), 1)
-
 
 class TestSplitSums:
     def test_partition_identity(self):
@@ -937,6 +915,11 @@ class TestSplitSums:
         with pytest.raises(RangeError):
             split_sums(p, 6, 0.05, 4)
 
+    def test_bool_m_prime_is_refused(self):
+        with pytest.raises(DomainError) as info:
+            split_sums(Params(1.0, 0.0, 0.6, 0.5, 1), 100, 0.05, True)
+        assert info.value.constraint == "m_prime"
+
     def test_m_prime_bound(self):
         p = Params(1.0, 0.0, 0.6, 0.5, 1)
         with pytest.raises(RangeError):
@@ -987,53 +970,6 @@ class TestPinnedBits:
         values = [ln_mgf_exact(p, n).ln_mgf.hex() for n in (128, 256) for p in configs]
         digest = hashlib.sha256("\n".join(values).encode()).hexdigest()
         assert digest == "99044ceaa3455accbef13674c05908ae08cf5d7523bc43fdbb1fff7ae25f6d91"
-
-
-class TestPartitionFunctions:
-    def test_z1_is_log_pi(self):
-        res = ln_partition(Params(1.0, 0.0, 0.5, 0.0, 0), 1)
-        assert res["ln_Z"] == pytest.approx(math.log(math.pi), rel=1e-15)
-
-    def test_undeformed_equality(self):
-        p = Params(1.0, 0.0, 0.5, 0.0, 0)
-        for n in (1, 7, 40):
-            res = ln_partition(p, n)
-            assert res["ln_D"] == pytest.approx(res["ln_Z"], abs=1e-9 * max(1, n))
-
-    def test_tiny_radius_without_warning(self):
-        # z = 2e-15: every shape from 1e3 on has z/a below 2^-53, where the
-        # uniform expansion's P is 0 without a RuntimeWarning
-        p = Params(1.0, 0.0, 1e-9, 0.5, 1)
-        res = ln_partition(p, 2000)
-        assert res["ln_D"] - res["ln_Z"] == pytest.approx(
-            ln_mgf_exact(p, 2000).ln_mgf, abs=1e-8
-        )
-
-    def test_ratio_identity(self):
-        p = Params(1.0, 0.0, 0.5, 0.7, 1)
-        res = ln_partition(p, 50)
-        assert res["ln_D"] - res["ln_Z"] == pytest.approx(
-            ln_mgf_exact(p, 50).ln_mgf, abs=1e-9
-        )
-
-    @pytest.mark.parametrize("a, n", [(0, 1000), (1, 1000), (2, 300), (3, 100), (4, 60), (5, 30)])
-    def test_documented_reach(self, a, n):
-        # ln_D - ln_Z within 1e-9 of ln_mgf_exact up to the n the docstring
-        # gives for each a, on the compare geometries
-        for geometry in ((1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)):
-            for u in (-0.7, 0.0, 1.0, 2.5):
-                p = Params(*geometry, u, a)
-                res = ln_partition(p, n)
-                assert res["ln_D"] - res["ln_Z"] == pytest.approx(
-                    ln_mgf_exact(p, n).ln_mgf, abs=1e-9
-                )
-
-    def test_raises_at_a_6(self):
-        # where ln_mgf_exact still returns a value
-        p = Params(1.0, 0.0, 0.5, 0.7, 6)
-        with pytest.raises(AccuracyError, match="nonpositive at j=2457:"):
-            ln_partition(p, 10**4)
-        assert math.isfinite(ln_mgf_exact(p, 10**4).ln_mgf)
 
 
 class TestPerformance:

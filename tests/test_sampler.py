@@ -397,7 +397,7 @@ class TestSizes:
         kish = (mean * samples) ** 2 / float(np.dot(w, w))
         assert res.ess == pytest.approx(kish, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("ns", [[4, 0, 10], (10, 2.5), [-1], [], 10, "4"])
+    @pytest.mark.parametrize("ns", [[4, 0, 10], (10, 2.5), [-1], [], 10, "4", [10, True]])
     def test_bad_size_raises_before_drawing(self, monkeypatch, ns):
         def no_draws(*args):
             raise AssertionError("a generator was built")
@@ -430,7 +430,7 @@ class TestOverflowAndSeeds:
         assert sampler._exp_times(710.0, 0.0) == 0.0
         assert sampler._exp_times(2000.0, 1.0) == math.inf
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError) as info:
             mc_ln_mgf(Params(1.0, 0.0, 0.5, 1.0, 1), 10, 1000, seed=seed)
