@@ -765,18 +765,37 @@ assert loaded(), "exact"
 """
 
 
+_NO_SPECIAL_EXACT_SCRIPT = """
+import sys
+from mlcp.cli import main
+assert main(["exact", "--config", sys.argv[1]]) == 0
+assert "scipy.special" not in sys.modules, "exact"
+"""
+
+
 class TestLazySpecial:
+    @staticmethod
+    def _run(script, cfg):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", script, cfg],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_exact_without_small_shapes_skips_it(self, tmp_path):
+        # at n = 8192 every window shape is >= 1e3: P comes from the uniform
+        # expansion alone, whose erfc is specfun's
+        cfg = write_config(tmp_path, n_list=[8192], params={"u": 0.7, "a": 1})
+        proc = self._run(_NO_SPECIAL_EXACT_SCRIPT, cfg)
+        assert proc.returncode == 0, proc.stderr
+
     def test_loaded_on_first_special_function_call(self, tmp_path):
         # mlcp reaches scipy.special only as an attribute of scipy, which
         # imports the submodule on first access: importing mlcp, mc and
-        # dump-polys never load it, exact does
+        # dump-polys never load it, exact at n = 10 (shapes below 1e3) does
         cfg = write_config(tmp_path, n_list=[10, 64], params={"u": 0.5, "a": 1})
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", _LAZY_SPECIAL_SCRIPT, cfg],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = self._run(_LAZY_SPECIAL_SCRIPT, cfg)
         assert proc.returncode == 0, proc.stderr
 
 

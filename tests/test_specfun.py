@@ -1,7 +1,8 @@
-"""Special-function accuracy tests: P(a, z) on both routes, the uniform
+"""Special-function accuracy tests: erfc, P(a, z) on both routes, the uniform
 expansion's eta and c_j, and the log-gamma difference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mlcp.errors import DomainError
 from mlcp.specfun import (
     LARGE_A_THRESHOLD,
     NEAR_ONE_SWITCH,
+    erfc,
     lgamma_diff,
     reg_lower_gamma,
     saturation_window,
@@ -34,6 +36,50 @@ class TestErf:
             for x in [0.05, 0.5, 1.0, 2.0, 3.5, 6.0, 8.49, 12.0]:
                 ref = mp.erfi(mpf(x))
                 assert abs((mpf(erfi(x)) - ref) / ref) < 1e-12
+
+
+class TestErfc:
+    """specfun.erfc, the erfc of the uniform expansion and the profiles."""
+
+    GRID = np.concatenate((
+        np.linspace(-30.0, 26.5, 2261),
+        np.linspace(22.0, 26.0, 1601),  # where scipy's erfc is 5.7e-14 off
+        np.geomspace(1e-8, 1.0, 300),
+        -np.geomspace(1e-8, 1.0, 300),
+    ))
+
+    def test_against_40_digits(self):
+        values = erfc(self.GRID)
+        with mp.workdps(40):
+            for x, value in zip(self.GRID.tolist(), values.tolist()):
+                ref = mp.erfc(mpf(x))
+                if ref >= 1e-300:
+                    assert abs((mpf(value) - ref) / ref) <= 1e-15, x
+
+    def test_special_values(self):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert erfc(0.0) == erfc(-0.0) == 1.0
+            assert erfc(math.inf) == 0.0
+            assert erfc(-math.inf) == 2.0
+            assert math.isnan(erfc(math.nan))
+            assert np.isnan(erfc(np.array([1.0, math.nan, -math.nan]))[1:]).all()
+
+    def test_underflow_to_zero_without_warning(self):
+        # subnormal from about 26.55, exactly 0 from 27.25 on
+        x = np.array([26.6, 27.0, 27.2, 27.25, 27.3, 28.0, 40.0, 1e300])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = erfc(x)
+        assert np.all(values[:3] > 0.0) and np.all(values[3:] == 0.0)
+
+    def test_array_equals_scalar(self):
+        x = self.GRID.reshape(2, -1)
+        values = erfc(x)
+        assert values.shape == x.shape
+        for xi, value in zip(x.ravel().tolist(), values.ravel().tolist()):
+            scalar = erfc(xi)
+            assert isinstance(scalar, float) and scalar == value
 
 
 class TestTemmeEta:
