@@ -1,15 +1,13 @@
 """Special functions on scalars and numpy arrays.
 
 ``erfc`` is the complementary error function in numpy alone: on each
-interval of |x| of width 1/32, exp(x_k^2 - x^2) times a polynomial of
+interval of |x| of width 1/64, exp(x_k^2 - x^2) times a polynomial of
 degree 7 in x_k - |x|, with x_k the interval's middle, so that x^2 is
 never rounded, and 2 - erfc(-x) below 0.  The polynomials are built in
-long double on the first call, from erf's Taylor series and Laplace's
-continued fraction, so that rounding them to doubles is their only error.
-Against 40 digits it is within 3.6e-16 relative wherever erfc(x) >=
-1e-300 (scipy's erfc: 5.7e-14 at x in [22, 26]); where long double is the
-double (Windows, macOS on arm64) the table carries the rounding of its
-double build.  From x = 27.25 on it is exactly 0.
+double on the first call, from math.erfc at each middle and erfcx's
+Taylor recurrence.  Against 40 digits it is within 4.5e-16 relative
+wherever erfc(x) >= 1e-300 (scipy's erfc: 5.7e-14 at x in [22, 26]), on
+every platform.  From x = 27.25 on it is exactly 0.
 
 The regularized lower incomplete gamma function P(a, z) = gamma(a, z)/Gamma(a)
 takes one of two routes, chosen by the size of a:
@@ -148,101 +146,50 @@ def horner(coeffs, x):
     return acc
 
 
-# erfc.  On interval k of x >= 0, [k/32, (k+1)/32), with x_k its middle (0
+# erfc.  On interval k of x >= 0, [k/64, (k+1)/64), with x_k its middle (0
 # on interval 0), t = x_k - x and e = t (x + x_k) = x_k^2 - x^2, so that
 #
 #     erfc(x) = exp(e) Q_k(t),    Q_k(t) = exp(-x_k^2) erfcx(x_k - t),
 #
 # with Q_k a polynomial of degree 7 in t.  t is exact (Sterbenz), and e
-# rounds twice with |e| <= x/32, which moves erfc by under 2e-16 relative.
+# rounds twice with |e| <= x/64, which moves erfc by under 2e-16 relative.
 # From x = 27.25 on (column _ERFC_INTERVALS, all 0) erfc(x) < 1e-324 is 0
 # in doubles; Q_k's coefficients are subnormal from x ~ 26.6 on.
-_ERFC_PER_UNIT = 32
+_ERFC_PER_UNIT = 64
 _ERFC_ZERO_FROM = 27.25
 _ERFC_INTERVALS = int(_ERFC_ZERO_FROM * _ERFC_PER_UNIT)
 _ERFC_DEGREE = 7
-_ERFC_TAYLOR_TERMS = 12
-
-
-def _erfcx_wide(x):
-    """erfcx(x) = exp(x^2) erfc(x) at the 1-d long-double array x > 0, in
-    ascending order, to about 1e-19 relative where long double is wider
-    than double: erf's Taylor series below x = 1.2 (erfc = 1 - erf loses at
-    most the factor erf/erfc < 10 there), Laplace's continued fraction
-    above, with 320/x^2 + 10 terms (converged to 1e-19)."""
-    wide = x.dtype.type
-    sqrt_pi = np.sqrt(np.arccos(wide(-1.0)))
-    low = int(np.searchsorted(x, 1.2))
-    x2 = x[:low] * x[:low]
-    term = x[:low].copy()
-    erf_sum = term.copy()
-    for m in range(1, 30):
-        term *= -x2 / m
-        erf_sum += term / (2 * m + 1)
-    xl = x[low:]
-    # the terms each entry needs fall with x, so step m updates a prefix
-    terms = (320.0 / (xl * xl)).astype(int) + 10
-    steps = np.arange(terms[0], 0, -1)
-    t = xl.copy()
-    for m, n in zip(steps.tolist(), np.searchsorted(-terms, -steps, side="right").tolist()):
-        t[:n] = xl[:n] + wide(0.5 * m) / t[:n]
-    return np.concatenate(((1 - 2 / sqrt_pi * erf_sum) * np.exp(x2), 1 / (sqrt_pi * t)))
-
-
-def _chebyshev_in_powers(s0, s1):
-    """Row j: the coefficients of T_j(s0 + s1 t) in powers of t, constant
-    term first, j and the powers up to _ERFC_DEGREE, in s0's precision;
-    they follow T_j+1 = 2 s T_j - T_j-1."""
-    rows = np.zeros((_ERFC_DEGREE + 1, _ERFC_DEGREE + 1), type(s0))
-    rows[0, 0] = 1
-    rows[1, :2] = s0, s1
-    for j in range(2, _ERFC_DEGREE + 1):
-        rows[j] = 2 * s0 * rows[j - 1] - rows[j - 2]
-        rows[j, 1:] += 2 * s1 * rows[j - 1, :-1]
-    return rows
 
 
 @functools.cache
 def _erfc_table():
     """Shape (degree + 2, intervals + 1): the row of x_k, then Q_k's
-    coefficients in t, constant term first.  On each interval, the
-    Chebyshev interpolant of Q_k at degree + 1 nodes is taken to the basis
-    of powers of t in long double, so that rounding it to doubles is the
-    only error it adds.  Built on the first erfc call, in about 2 ms."""
-    wide = np.longdouble
-    half = wide(0.5) / _ERFC_PER_UNIT
-    mid = (np.arange(_ERFC_INTERVALS) + wide(0.5)) / _ERFC_PER_UNIT
-    x_k = mid.copy()
-    x_k[0] = 0
-    nodes = _ERFC_DEGREE + 1
-    theta = np.arccos(wide(-1.0)) * (np.arange(nodes)[::-1] + wide(0.5)) / nodes
-    # erfcx at the nodes from its Taylor series about each middle, whose
-    # coefficients follow from erfcx' = 2 x erfcx - 2/sqrt(pi); over steps
-    # of at most 1/64 the recurrence's growing solution, exp(x^2), raises
-    # their roundings at most 2.4 times
-    a = [_erfcx_wide(mid)]
-    a.append(2 * mid * a[0] - 2 / np.sqrt(np.arccos(wide(-1.0))))
-    for n in range(1, _ERFC_TAYLOR_TERMS - 1):
-        a.append(2 * (mid * a[n] + a[n - 1]) / (n + 1))
-    values = np.exp(-x_k * x_k)[:, None] * horner(a, half * np.cos(theta)[:, None]).T
-    # Chebyshev coefficients in s = (x - mid)/half, from the nodes'
-    # discrete orthogonality
-    cheb = values @ np.cos(np.outer(theta, np.arange(nodes))) * (wide(2) / nodes)
-    cheb[:, 0] /= 2
-    # s = s0 + s1 t, with s0 = 0 but on interval 0
-    coeffs = cheb @ _chebyshev_in_powers(wide(0), -1 / half)
-    coeffs[0] = cheb[0] @ _chebyshev_in_powers((x_k[0] - mid[0]) / half, -1 / half)
-    table = np.zeros((_ERFC_DEGREE + 2, _ERFC_INTERVALS + 1))
-    table[0] = np.append(x_k.astype(float), _ERFC_ZERO_FROM)
+    coefficients in t, constant term first.  Q_k is its Taylor polynomial
+    about t = 0, whose coefficient of t^m is (-1)^m b_m with b_m =
+    exp(-x_k^2) times erfcx's m-th Taylor coefficient at x_k: b_0 =
+    erfc(x_k) from math.erfc, and erfcx' = 2x erfcx - 2/sqrt(pi) gives b_1
+    and b_m+1 = 2 (x_k b_m + b_m-1)/(m + 1).  Against 40 digits the
+    coefficients' roundings move Q_k by at most 3.7e-16 relative and the
+    truncation by at most 1.5e-16 (on interval 0, where |t| reaches 1/64).
+    Built in double on the first erfc call, in about 0.5 ms."""
+    x_k = (np.arange(_ERFC_INTERVALS) + 0.5) / _ERFC_PER_UNIT
+    x_k[0] = 0.0
+    b = [np.array([math.erfc(x) for x in x_k.tolist()])]
     with np.errstate(under="ignore"):
-        table[1:, :-1] = coeffs.T.astype(float)
+        b.append(2 * x_k * b[0] - 2 / math.sqrt(math.pi) * np.exp(-x_k * x_k))
+        for m in range(1, _ERFC_DEGREE):
+            b.append(2 * (x_k * b[m] + b[m - 1]) / (m + 1))
+    table = np.zeros((_ERFC_DEGREE + 2, _ERFC_INTERVALS + 1))
+    table[0] = np.append(x_k, _ERFC_ZERO_FROM)
+    table[1:, :-1] = b
+    table[2::2] *= -1
     return table
 
 
 def erfc(x):
     """The complementary error function at x, a float or an array.
 
-    Within 4e-16 relative wherever erfc(x) >= 1e-300 (see the module
+    Within 4.5e-16 relative wherever erfc(x) >= 1e-300 (see the module
     docstring); subnormal from x ~ 26.55 and exactly 0 from 27.25 on, with
     no warning; 1 at +-0, 2 at -inf and NaN at NaN.  Each value is the one
     a call on that entry alone gives, bit for bit.

@@ -1,6 +1,7 @@
 """Profile functions, asymptotic constants, and residual-decay tests."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -325,17 +326,22 @@ class TestCoeffBundle:
             compute_coeffs(params, tol)
         assert info.value.constraint == "tol"
 
-    @pytest.mark.parametrize(
-        "u, a, error, switch", [(-30.0, 0, "1.210e-01", "8"), (300.0, 1, "1.993e-09", "19.08")]
-    )
-    def test_stall_names_constant_and_call(self, u, a, error, switch):
-        # component 1 of the joint C2/C3 quadrature is C3
+    @pytest.mark.parametrize("u, a, switch", [(-30.0, 0, "8"), (300.0, 1, "19.08")])
+    def test_stall_names_constant_and_call(self, u, a, switch):
+        # component 1 of the joint C2/C3 quadrature is C3.  The stalled
+        # error estimate is rounding noise of the profile's erfc (1.5e-9 to
+        # 2.0e-9 at u = 300 across erfc implementations), so only its size
+        # against the tolerance is checked
         with pytest.raises(AccuracyError) as info:
             compute_coeffs(Params(1.0, 0.0, 0.5, u, a))
-        assert str(info.value) == (
-            f"adaptive quadrature stalled at error {error} > tol 5.000e-10"
-            f" in component 1 (C3) of the core call, |y| <= {switch}"
+        message = str(info.value)
+        match = re.fullmatch(
+            r"adaptive quadrature stalled at error (\S+) > tol 5\.000e-10"
+            r" in component 1 \(C3\) of the core call, \|y\| <= " + re.escape(switch),
+            message,
         )
+        assert match is not None, message
+        assert float(match[1]) > 5.000e-10, message
         assert info.value.component == 1
 
     def test_tail_stall_names_the_tail(self, monkeypatch):

@@ -48,13 +48,34 @@ class TestErfc:
         -np.geomspace(1e-8, 1.0, 300),
     ))
 
-    def test_against_40_digits(self):
-        values = erfc(self.GRID)
+    @staticmethod
+    def assert_within_1e_15(x):
+        # relative to 40 digits, wherever erfc(x) >= 1e-300
+        values = erfc(x)
         with mp.workdps(40):
-            for x, value in zip(self.GRID.tolist(), values.tolist()):
-                ref = mp.erfc(mpf(x))
+            for xi, value in zip(x.tolist(), values.tolist()):
+                ref = mp.erfc(mpf(xi))
                 if ref >= 1e-300:
-                    assert abs((mpf(value) - ref) / ref) <= 1e-15, x
+                    assert abs((mpf(value) - ref) / ref) <= 1e-15, xi
+
+    def test_against_40_digits(self):
+        self.assert_within_1e_15(self.GRID)
+
+    def test_built_without_long_double(self, monkeypatch):
+        # as where long double is the double (Windows, macOS on arm64)
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        specfun._erfc_table.cache_clear()
+        try:
+            self.assert_within_1e_15(self.GRID)
+        finally:
+            specfun._erfc_table.cache_clear()
+
+    def test_every_interval(self):
+        # k/64, (k+1)/64 - 2^-40 and (k+1/2)/64 on each interval of
+        # [0, 26.5]; GRID's step of 0.025 skips many of them
+        k = np.arange(26.5 * specfun._ERFC_PER_UNIT)
+        ends = np.concatenate((k, k + 1 - 2.0**-34, k + 0.5)) / specfun._ERFC_PER_UNIT
+        self.assert_within_1e_15(ends)
 
     def test_special_values(self):
         with np.errstate(all="raise"), warnings.catch_warnings():
