@@ -20,13 +20,16 @@ C1 is closed-form up to one smooth integral.  With s = 2b and Y = edge
 Integrating by parts against y^s - r^s, which vanishes at y = r, and
 putting y = r t gives
 
-  I = (1/b - r^s) ln(Y-r) + r^s ln r - r^s (psi(s+1) + gamma + K),
-  K = int_1^{Y/r} (t^s-1)/(t-1) dt = int_0^{(Y-r)/r} expm1(s log1p(h))/h dh,
+  I = (1/b - r^s) ln(Y-r) + r^s ln r - r^s J,
+  J = int_0^{Y/r} (t^s-1)/(t-1) dt = int_{-1}^{(Y-r)/r} expm1(s log1p(h))/h dh,
 
-with psi(s+1) + gamma = int_0^1 (1-t^s)/(1-t) dt (DLMF 5.9.16).  K's
-integrand is analytic: one adaptive Gauss-Kronrod call on panels graded
-toward h = 0, where it turns from s into about h^(s-1) once h > 1.
-C1's error is a b r^s times K's estimate plus a rounding allowance of 4 eps
+whose stretch t in [0, 1] is psi(s+1) + gamma (DLMF 5.9.16).  J's
+integrand is analytic in h > -1 and tends to 1 at h = -1: one adaptive
+Gauss-Kronrod call, on panels graded toward t = 0, where t^s has an
+infinite slope for s < 1, and toward t = 1 from above, where the
+integrand turns from s into about h^(s-1) once h > 1.  A (Y/r)^s that
+overflows a double is a DomainError on r, as e^u is on u (exp_u).  C1's
+error is a b r^s times J's estimate plus a rounding allowance of 4 eps
 a b times the summed |terms| of I, counting (1/b + r^s)|ln(Y-r)| for the
 first.
 
@@ -45,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy
 
 from . import combo_poly
 from .errors import AccuracyError, DomainError
@@ -323,16 +325,18 @@ def _c1_with_err(params, tol):
     if a == 0:
         return u_part, 0.0
     s, r_s, gap = 2.0 * b, r ** (2.0 * b), params.edge_radius - r
-    k, k_err = adaptive(
-        lambda h: np.expm1(s * np.log1p(h)) / h,  # (t^s - 1)/(t - 1), t = 1 + h
-        graded_edges(gap / r),
-        tol / (2 * a * b * r_s),
-    )
+    if s * math.log1p(gap / r) > math.log(np.finfo(float).max):
+        raise DomainError("r is too small: (edge/r)**(2b) overflows a double", constraint="r")
+    # graded toward t = 0 (h = -1, mirrored) and toward t = 1 from above
+    edges = [t - 1.0 for t in graded_edges(1.0)] + graded_edges(gap / r)[1:]
+    # (t^s - 1)/(t - 1), t = 1 + h; a node that rounds onto h = -1 gets the
+    # limit 1 from log1p(-1) = -inf
+    with np.errstate(divide="ignore"):
+        j, j_err = adaptive(lambda h: np.expm1(s * np.log1p(h)) / h, edges, tol / (2 * a * b * r_s))
     log_gap = math.log(gap)
-    terms = [(1.0 / b - r_s) * log_gap, r_s * math.log(r), -r_s * k]
-    terms += [-r_s * float(scipy.special.digamma(s + 1.0)), -r_s * np.euler_gamma]
+    terms = [(1.0 / b - r_s) * log_gap, r_s * math.log(r), -r_s * j]
     rounding = 8.9e-16 * (sum(map(abs, terms)) + 2.0 * r_s * abs(log_gap))  # 4 eps
-    return u_part + a * b * math.fsum(terms), a * b * (r_s * k_err + rounding)
+    return u_part + a * b * math.fsum(terms), a * b * (r_s * j_err + rounding)
 
 
 def _c2_c3_with_err(params, tol):

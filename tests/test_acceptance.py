@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -24,7 +25,7 @@ from mlcp.identities import (
 )
 from mlcp.params import Params
 from mlcp.sampler import mc_ln_mgf
-from mlcp.specfun import reg_lower_gamma
+from mlcp.specfun import reg_lower_gamma, saturation_window
 
 from mp_terms import log_term_mp
 
@@ -233,3 +234,72 @@ def test_criterion_10_g0_positivity():
             assert scan.all_positive, f"g0 <= 0 at u={u}, a={a}, y={scan.argmin}"
             worst = min(worst, scan.min_value)
     report(10, f"g0 > 0 on 35 grids of 24001 points (min value {worst:.2e})")
+
+
+# 7-point central stencils at step h on u + k h, k = -3..3: the second
+# derivative to O(h^6), the third to O(h^4)
+STENCIL_H = 0.05
+STENCIL_2 = (1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90)
+STENCIL_3 = (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8)
+
+
+def stencil_derivs(values):
+    """Second and third derivatives at the middle of 7 values on step
+    STENCIL_H."""
+    h = STENCIL_H
+    second = math.fsum(c * v for c, v in zip(STENCIL_2, values)) / h**2
+    third = math.fsum(c * v for c, v in zip(STENCIL_3, values)) / h**3
+    return second, third
+
+
+def test_criterion_11_counting_statistic():
+    # At a = 0, ln E_n(u) is the cumulant generating function of N(r), a
+    # sum of independent Bernoulli(p_j), p_j = e^u P_j/(Q_j + e^u P_j),
+    # P_j = P((j + alpha)/b, n r^(2b)): kappa2 = sum p q, kappa3 = sum p q
+    # (q - p), against the u-derivatives of C2 sqrt(n) + C3 (C1 is linear
+    # in u; C3'' is 0 only at u = 0).  The rows outside the saturation window at E = 40 add under
+    # n e^-40 to either sum.  At u = 0 the next order of kappa3 vanishes;
+    # at u = 1 it is D'''/sqrt(n) (about -0.017/sqrt(n) at b = 1), so C3'''
+    # is checked there on 2 R(4n) - R(n), R(n) = kappa3 - C2''' sqrt(n).
+    t0 = time.perf_counter()
+    cubic = lambda u: 1.0 + 2.0 * u - 3.0 * u**2 + 5.0 * u**3
+    second, third = stencil_derivs([cubic(0.3 + k * STENCIL_H) for k in range(-3, 4)])
+    assert second == pytest.approx(-6.0 + 30.0 * 0.3, rel=1e-9)
+    assert third == pytest.approx(30.0, rel=1e-9)
+    sizes = [2**k for k in range(12, 21, 2)]
+    worst_flat = worst_c3 = 0.0
+    for b, alpha, r in ((1.0, 0.0, 0.5), (2.0, -0.5, 0.6), (0.5, 0.5, 1.0)):
+        big_ps = []
+        for n in sizes:
+            z = n * r ** (2.0 * b)
+            lo, hi = saturation_window(z, 40.0)
+            j = np.arange(max(1, math.floor(b * lo - alpha)), min(n, math.ceil(b * hi - alpha)) + 1)
+            big_ps.append(reg_lower_gamma((j + alpha) / b, z))
+        for u in (0.0, 1.0):
+            coeffs = [
+                compute_coeffs(Params(b, alpha, r, u + k * STENCIL_H, 0), tol=1e-12)
+                for k in range(-3, 4)
+            ]
+            c2_2, c2_3 = stencil_derivs([c.C2 for c in coeffs])
+            c3_2, c3_3 = stencil_derivs([c.C3 for c in coeffs])
+            flat, rest = [], []
+            for n, big_p in zip(sizes, big_ps):
+                tilted, big_q = math.exp(u) * big_p, 1.0 - big_p
+                p, q = tilted / (big_q + tilted), big_q / (big_q + tilted)
+                kappa2, kappa3 = math.fsum(p * q), math.fsum(p * q * (q - p))
+                flat.append((kappa2 - c2_2 * math.sqrt(n) - c3_2) * math.sqrt(n))
+                rest.append(kappa3 - c2_3 * math.sqrt(n))
+            for small, large in zip(flat, flat[1:]):
+                change = abs(large / small - 1.0)
+                worst_flat = max(worst_flat, change)
+                assert change < 0.1, (b, u, flat)
+            c3_check = rest[-1] if u == 0.0 else 2.0 * rest[-1] - rest[-2]
+            worst_c3 = max(worst_c3, abs(c3_check - c3_3))
+            assert abs(c3_check - c3_3) <= 1e-5, (b, u, rest, c3_3)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"counting statistic took {elapsed:.2f}s (budget 1s)"
+    report(
+        11,
+        f"kappa2, kappa3 of N(r) at u = 0, 1 against the u-derivatives of C2, C3 "
+        f"(flat to {worst_flat:.1%} per x4, C3''' to {worst_c3:.1e}; {elapsed * 1e3:.0f} ms)",
+    )

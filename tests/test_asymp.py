@@ -151,16 +151,35 @@ class TestC1:
         p = Params(2.0, 0.25, 0.6, -0.4, 3)
         assert compute_coeffs(p).C1 == pytest.approx(c1_trapezoid_oracle(p), abs=1e-8)
 
-    @pytest.mark.parametrize("b", [0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 6.0])
+    @pytest.mark.parametrize("b", [0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("frac", [0.02, 0.3, 0.7, 0.95, 0.999])
     def test_vs_mpmath(self, b, frac):
-        # r from far inside the droplet to 0.999 of its edge
+        # r from far inside the droplet to 0.999 of its edge; at b = 0.1
+        # J's integrand t^0.2 has its steepest slope at t = 0
         p = Params(b, 0.0, frac * b ** (-1.0 / (2.0 * b)), 0.5, 2)
         c1, err = asymp._c1_with_err(p, 1e-12)
         with mp.workdps(30):
             ref = c1_mpmath(p)
         assert abs(c1 - ref) <= err
         assert abs(c1 - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("frac", [6e-4, 8e-4])
+    def test_far_end_overflow_is_domain_error(self, frac):
+        # at b = 50, (edge/r)^(2b) overflows a double below r = 8.05e-4 of
+        # the edge: at 8e-4 J would overflow, at 6e-4 r^(2b) underflows to 0
+        p = Params(50.0, 0.0, frac * 50.0**-0.01, 0.5, 1)
+        with pytest.raises(DomainError, match="overflows a double") as exc:
+            compute_coeffs(p)
+        assert exc.value.constraint == "r"
+
+    def test_just_inside_far_end_range(self):
+        # (edge/r)^(2b) is about e^707 at r = 8.5e-4 of the edge
+        p = Params(50.0, 0.0, 8.5e-4 * 50.0**-0.01, 0.5, 1)
+        c1, err = asymp._c1_with_err(p, 1e-12)
+        with mp.workdps(30):
+            ref = c1_mpmath(p)
+        assert abs(c1 - ref) <= err
+        assert abs(compute_coeffs(p).C1 - ref) <= 1e-14
 
     @pytest.mark.parametrize("b", sorted(GEOMETRIES))
     @pytest.mark.parametrize("a", [1, 6])
@@ -172,7 +191,7 @@ class TestC1:
 
     def test_gk15_calls(self, monkeypatch):
         # on the 84 compare configs at tol 1e-9 the graded log-singular
-        # quadrature made 1,068 gk15 calls in all; K takes one per a >= 1
+        # quadrature made 1,068 gk15 calls in all; J takes one per a >= 1
         calls = []
         gk15 = quadrature.gk15
 
@@ -189,10 +208,10 @@ class TestC1:
                     assert len(calls) - before <= 2
 
     def test_gk15_calls_far_inside(self, monkeypatch):
-        # K's integrand turns from s at h = 0 to about h^(s-1) beyond h = 1;
-        # on 4 uniform panels of [0, gap/r] K took 25 / 5 / 1 gk15 calls at
-        # b = 0.1 and 18 / 4 / 1 at b = 0.3 for r/edge = 1e-6 / 0.02 / 0.5
-        # (1 at b = 1, 2); panels graded toward h = 0 take at most 8
+        # J's integrand turns from s at h = 0 to about h^(s-1) beyond h = 1;
+        # on 4 uniform panels of [0, gap/r] that stretch took 25 / 5 / 1 gk15
+        # calls at b = 0.1 and 18 / 4 / 1 at b = 0.3 for r/edge = 1e-6 /
+        # 0.02 / 0.5 (1 at b = 1, 2); panels graded toward h = 0 take at most 8
         calls = []
         gk15 = quadrature.gk15
 

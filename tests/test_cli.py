@@ -547,6 +547,20 @@ class TestExitCodes:
         assert "traceback" not in record
         assert main(["exact", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("frac", [6e-4, 8e-4])
+    def test_far_end_overflow_compare_exit_2(self, tmp_path, capsys, frac):
+        # C1 takes (edge/r)**(2b), which overflows a double at b = 50 below
+        # r of about 8.05e-4 of the edge; the exact route runs
+        params = {"b": 50.0, "r": frac * 50.0**-0.01, "u": 0.5, "a": 1}
+        cfg = write_config(tmp_path, n_list=[10], output="json", params=params)
+        assert main(["compare", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)["error"]
+        assert (record["type"], record["constraint"]) == ("DomainError", "r")
+        assert "traceback" not in record
+        assert main(["exact", "--config", cfg]) == 0
+
     @pytest.mark.parametrize("b", ["1/0", "inf"])
     def test_b_not_rational_exit_2(self, capsys, b):
         assert main(["dump-polys", "--b", b]) == 2
@@ -773,6 +787,14 @@ assert "scipy.special" not in sys.modules, "exact"
 """
 
 
+_NO_SPECIAL_COMPARE_SCRIPT = """
+import sys
+from mlcp.cli import main
+assert main(["compare", "--config", sys.argv[1]]) == 0
+assert "scipy.special" not in sys.modules, "compare"
+"""
+
+
 class TestLazySpecial:
     @staticmethod
     def _run(script, cfg):
@@ -788,6 +810,13 @@ class TestLazySpecial:
         # expansion alone, whose erfc is specfun's
         cfg = write_config(tmp_path, n_list=[8192], params={"u": 0.7, "a": 1})
         proc = self._run(_NO_SPECIAL_EXACT_SCRIPT, cfg)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_compare_without_small_shapes_skips_it(self, tmp_path):
+        # C1, C2 and C3 take no special function from scipy, and the exact
+        # rows at n >= 8192 none either
+        cfg = write_config(tmp_path, n_list=[8192, 32768], params={"u": 0.7, "a": 1})
+        proc = self._run(_NO_SPECIAL_COMPARE_SCRIPT, cfg)
         assert proc.returncode == 0, proc.stderr
 
     def test_loaded_on_first_special_function_call(self, tmp_path):
